@@ -131,8 +131,9 @@ def min_eigvec(h) -> np.ndarray:
 
 
 def mirror_noise(n, e1) -> np.ndarray:
-    """Negate every agent's component along e1 (flips the aggregate too)."""
-    return n - 2.0 * (n @ e1)[:, None] * e1[None, :]
+    """Negate every agent's component along e1 (flips the aggregate too);
+    n is (..., m, d)."""
+    return n - 2.0 * (n @ e1)[..., None] * e1
 
 
 @dataclass
@@ -162,36 +163,25 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
         raise AnalysisError("variance must be >= 0")
     e1 = min_eigvec(problem.aggregated_hessian(saddle))
     start = optimizer.polish_fixed_point(problem, w, optimizer.stepsize(schedule, 1), saddle)
-    m, d = problem.m, problem.d
-    sig = np.sqrt(variance)
-    iterations = []
-    for r in range(runs):
-        rngs = [
-            np.random.Generator(
-                np.random.Philox(np.random.SeedSequence((int(seed), _COUPLING_STREAM, r, j)))
-            )
-            for j in range(m)
-        ]
-        xa = np.tile(start, (m, 1))
-        xb = xa.copy()
-        hit = None
-        for k in range(1, horizon + 1):
-            lam = optimizer.stepsize(schedule, k)
-            if variance > 0:
-                n = np.stack([rngs[j].standard_normal(d) for j in range(m)]) * sig
-            else:
-                n = np.zeros((m, d))
-            ga = problem.agent_gradients(xa)
-            gb = problem.agent_gradients(xb)
-            xa = problem.retract(optimizer.mixing_update(w.w, xa, ga + n, lam))
-            xb = problem.retract(optimizer.mixing_update(w.w, xb, gb + mirror_noise(n, e1), lam))
-            if (
-                np.linalg.norm(xa.mean(axis=0) - saddle) > escape_radius
-                or np.linalg.norm(xb.mean(axis=0) - saddle) > escape_radius
-            ):
-                hit = k
-                break
-        iterations.append(hit)
+    m = problem.m
+    streams = [
+        [optimizer.philox(seed, _COUPLING_STREAM, r, j) for j in range(m)] if variance > 0 else None
+        for r in range(runs)
+    ]
+
+    def escaped(x, k):
+        # x is (pairs, 2, m, d); a pair escapes when either mean leaves the ball
+        dist = np.linalg.norm(x.mean(axis=-2) - saddle, axis=-1)
+        if not np.isfinite(dist).all():
+            raise optimizer.NonFiniteState(k, "escape distance")
+        return (dist > escape_radius).any(axis=-1)
+
+    out = optimizer.lockstep(
+        problem, w.w, np.tile(start, (runs, 2, m, 1)), schedule, horizon, streams,
+        [np.sqrt(variance)] * runs,
+        noise_map=lambda n: np.stack([n, mirror_noise(n, e1)], axis=-3), stop=escaped,
+    )
+    iterations = out.stopped_at
     return CouplingResult(
         total_runs=runs,
         escape_count=sum(1 for it in iterations if it is not None),

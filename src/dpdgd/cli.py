@@ -13,6 +13,7 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -30,6 +31,7 @@ from .optimizer import (
     RunConfig,
     StepsizeSchedule,
     run,
+    run_batch,
 )
 from .problems import (
     ProblemError,
@@ -283,23 +285,32 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _table1_seed(master_seed, cell_index, r):
+    key = (int(master_seed), _TABLE1_STREAM, int(cell_index), r)
+    return int(np.random.SeedSequence(key).generate_state(1, dtype=np.uint64)[0])
+
+
+def _table1_finals(payload):
+    """Final mean optimization errors of sweep runs, given as (variance,
+    seed) pairs over one base config, advanced as one lockstep batch."""
+    base_cfg, runs = payload
+    config, _ = build_run_config(base_cfg, seed_override=runs[0][1])
+    traces = run_batch(
+        [dataclasses.replace(config, noise_variance=float(v), seed=s) for v, s in runs]
+    )
+    return [trace.records[-1].opt_error_mean for trace in traces]
+
+
+def _cell_stats(finals):
+    finals = np.array(finals)
+    return float(finals.mean()), float(finals.std()), len(finals)
+
+
 def _table1_cell(payload):
     """One sweep cell: repeated seeded runs at a fixed variance."""
     base_cfg, variance, runs_per_cell, master_seed, cell_index = payload
-    finals = []
-    for r in range(runs_per_cell):
-        run_seed = int(
-            np.random.SeedSequence(
-                (int(master_seed), _TABLE1_STREAM, int(cell_index), r)
-            ).generate_state(1, dtype=np.uint64)[0]
-        )
-        cfg = dict(base_cfg)
-        cfg["noise"] = {"variance": variance}
-        config, _ = build_run_config(cfg, seed_override=run_seed)
-        trace = run(config)
-        finals.append(trace.records[-1].opt_error_mean)
-    finals = np.array(finals)
-    return float(finals.mean()), float(finals.std()), len(finals)
+    runs = [(variance, _table1_seed(master_seed, cell_index, r)) for r in range(runs_per_cell)]
+    return _cell_stats(_table1_finals((base_cfg, runs)))
 
 
 def cmd_table1(args) -> int:
@@ -312,29 +323,39 @@ def cmd_table1(args) -> int:
         # validate the base config once up front
         build_run_config(base_cfg, seed_override=args.seed)
         variances = [float(v) for v in cfg["variances"]]
+        if not all(v >= 0 for v in variances):
+            raise InvalidConfig("sweep config: variances must be >= 0")
         runs_per_cell = int(cfg["runs_per_cell"])
         if runs_per_cell < 1:
             raise InvalidConfig("sweep config: runs_per_cell must be >= 1")
         master_seed = int(args.seed) if args.seed is not None else int(base_cfg["seed"])
     except (InvalidConfig, TopologyError, ProblemError, ValueError) as exc:
         return _fail(f"[{type(exc).__name__}] {exc}")
-    payloads = [
-        (base_cfg, v, runs_per_cell, master_seed, i) for i, v in enumerate(variances)
+    # every (cell, run) pair in one lockstep batch, or in one contiguous chunk
+    # per worker; a run's numbers do not depend on the batch it is in
+    runs = [
+        (v, _table1_seed(master_seed, i, r))
+        for i, v in enumerate(variances) for r in range(runs_per_cell)
     ]
+    jobs = max(1, min(args.jobs or 1, len(runs)))
+    bounds = [len(runs) * c // jobs for c in range(jobs + 1)]
+    chunks = [(base_cfg, runs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     try:
-        if args.jobs and args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_table1_cell, payloads))
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                parts = list(pool.map(_table1_finals, chunks))
         else:
-            results = [_table1_cell(p) for p in payloads]
+            parts = [_table1_finals(chunks[0])]
     except NonFiniteState as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
+    finals = [f for part in parts for f in part]
     out = resolve_out_dir(args.out, cfg)
     names = cfg.get("output", {}) if isinstance(cfg.get("output"), dict) else {}
     path = out / names.get("csv", "table1.csv")
     lines = [TABLE1_HEADER]
-    for v, (mean, std, n) in zip(variances, results):
+    for i, v in enumerate(variances):
+        mean, std, n = _cell_stats(finals[i * runs_per_cell:(i + 1) * runs_per_cell])
         lines.append(",".join([_fmt(v), _fmt(mean), _fmt(std), str(n)]))
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
@@ -364,6 +385,9 @@ def cmd_coupling(args) -> int:
         )
     except (InvalidConfig, TopologyError, ProblemError, analysis.AnalysisError, ValueError) as exc:
         return _fail(f"[{type(exc).__name__}] {exc}")
+    except NonFiniteState as exc:
+        print(f"divergence: {exc}", file=sys.stderr)
+        return 2
     resolved = dict(cfg)
     resolved["seed"] = seed
     payload = {

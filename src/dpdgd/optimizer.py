@@ -14,6 +14,9 @@ aggregated objective, while disagreement contracts at the spectral gap eta.
 Noise discipline: the master seed spawns one counter-based Philox substream
 per agent, so the draw for agent j at iteration k depends only on
 (seed, j, k) and runs are reproducible regardless of scheduling.
+
+One kernel, `lockstep`, advances R runs stacked into an (R, ..., m, d) state;
+a run's numbers do not depend on the batch it shares.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ SCHEDULE_KINDS = ("constant", "harmonic", "piecewise_paper")
 _NOISE_STREAM = 1
 _INIT_STREAM = 2
 
+NOISE_BLOCK = 64  # iterations of noise drawn from a stream at a time
+_NOISE_BUFFER = 2**16  # cap on the doubles buffered across all streams (512 KB)
+
 
 class InvalidConfig(ValueError):
     pass
@@ -37,8 +43,8 @@ class InvalidConfig(ValueError):
 class NonFiniteState(RuntimeError):
     """Iterates left the representable range; carries the failing iteration."""
 
-    def __init__(self, iteration):
-        super().__init__(f"non-finite state at iteration {iteration}")
+    def __init__(self, iteration, what="state"):
+        super().__init__(f"non-finite {what} at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -137,9 +143,6 @@ class RunTrace:
     eta: float
     config_fingerprint: str = ""
 
-    def column(self, name):
-        return np.array([getattr(r, name) for r in self.records])
-
 
 @dataclass
 class RunConfig:
@@ -168,41 +171,118 @@ class RunConfig:
             )
         if not (0 <= self.seed < 2**64):
             raise InvalidConfig("seed must be an unsigned 64-bit integer")
+        if not self.noise_variance >= 0:
+            raise InvalidConfig(f"noise variance must be >= 0, got {self.noise_variance}")
+
+
+def philox(seed, *key):
+    """The counter-based Philox stream keyed (seed, *key)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), *key))))
 
 
 def noise_streams(seed, m):
     """One Philox substream per agent; draw j at iteration k is a pure
     function of (seed, j, k)."""
-    return [
-        np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), _NOISE_STREAM, j))))
-        for j in range(m)
-    ]
+    return [philox(seed, _NOISE_STREAM, j) for j in range(m)]
 
 
 def init_rng(seed):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), _INIT_STREAM))))
-
-
-def _draw_noise(rngs, variance, m, d):
-    if variance == 0.0:
-        return np.zeros((m, d))
-    sig = np.sqrt(variance)
-    return np.stack([rngs[j].standard_normal(d) for j in range(m)]) * sig
+    return philox(seed, _INIT_STREAM)
 
 
 def mixing_update(w_arr, x, gn, lam):
-    """One stacked update W (x - lam * gn); gn is the (m, d) array g + N."""
+    """One stacked update W (x - lam * gn); gn is the (..., m, d) array g + N."""
     return w_arr @ (x - lam * gn)
 
 
-def _advance(problem, w_arr, x, k_next, lam, variance, rngs):
-    g = problem.agent_gradients(x)
-    n = _draw_noise(rngs, variance, x.shape[0], x.shape[1])
-    gn = g + n
-    x_new = problem.retract(mixing_update(w_arr, x, gn, lam))
-    if not np.isfinite(x_new).all():
-        raise NonFiniteState(k_next)
-    return x_new, n, gn
+@dataclass
+class Lockstep:
+    """What `lockstep` leaves behind, indexed by run."""
+
+    x: np.ndarray  # final states; a stopped run keeps its state at the stop
+    records: list  # TraceRecord rows per run (empty lists when not recording)
+    stopped_at: list  # iteration at which `stop` fired per run, else None
+
+
+@np.errstate(over="ignore", invalid="ignore")  # blow-ups raise NonFiniteState instead
+def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
+             mix_state=False, record_every=0, keep_state=False, noise_map=None,
+             stop=None) -> Lockstep:
+    """Advance the R runs stacked in x (R, ..., m, d) from iteration k0 to
+    k0 + iterations, every run by the same update.
+
+    Run r's noise for agent j is drawn from streams[r][j], in blocks of up to
+    NOISE_BLOCK iterations, and scaled by scales[r]; a run with streams[r] None
+    draws nothing and gets zero noise. `noise_map` maps the (R, m, d) noise
+    onto x's shape. The private update is x <- W (x - lam (g + N)); with
+    mix_state it is the conventional x <- W x - lam (g + N). Any non-finite
+    state raises NonFiniteState. With record_every > 0 each run records rows
+    at k0, at every multiple of record_every and at the last iteration.
+    `stop(x, k)` returns a mask over the runs still advancing; a run whose
+    mask is set stops there and draws no further noise.
+    """
+    x = np.array(x, dtype=float)
+    runs = x.shape[0]
+    m, d = x.shape[-2:]
+    final = x.copy()
+    active = np.arange(runs)
+    streams = list(streams)
+    scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1)
+    block = max(1, min(NOISE_BLOCK, _NOISE_BUFFER // max(1, runs * m * d)))
+    records = [[] for _ in range(runs)]
+    stopped_at = [None] * runs
+    if record_every:
+        lam = stepsize(schedule, k0 + 1)
+        for r in range(runs):
+            records[r].append(_record(problem, x[r], k0, lam, 0.0, 0.0, keep_state, None))
+    k_end = k0 + iterations
+    buf, pos = None, 0
+    for k in range(k0 + 1, k_end + 1):
+        if buf is None or pos == buf.shape[2]:
+            # (run, agent, iteration, coordinate): each stream fills a
+            # contiguous (K, d) slab, the same numbers as K draws of d;
+            # rows of runs without streams stay zero
+            size = min(block, k_end - k + 1)
+            if buf is None or buf.shape[2] != size:
+                buf = None  # release the old block before allocating
+                buf = np.zeros((len(active), m, size, d))
+            for i, rngs in enumerate(streams):
+                if rngs is not None:
+                    for j in range(m):
+                        rngs[j].standard_normal(out=buf[i, j])
+            pos = 0
+        n = buf[:, :, pos] * scales
+        pos += 1
+        lam = stepsize(schedule, k)
+        gn = problem.agent_gradients(x) + (n if noise_map is None else noise_map(n))
+        if mix_state:
+            x = problem.retract(w_arr @ x - lam * gn)
+        else:
+            x = problem.retract(mixing_update(w_arr, x, gn, lam))
+        if not np.isfinite(x).all():
+            raise NonFiniteState(k)
+        if record_every and (k % record_every == 0 or k == k_end):
+            for i, r in enumerate(active):
+                records[r].append(
+                    _record(
+                        problem, x[i], k, lam,
+                        float(np.linalg.norm(n[i])), float(np.linalg.norm(gn[i])),
+                        keep_state, gn[i].mean(axis=0) if keep_state else None,
+                    )
+                )
+        if stop is not None:
+            done = np.asarray(stop(x, k), dtype=bool)
+            if done.any():
+                final[active[done]] = x[done]
+                for r in active[done]:
+                    stopped_at[r] = k
+                keep = ~done
+                active, x, buf, scales = active[keep], x[keep], buf[keep], scales[keep]
+                streams = [rngs for rngs, kept in zip(streams, keep) if kept]
+                if not active.size:
+                    break
+    final[active] = x
+    return Lockstep(x=final, records=records, stopped_at=stopped_at)
 
 
 def step(state: AgentState, w: WeightMatrix, problem, schedule: StepsizeSchedule,
@@ -212,10 +292,11 @@ def step(state: AgentState, w: WeightMatrix, problem, schedule: StepsizeSchedule
     reproduces iteration 1 only."""
     if rngs is None:
         rngs = noise_streams(noise.seed, w.m)
-    k_next = state.k + 1
-    lam = stepsize(schedule, k_next)
-    x_new, _, _ = _advance(problem, w.w, state.x, k_next, lam, noise.variance, rngs)
-    return AgentState(x=x_new, k=k_next)
+    out = lockstep(
+        problem, w.w, np.asarray(state.x, dtype=float)[None], schedule, 1,
+        [rngs if noise.variance > 0 else None], [np.sqrt(noise.variance)], k0=state.k,
+    )
+    return AgentState(x=out.x[0], k=state.k + 1)
 
 
 def _uses_retraction(problem):
@@ -301,68 +382,38 @@ def _record(problem, x, k, lam, noise_norm, gn_norm, keep_state, mean_gn):
     )
 
 
+def run_batch(configs, mix_state=False) -> list:
+    """Execute runs that share problem, topology, schedule and recording, and
+    differ in seed, noise variance or initial state, in lockstep. Returns one
+    RunTrace per config, equal to what that config alone would give."""
+    def shared(c):
+        return (c.problem, c.weights.w.tobytes(), c.schedule, c.iterations, c.record_every,
+                c.record_state)
+
+    c0 = configs[0]
+    if any(shared(c) != shared(c0) for c in configs):
+        raise InvalidConfig("batched runs must share problem, topology, schedule and recording")
+    p = c0.problem
+    out = lockstep(
+        p, c0.weights.w, np.stack([_initial_state(c) for c in configs]), c0.schedule,
+        c0.iterations,
+        [noise_streams(c.seed, p.m) if c.noise_variance > 0 else None for c in configs],
+        [np.sqrt(c.noise_variance) for c in configs],
+        mix_state=mix_state, record_every=c0.record_every, keep_state=c0.record_state,
+    )
+    return [
+        RunTrace(records, AgentState(x=x, k=c.iterations), c.seed, c.weights.eta, c.fingerprint)
+        for c, records, x in zip(configs, out.records, out.x)
+    ]
+
+
 def run(config: RunConfig) -> RunTrace:
     """Execute the private algorithm, recording rows at k = 0, every
     record_every iterations, and the final step."""
-    p = config.problem
-    w_arr = config.weights.w
-    x = _initial_state(config)
-    rngs = noise_streams(config.seed, p.m)
-    records = [
-        _record(p, x, 0, stepsize(config.schedule, 1), 0.0, 0.0, config.record_state, None)
-    ]
-    for k in range(1, config.iterations + 1):
-        lam = stepsize(config.schedule, k)
-        x, n, gn = _advance(p, w_arr, x, k, lam, config.noise_variance, rngs)
-        if k % config.record_every == 0 or k == config.iterations:
-            records.append(
-                _record(
-                    p, x, k, lam,
-                    float(np.linalg.norm(n)), float(np.linalg.norm(gn)),
-                    config.record_state,
-                    gn.mean(axis=0) if config.record_state else None,
-                )
-            )
-    return RunTrace(
-        records=records,
-        final_state=AgentState(x=x, k=config.iterations),
-        seed=config.seed,
-        eta=config.weights.eta,
-        config_fingerprint=config.fingerprint,
-    )
+    return run_batch([config])[0]
 
 
 def run_conventional_dgd(config: RunConfig) -> RunTrace:
     """Baseline x^{k+1} = W x^k - lambda_k (g^k + N^k): mixes states instead of
     state-minus-gradient messages. Kept for comparison traces only."""
-    p = config.problem
-    w_arr = config.weights.w
-    x = _initial_state(config)
-    rngs = noise_streams(config.seed, p.m)
-    records = [
-        _record(p, x, 0, stepsize(config.schedule, 1), 0.0, 0.0, config.record_state, None)
-    ]
-    for k in range(1, config.iterations + 1):
-        lam = stepsize(config.schedule, k)
-        g = p.agent_gradients(x)
-        n = _draw_noise(rngs, config.noise_variance, p.m, p.d)
-        gn = g + n
-        x = p.retract(w_arr @ x - lam * gn)
-        if not np.isfinite(x).all():
-            raise NonFiniteState(k)
-        if k % config.record_every == 0 or k == config.iterations:
-            records.append(
-                _record(
-                    p, x, k, lam,
-                    float(np.linalg.norm(n)), float(np.linalg.norm(gn)),
-                    config.record_state,
-                    gn.mean(axis=0) if config.record_state else None,
-                )
-            )
-    return RunTrace(
-        records=records,
-        final_state=AgentState(x=x, k=config.iterations),
-        seed=config.seed,
-        eta=config.weights.eta,
-        config_fingerprint=config.fingerprint,
-    )
+    return run_batch([config], mix_state=True)[0]

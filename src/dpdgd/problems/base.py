@@ -87,9 +87,12 @@ class Problem:
         raise NotImplementedError
 
     def agent_gradients(self, x) -> np.ndarray:
-        """Gradients for all agents, rows of x being per-agent iterates."""
+        """Gradients for all agents, x being (..., m, d) per-agent iterates
+        with any leading batch axes."""
         x = self._check_state(x)
-        return np.stack([self.agent_gradient(i, x[i]) for i in range(self.m)])
+        flat = x.reshape(-1, self.m, self.d)
+        g = [[self.agent_gradient(i, row[i]) for i in range(self.m)] for row in flat]
+        return np.array(g, dtype=float).reshape(x.shape)
 
     # -- aggregated surface ------------------------------------------------
 
@@ -128,8 +131,8 @@ class Problem:
         x = self._check_state(x)
         ref = self.reference_minimum()
         if ref is None:
-            return np.full(self.m, np.nan)
-        return np.linalg.norm(x - np.asarray(ref)[None, :], axis=1)
+            return np.full(x.shape[:-1], np.nan)
+        return np.linalg.norm(x - np.asarray(ref), axis=-1)
 
     # -- helpers -------------------------------------------------------------
 
@@ -145,8 +148,10 @@ class Problem:
 
     def _check_state(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.m, self.d):
-            raise DimensionMismatch(f"state has shape {x.shape}, expected ({self.m}, {self.d})")
+        if x.shape[-2:] != (self.m, self.d):
+            raise DimensionMismatch(
+                f"state has shape {x.shape}, expected (..., {self.m}, {self.d})"
+            )
         return x
 
 

@@ -28,6 +28,13 @@ def _smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
+def _dot_norm(v):
+    """Euclidean norms of the rows of v (..., d), computed as sqrt(v . v)
+    like np.linalg.norm of a single vector, so a batch matches per-row calls
+    bitwise (a reduction along axis=-1 can differ in the last bit)."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 class EstimationProblem(Problem):
     """m-agent linear-measurement estimation with cubic regularization."""
 
@@ -84,12 +91,8 @@ class EstimationProblem(Problem):
         return np.vstack(sides)
 
     def _boundary_gradient_bound(self):
-        pts = self._boundary_points()
-        gmax = 0.0
-        for th in pts:
-            g = self._inside_gradients_all(th)
-            gmax = max(gmax, float(np.linalg.norm(g, axis=1).max()))
-        return gmax
+        g = self._inside_gradients_all(self._boundary_points())
+        return float(np.linalg.norm(g, axis=-1).max())
 
     def _estimate_constants(self):
         # grid over the region: gradient-Lipschitz nu from Hessian norms,
@@ -98,29 +101,25 @@ class EstimationProblem(Problem):
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         pts = pts[np.linalg.norm(pts, axis=1) > 1e-9]
-        hs = np.stack([self._inside_hessian(p) for p in pts])
+        hs = self._inside_hessian(pts)
         nu_theta = float(np.abs(np.linalg.eigvalsh(hs)).max())
         # data-direction Lipschitz constant of the per-sample gradient:
         # grad difference is -2 M^T (Y - Y'), so the l1->l1 operator norm of
         # 2 M^T bounds it exactly
         nu_data = 2.0 * float(np.abs(self.M.T).sum(axis=0).max())
-        rho = 1e-12
-        for (pa, ha), (pb, hb) in zip(zip(pts[:-1], hs[:-1]), zip(pts[1:], hs[1:])):
-            gap = float(np.linalg.norm(pa - pb))
-            rho = max(rho, float(np.abs(np.linalg.eigvalsh(ha - hb)).max()) / gap)
+        secants = np.abs(np.linalg.eigvalsh(hs[:-1] - hs[1:])).max(axis=-1)
+        rho = max(1e-12, float((secants / _dot_norm(pts[:-1] - pts[1:])).max()))
         # gradient bound over the region plus the extension shell
-        g_in = max(
-            float(np.linalg.norm(self._inside_gradients_all(p), axis=1).max()) for p in pts
-        )
+        g_in = float(np.linalg.norm(self._inside_gradients_all(pts), axis=-1).max())
         shell = self._boundary_points(n_per_side=128)
+        nvec = shell - np.clip(shell, self.lo + 1e-9, self.hi - 1e-9)
+        nn = _dot_norm(nvec)[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            outward = np.where(nn > 0, nvec / nn, 1.0 / np.sqrt(self.d))
         g_out = 0.0
-        for th in shell:
-            nvec = th - np.clip(th, self.lo + 1e-9, self.hi - 1e-9)
-            nn = np.linalg.norm(nvec)
-            outward = nvec / nn if nn > 0 else np.ones(self.d) / np.sqrt(self.d)
-            for r in (0.1, 0.5, 2.0):
-                p = th + r * outward
-                g_out = max(g_out, float(np.linalg.norm(self.agent_gradients_at(p), axis=1).max()))
+        for r in (0.1, 0.5, 2.0):
+            probes = np.broadcast_to((shell + r * outward)[:, None, :], (len(shell), self.m, self.d))
+            g_out = max(g_out, float(np.linalg.norm(self.agent_gradients(probes), axis=-1).max()))
         # 5% headroom: grid sampling slightly undershoots suprema (e.g. the
         # Hessian norm approaches its bound only near the cubic's singularity)
         return ProblemConstants(
@@ -139,22 +138,27 @@ class EstimationProblem(Problem):
         return float(r @ r + self.kappa * nt**3)
 
     def _inside_gradient(self, agent, theta, y=None):
-        nt = np.linalg.norm(theta)
         mty = self._MtY[agent] if y is None else self.M.T @ np.asarray(y, dtype=float)
-        return -2.0 * mty + 2.0 * (self._MtM @ theta) + 3.0 * self.kappa * nt * theta
+        return self._inside_gradients(theta, np.linalg.norm(theta), mty)
 
     def _inside_gradients_all(self, theta):
-        nt = np.linalg.norm(theta)
-        base = 2.0 * (self._MtM @ theta) + 3.0 * self.kappa * nt * theta
-        return -2.0 * self._MtY + base[None, :]
+        """All agents' gradients at each row of theta (..., d): (..., m, d)."""
+        nt = _dot_norm(theta)[..., None]
+        base = 2.0 * (theta @ self._MtM) + 3.0 * self.kappa * nt * theta
+        return -2.0 * self._MtY + base[..., None, :]
+
+    def _inside_gradients(self, x, nt, mty):
+        """Closed-form gradients at rows x (..., d) with norms nt (..., 1) and
+        data terms mty = M^T Y_i."""
+        return -2.0 * mty + 2.0 * (x @ self._MtM) + 3.0 * self.kappa * nt * x
 
     def _inside_hessian(self, theta):
-        nt = np.linalg.norm(theta)
-        if nt == 0.0:
+        """Hessian at theta (d,), or one per row of theta (..., d)."""
+        nt = _dot_norm(theta)[..., None, None]
+        if (nt == 0.0).any():
             raise SingularPoint("analytic Hessian undefined at theta = 0 (cubic term)")
-        return 2.0 * self._MtM + 3.0 * self.kappa * (
-            nt * np.eye(self.d) + np.outer(theta, theta) / nt
-        )
+        outer = theta[..., :, None] * theta[..., None, :]
+        return 2.0 * self._MtM + 3.0 * self.kappa * (nt * np.eye(self.d) + outer / nt)
 
     # -- extension ------------------------------------------------------------
 
@@ -193,6 +197,29 @@ class EstimationProblem(Problem):
             grad = grad + sp * float(g @ dvec) * nhat + s * (unclamped * hd + (1.0 - unclamped) * g)
         return grad
 
+    def _wall_gradients(self, theta, agents):
+        """_extended_gradient of the given agents at rows theta (N, d), all
+        outside the box, vectorized over the rows."""
+        tc = np.clip(theta, self.lo, self.hi)
+        dvec = theta - tc
+        r = _dot_norm(dvec)[:, None]
+        nhat = dvec / r
+        ntc = _dot_norm(tc)
+        g = self._inside_gradients(tc, ntc[:, None], self._MtY[agents])
+        t = r / self.ramp_radius
+        ramp = t < 1.0
+        s = np.where(ramp, 1.0 - _smoothstep(t), 0.0)
+        sp = np.where(ramp, -6.0 * t * (1.0 - t) / self.ramp_radius, 0.0)
+        unclamped = (dvec == 0.0).astype(float)
+        grad = unclamped * g + self.wall_slope * nhat
+        hd = 2.0 * (dvec @ self._MtM)
+        curved = ntc > 0
+        if curved.any():
+            hd[curved] = (self._inside_hessian(tc[curved]) @ dvec[curved, :, None])[:, :, 0]
+        gd = (g[:, None, :] @ dvec[:, :, None])[:, :, 0]
+        ramped = grad + sp * gd * nhat + s * (unclamped * hd + (1.0 - unclamped) * g)
+        return np.where(ramp, ramped, grad)
+
     # -- Problem interface ------------------------------------------------------
 
     def agent_objective(self, agent, theta):
@@ -209,17 +236,16 @@ class EstimationProblem(Problem):
         return self._extended_gradient(agent, self._check_theta(theta), y=y)
 
     def agent_gradients(self, x):
+        """Extended gradients for x (..., m, d); agents outside the box take
+        the wall extension, the rest the closed form."""
         x = self._check_state(x)
-        tc = np.clip(x, self.lo, self.hi)
-        if (tc == x).all():
-            nt = np.linalg.norm(x, axis=1, keepdims=True)
-            return -2.0 * self._MtY + 2.0 * (x @ self._MtM) + 3.0 * self.kappa * nt * x
-        return np.stack([self._extended_gradient(i, x[i]) for i in range(self.m)])
-
-    def agent_gradients_at(self, theta):
-        """All agents' gradients at a common point."""
-        theta = self._check_theta(theta)
-        return np.stack([self._extended_gradient(i, theta) for i in range(self.m)])
+        nt = np.linalg.norm(x, axis=-1, keepdims=True)
+        g = self._inside_gradients(x, nt, self._MtY)
+        outside = np.clip(x, self.lo, self.hi) != x
+        if outside.any():
+            rows = outside.any(axis=-1)
+            g[rows] = self._wall_gradients(x[rows], np.nonzero(rows)[-1])
+        return g
 
     def aggregated_hessian(self, theta):
         theta = self._check_theta(theta)

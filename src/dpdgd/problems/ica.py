@@ -94,11 +94,11 @@ class IcaProblem(Problem):
 
     def agent_gradients(self, x):
         x = self._check_state(x)
-        proj = np.einsum("mnd,md->mn", self.samples, x)
-        g = self.sign_factor * 4.0 * np.einsum("mn,mnd->md", proj * proj * proj, self.samples)
+        proj = np.einsum("mnd,...md->...mn", self.samples, x)
+        g = self.sign_factor * 4.0 * np.einsum("...mn,mnd->...md", proj * proj * proj, self.samples)
         g /= self.n_per_agent
-        radial = np.einsum("md,md->m", x, g)
-        return g - radial[:, None] * x
+        radial = np.einsum("...md,...md->...m", x, g)
+        return g - radial[..., None] * x
 
     def aggregated_euclidean_gradient(self, u):
         u = self._check_theta(u)
@@ -109,7 +109,7 @@ class IcaProblem(Problem):
     # -- optimizer hooks ----------------------------------------------------------
 
     def retract(self, x):
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
     def sample_init(self, rng):
         x = rng.standard_normal((self.m, self.d))
@@ -142,19 +142,23 @@ class IcaProblem(Problem):
 
     # -- metrics ---------------------------------------------------------------------
 
+    def _sphere_errors(self, u):
+        """min over columns a_j of A and signs of ||u -+ a_j||, for each row
+        of u (..., d); raises NotUnitNorm if any row is off the sphere."""
+        norms = np.asarray(np.linalg.norm(u, axis=-1))
+        off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+        if off.any():
+            raise NotUnitNorm(f"||u|| = {norms[off][0]:.10f} is not 1 within {UNIT_NORM_TOL:.0e}")
+        dminus = np.linalg.norm(u[..., :, None] - self.A, axis=-2).min(axis=-1)
+        dplus = np.linalg.norm(u[..., :, None] + self.A, axis=-2).min(axis=-1)
+        return np.minimum(dminus, dplus)
+
     def reconstruction_error(self, u):
         """min over columns a_j of A and signs of ||u -+ a_j||."""
-        u = self._check_theta(u)
-        nu_ = np.linalg.norm(u)
-        if abs(nu_ - 1.0) > UNIT_NORM_TOL:
-            raise NotUnitNorm(f"||u|| = {nu_:.10f} is not 1 within {UNIT_NORM_TOL:.0e}")
-        dminus = np.linalg.norm(u[:, None] - self.A, axis=0)
-        dplus = np.linalg.norm(u[:, None] + self.A, axis=0)
-        return float(min(dminus.min(), dplus.min()))
+        return float(self._sphere_errors(self._check_theta(u)))
 
     def optimization_errors(self, x):
-        x = self._check_state(x)
-        return np.array([self.reconstruction_error(row) for row in x])
+        return self._sphere_errors(self._check_state(x))
 
 
 def make_ica_problem(d, m, samples_per_agent, seed) -> IcaProblem:

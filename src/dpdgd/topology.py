@@ -85,15 +85,6 @@ class Graph:
             deg[j] += 1
         return deg
 
-    def neighbors(self, i):
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
     def is_connected(self):
         """Breadth-first reachability from agent 0."""
         if self.m == 1:
@@ -224,12 +215,3 @@ def builtin_topology(name: str, m: int) -> Graph:
         raise UnknownTopology(f"unknown topology {name!r}; expected one of {BUILTIN_TOPOLOGIES}")
     return Graph(m=m, edges=frozenset(edges))
 
-
-def mean_preserved(w: WeightMatrix, x) -> float:
-    """Absolute change of the agent mean under one mixing step.
-
-    Column stochasticity makes this zero up to rounding for any state; the
-    mean dynamics of the optimizer rely on it.
-    """
-    x = np.asarray(x, dtype=float)
-    return float(np.abs((w.w @ x).mean(axis=0) - x.mean(axis=0)).max())

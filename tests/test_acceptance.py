@@ -14,7 +14,7 @@ import pytest
 
 from dpdgd import cli
 from dpdgd.analysis import assert_contraction
-from dpdgd.optimizer import RunConfig, StepsizeSchedule, run
+from dpdgd.optimizer import RunConfig, StepsizeSchedule, run, run_batch
 from dpdgd.privacy import (
     PrivacyBudget,
     SensitivityInputs,
@@ -44,15 +44,15 @@ def _derived_seed(*key):
 @pytest.fixture(scope="module")
 def saddle_runs(paper_problem, complete5):
     """Criterion-2 batch: 100 noisy runs from the saddle, shared with criterion 3."""
-    finals = []
-    for i in range(100):
-        cfg = RunConfig(
+    configs = [
+        RunConfig(
             problem=paper_problem, weights=complete5, schedule=PAPER_SCHEDULE,
             noise_variance=0.5, iterations=3000, seed=_derived_seed(MASTER_SEED, 2, i),
             init_mode="at_saddle", record_every=3000,
         )
-        finals.append(run(cfg).records[-1])
-    return finals
+        for i in range(100)
+    ]
+    return [trace.records[-1] for trace in run_batch(configs)]
 
 
 @pytest.mark.acceptance
@@ -107,13 +107,15 @@ def test_criterion_3_consensus(paper_problem, rpc5, saddle_runs):
 
     # mean-square consensus decay on the reference random-init configuration
     sq_100, sq_3000 = [], []
-    for i in range(50):
-        cfg = RunConfig(
+    configs = [
+        RunConfig(
             problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
             noise_variance=0.5, iterations=3000, seed=_derived_seed(MASTER_SEED, 3, i),
             init_mode="random_box", record_every=100,
         )
-        trace = run(cfg)
+        for i in range(50)
+    ]
+    for trace in run_batch(configs):
         by_k = {rec.k: rec for rec in trace.records}
         sq_100.append(by_k[100].consensus_error ** 2)
         sq_3000.append(by_k[3000].consensus_error ** 2)
@@ -269,24 +271,30 @@ def test_criterion_6_privacy_calibration(paper_problem):
 def test_criterion_7_ica_desk_scale(ica4, rpc5, complete5):
     # random unit initialization, noisy runs
     random_ok = 0
-    for i in range(100):
-        cfg = RunConfig(
+    configs = [
+        RunConfig(
             problem=ica4, weights=rpc5, schedule=ICA_SCHEDULE, noise_variance=1.0,
             iterations=3000, seed=_derived_seed(MASTER_SEED, 7, i),
             init_mode="random_box", record_every=3000,
         )
-        if run(cfg).records[-1].opt_error_max <= 0.3:
+        for i in range(100)
+    ]
+    for trace in run_batch(configs):
+        if trace.records[-1].opt_error_max <= 0.3:
             random_ok += 1
 
     # saddle initialization, noisy runs escape
     saddle_ok = 0
-    for i in range(100):
-        cfg = RunConfig(
+    configs = [
+        RunConfig(
             problem=ica4, weights=complete5, schedule=ICA_SCHEDULE, noise_variance=1.0,
             iterations=3000, seed=_derived_seed(MASTER_SEED, 8, i),
             init_mode="at_saddle", record_every=3000,
         )
-        if run(cfg).records[-1].opt_error_max <= 0.3:
+        for i in range(100)
+    ]
+    for trace in run_batch(configs):
+        if trace.records[-1].opt_error_max <= 0.3:
             saddle_ok += 1
 
     # zero-variance control stays on the refined saddle direction
@@ -301,13 +309,15 @@ def test_criterion_7_ica_desk_scale(ica4, rpc5, complete5):
     # reference-scale instance (d = 10): error decreases, checked qualitatively
     p10 = make_ica_problem(d=10, m=5, samples_per_agent=160, seed=7)
     drops = []
-    for i in range(5):
-        cfg = RunConfig(
+    configs = [
+        RunConfig(
             problem=p10, weights=rpc5, schedule=ICA_SCHEDULE, noise_variance=1.0,
             iterations=3000, seed=_derived_seed(MASTER_SEED, 9, i),
             init_mode="random_box", record_every=3000,
         )
-        t = run(cfg)
+        for i in range(5)
+    ]
+    for t in run_batch(configs):
         drops.append(t.records[-1].opt_error_max / t.records[0].opt_error_max)
     qualitative_ok = float(np.median(drops)) < 0.7
 

@@ -16,7 +16,14 @@ from dpdgd.analysis import (
     mirror_noise,
     run_coupling_experiment,
 )
-from dpdgd.optimizer import RunConfig, StepsizeSchedule, mixing_update, run
+from dpdgd.optimizer import (
+    RunConfig,
+    StepsizeSchedule,
+    mixing_update,
+    polish_fixed_point,
+    run,
+    stepsize,
+)
 
 PAPER_SCHEDULE = StepsizeSchedule.piecewise_paper(0.02, 500, 1.0)
 
@@ -162,6 +169,38 @@ class TestCouplingExperiment:
         b = run_coupling_experiment(paper_problem, complete5,
                                     paper_problem.refined_saddle(), PAPER_SCHEDULE, **kw)
         assert a.iterations_to_escape == b.iterations_to_escape
+
+
+    def test_batch_matches_pairs_one_at_a_time(self, paper_problem, complete5):
+        # the per-pair loop restated: pair r draws from streams keyed
+        # (seed, 3, r, j) and escapes when either mean leaves the ball
+        saddle = paper_problem.refined_saddle()
+        seed, horizon, radius, sig = 17, 600, 0.5, np.sqrt(0.5)
+        e1 = min_eigvec(paper_problem.aggregated_hessian(saddle))
+        start = polish_fixed_point(paper_problem, complete5, 0.02, saddle)
+        one_at_a_time = []
+        for r in range(6):
+            rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 3, r, j))))
+                    for j in range(5)]
+            xa = np.tile(start, (5, 1))
+            xb = xa.copy()
+            hit = None
+            for k in range(1, horizon + 1):
+                lam = stepsize(PAPER_SCHEDULE, k)
+                n = np.stack([rng.standard_normal(2) for rng in rngs]) * sig
+                ga, gb = paper_problem.agent_gradients(xa), paper_problem.agent_gradients(xb)
+                xa = mixing_update(complete5.w, xa, ga + n, lam)
+                xb = mixing_update(complete5.w, xb, gb + mirror_noise(n, e1), lam)
+                if (np.linalg.norm(xa.mean(axis=0) - saddle) > radius
+                        or np.linalg.norm(xb.mean(axis=0) - saddle) > radius):
+                    hit = k
+                    break
+            one_at_a_time.append(hit)
+        res = run_coupling_experiment(paper_problem, complete5, saddle, PAPER_SCHEDULE,
+                                      variance=0.5, runs=6, horizon=horizon,
+                                      escape_radius=radius, seed=seed)
+        assert res.iterations_to_escape == one_at_a_time
+        assert None not in one_at_a_time
 
 
 class TestEscapeGrid:

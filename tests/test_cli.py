@@ -152,6 +152,23 @@ class TestTable1Command:
             tmp_path / "b" / "table1.csv"
         ).read_bytes()
 
+    def test_jobs_split_inside_a_cell(self, tmp_path):
+        # 3 chunks over 2 cells x 2 runs: one chunk crosses the cell boundary
+        path = write_cfg(tmp_path, self._sweep_cfg(runs_per_cell=2))
+        for jobs in ("1", "3"):
+            (tmp_path / jobs).mkdir()
+            assert cli.main(
+                ["table1", "--config", path, "--out", str(tmp_path / jobs), "--jobs", jobs]
+            ) == 0
+        assert (tmp_path / "1" / "table1.csv").read_bytes() == (
+            tmp_path / "3" / "table1.csv"
+        ).read_bytes()
+
+    def test_negative_variance_exit_one(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, self._sweep_cfg(variances=(0.1, -0.5)))
+        assert cli.main(["table1", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "variances must be >= 0" in capsys.readouterr().err
+
     def test_rejects_bad_sweep(self, tmp_path, capsys):
         cfg = self._sweep_cfg()
         cfg["runs_per_cell"] = 0
@@ -195,6 +212,26 @@ class TestCouplingCommand:
         payload = json.loads((tmp_path / "coupling.json").read_text())
         assert payload["escape_count"] == 0
         assert payload["iterations_to_escape"] == [None] * 4
+
+
+    def test_divergence_exit_two(self, tmp_path, capsys):
+        # |1 - 5 * 2 * c| > 1 on both axes: the pairs grow without bound, and
+        # the escape distance overflows long before the huge radius is met
+        cfg = {
+            "problem": {"name": "custom_quadratic", "diag": [1.0, -1.0], "m": 2},
+            "topology": {"builtin": "complete", "m": 2},
+            "schedule": {"kind": "constant", "lambda0": 5.0},
+            "variance": 0.5,
+            "runs": 3,
+            "horizon": 3000,
+            "escape_radius": 1e308,
+            "seed": 1,
+        }
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(["coupling", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("divergence:")
+        assert not (tmp_path / "coupling.json").exists()
 
 
 class TestPrivacyReportCommand:

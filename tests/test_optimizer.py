@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dpdgd import optimizer
 from dpdgd.optimizer import (
     AgentState,
     InvalidConfig,
@@ -10,10 +13,13 @@ from dpdgd.optimizer import (
     NonFiniteState,
     RunConfig,
     StepsizeSchedule,
+    init_rng,
+    lockstep,
     noise_streams,
     polish_fixed_point,
     resolve_at_saddle_init,
     run,
+    run_batch,
     run_conventional_dgd,
     step,
     stepsize,
@@ -126,7 +132,7 @@ class TestRun:
         cfg = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
                         noise_variance=0.5, iterations=100, seed=5, record_every=7)
         trace = run(cfg)
-        ks = trace.column("k").tolist()
+        ks = [rec.k for rec in trace.records]
         assert ks == [0] + [k for k in range(1, 101) if k % 7 == 0] + [100]
 
     def test_determinism_bitwise(self, paper_problem, rpc5):
@@ -269,3 +275,77 @@ class TestConventionalDgd:
                    noise_variance=0.5, iterations=100, seed=21, record_every=25)
         assert _records_equal(run_conventional_dgd(RunConfig(**cfg)),
                               run_conventional_dgd(RunConfig(**cfg)))
+
+
+class TestLockstep:
+    def _configs(self, problem, weights, schedule, seeds, variances, **kw):
+        base = RunConfig(problem=problem, weights=weights, schedule=schedule,
+                         noise_variance=variances[0], iterations=kw.pop("iterations", 150),
+                         seed=seeds[0], record_every=kw.pop("record_every", 20), **kw)
+        return [dataclasses.replace(base, seed=s, noise_variance=v)
+                for s, v in zip(seeds, variances)]
+
+    def _assert_slices_match_single_runs(self, configs):
+        batch = run_batch(configs)
+        for config, trace in zip(configs, batch):
+            assert _records_equal(trace, run(config))
+
+    def test_estimation_batch_slices_match_single_runs(self, paper_problem, rpc5):
+        self._assert_slices_match_single_runs(
+            self._configs(paper_problem, rpc5, PAPER_SCHEDULE, [3, 4, 5, 6], [0.1, 0.5, 0.0, 2.0])
+        )
+
+    def test_ica_batch_slices_match_single_runs(self, ica4, rpc5):
+        self._assert_slices_match_single_runs(
+            self._configs(ica4, rpc5, StepsizeSchedule.piecewise_paper(0.003, 100, 0.3),
+                          [11, 12, 13], [1.0, 0.5, 1.0], record_every=30)
+        )
+
+    def test_quadratic_batch_slices_match_single_runs(self, rng):
+        q = QuadraticProblem(diag=[0.5, 1.0, 1.5], m=4, offsets=rng.standard_normal((4, 3)))
+        w = build_metropolis_weights(builtin_topology("ring", 4))
+        configs = self._configs(q, w, StepsizeSchedule.constant(0.05), [1, 2, 3, 4, 5],
+                                [0.3, 0.3, 0.0, 1.0, 0.7], record_state=True, record_every=7)
+        self._assert_slices_match_single_runs(configs)
+
+    def test_block_size_does_not_change_trajectories(self, paper_problem, rpc5, monkeypatch):
+        x0 = np.stack([paper_problem.sample_init(init_rng(s)) for s in (1, 2, 3)])
+
+        def final(block):
+            monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
+            out = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 200,
+                           [noise_streams(s, 5) for s in (1, 2, 3)], [0.5, 1.0, 0.25],
+                           record_every=9)
+            return out.x, [[(r.k, r.noise_norm, r.opt_error_mean) for r in recs]
+                           for recs in out.records]
+
+        x_default, rows_default = final(optimizer.NOISE_BLOCK)
+        for block in (1, 7):
+            x_block, rows_block = final(block)
+            assert np.array_equal(x_default, x_block)
+            assert rows_default == rows_block
+
+    def test_stopped_runs_leave_the_others_unchanged(self, paper_problem, rpc5):
+        x0 = np.stack([paper_problem.sample_init(init_rng(s)) for s in (1, 2, 3)])
+
+        def streams():
+            return [noise_streams(s, 5) for s in (1, 2, 3)]
+
+        free = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 120, streams(), [0.5] * 3)
+        # stop run 1 at k = 50 and run 0 at k = 80
+        when = {50: [False, True, False], 80: [True, False]}
+        stopped = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 120, streams(), [0.5] * 3,
+                           stop=lambda x, k: when.get(k, [False] * len(x)))
+        assert stopped.stopped_at == [80, 50, None]
+        assert np.array_equal(stopped.x[2], free.x[2])
+
+    def test_run_batch_rejects_mixed_configs(self, paper_problem, rpc5):
+        a = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
+                      noise_variance=0.5, iterations=10, seed=1)
+        with pytest.raises(InvalidConfig):
+            run_batch([a, dataclasses.replace(a, iterations=11)])
+
+    def test_negative_variance_rejected(self, paper_problem, rpc5):
+        with pytest.raises(InvalidConfig):
+            RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
+                      noise_variance=-0.5, iterations=10, seed=1)

@@ -49,6 +49,14 @@ class TestPaperEstimationInstance:
         # nu must also dominate the data-direction constant used by privacy
         assert c.nu >= 4.0
 
+    def test_constants_pinned(self, paper_problem):
+        # values of the per-point construction loops the vectorized ones replaced
+        p = paper_problem
+        assert p.constants.nu == float.fromhex("0x1.0bcac083126eap+3")
+        assert p.wall_slope == float.fromhex("0x1.5c245188a6b3ap+5")
+        assert p.constants.rho == pytest.approx(0.6299996776724737, rel=1e-12, abs=0)
+        assert p.constants.G == pytest.approx(71.38786357871271, rel=1e-12, abs=0)
+
     def test_dimension_checks(self, paper_problem):
         with pytest.raises(DimensionMismatch):
             paper_problem.agent_gradient(0, np.zeros(3))
@@ -187,6 +195,41 @@ class TestRegionExtension:
         assert abs((f2 - f1) - p.wall_slope) <= 1e-9
 
 
+class TestBatchedGradients:
+    def _points(self, p, rng, n):
+        """n (m, d) states with every agent inside the box, n with every agent
+        inside the ramp, and n with every agent beyond it."""
+        pts = rng.uniform(p.lo - 3.0, p.hi + 3.0, size=(40 * n * p.m, p.d))
+        r = np.linalg.norm(pts - np.clip(pts, p.lo, p.hi), axis=1)
+        groups = (r == 0.0, (r > 0.0) & (r < p.ramp_radius), r >= p.ramp_radius)
+        return [pts[g][: n * p.m].reshape(n, p.m, p.d) for g in groups]
+
+    def test_wall_gradient_matches_per_agent_formula(self, paper_problem, rng):
+        p = paper_problem
+        for x in self._points(p, rng, 40):
+            got = p.agent_gradients(x)
+            want = np.array([[p._extended_gradient(j, row[j]) for j in range(p.m)] for row in x])
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_mixed_batch_matches_per_state_calls(self, paper_problem, rng):
+        p = paper_problem
+        inside, in_ramp, beyond = self._points(p, rng, 6)
+        pick = rng.integers(0, 3, size=(6, p.m, 1))
+        x = np.where(pick == 0, inside, np.where(pick == 1, in_ramp, beyond))
+        batch = p.agent_gradients(x)
+        for r in range(len(x)):
+            assert np.array_equal(batch[r], p.agent_gradients(x[r]))
+
+    def test_quadratic_and_ica_accept_batches(self, ica4, rng):
+        q = QuadraticProblem(diag=[1.0, -2.0], m=3, offsets=rng.standard_normal((3, 2)))
+        xq = rng.standard_normal((4, 3, 2))
+        assert all(np.array_equal(q.agent_gradients(xq)[r], q.agent_gradients(xq[r]))
+                   for r in range(4))
+        xi = ica4.retract(rng.standard_normal((4, 5, 4)))
+        assert all(np.array_equal(ica4.agent_gradients(xi)[r], ica4.agent_gradients(xi[r]))
+                   for r in range(4))
+
+
 class TestRefinedPoints:
     def test_refined_gradients_vanish(self, paper_problem):
         for pt in (paper_problem.refined_minimum(), paper_problem.refined_saddle()):
@@ -231,6 +274,17 @@ class TestIca:
     def test_not_unit_norm(self, ica4):
         with pytest.raises(NotUnitNorm):
             ica4.reconstruction_error(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_optimization_errors_match_rows(self, ica4, rng):
+        x = ica4.retract(rng.standard_normal((5, 4)))
+        want = [ica4.reconstruction_error(row) for row in x]
+        assert ica4.optimization_errors(x).tolist() == want
+
+    def test_optimization_errors_reject_any_row_off_sphere(self, ica4, rng):
+        x = ica4.retract(rng.standard_normal((5, 4)))
+        x[3] *= 1.0 + 1e-6
+        with pytest.raises(NotUnitNorm):
+            ica4.optimization_errors(x)
 
     def test_objective_sign_symmetric(self, ica4, rng):
         for _ in range(10):
