@@ -155,12 +155,16 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
     record None. The starting point is polished to a numerical fixed point of
     the noise-free update when one exists, so variance 0 yields no escapes.
     """
+    if not variance >= 0:
+        raise AnalysisError(f"variance must be >= 0, got {variance}")
+    if runs < 1 or not 0 < escape_radius < np.inf:
+        raise AnalysisError(
+            f"need runs >= 1 and a finite escape_radius > 0, got {runs} and {escape_radius}"
+        )
     saddle = np.asarray(saddle, dtype=float)
     kind = classify_stationary_point(problem, saddle, grad_tol=1e-6, eig_tol=1e-6)
     if kind != "strict_saddle":
         raise NotAStrictSaddle(f"initial point classifies as {kind!r}")
-    if variance < 0:
-        raise AnalysisError("variance must be >= 0")
     e1 = min_eigvec(problem.aggregated_hessian(saddle))
     start = optimizer.polish_fixed_point(problem, w, optimizer.stepsize(schedule, 1), saddle)
     m = problem.m

@@ -56,10 +56,6 @@ PRIVACY_HEADER = "k,lambda,eps_sample,eps_gradient,eps_variable,delta,variance"
 _TABLE1_STREAM = 10
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
 def _fail(msg) -> int:
     print(f"config error: {msg}", file=sys.stderr)
     return 1
@@ -204,7 +200,7 @@ def build_run_config(cfg, seed_override=None, record_every_override=None):
         iterations=int(resolved["iterations"]),
         seed=int(resolved["seed"]),
         init_mode=init["mode"],
-        init_coords=np.asarray(init["coords"], dtype=float) if "coords" in init else None,
+        init_coords=init.get("coords"),
         record_every=int(resolved.get("record_every", 1)),
         record_state=bool(resolved.get("record_state", False)),
         fingerprint=fingerprint(resolved),
@@ -212,38 +208,25 @@ def build_run_config(cfg, seed_override=None, record_every_override=None):
     return config, resolved
 
 
-def resolve_out_dir(flag_value, cfg=None):
+def output_paths(flag_value, cfg, **defaults):
+    """Output files named by the config's `output` object, else by the defaults, in the
+    directory from --out, $DPDGD_OUT or `output.dir`, else the current one (created)."""
+    names = cfg["output"] if isinstance(cfg.get("output"), dict) else {}
     if flag_value:
         out = Path(flag_value)
     elif os.environ.get(ENV_OUT_DIR):
         out = Path(os.environ[ENV_OUT_DIR])
-    elif cfg and isinstance(cfg.get("output"), dict) and cfg["output"].get("dir"):
-        out = Path(cfg["output"]["dir"])
     else:
-        out = Path(".")
+        out = Path(names.get("dir") or ".")
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return [out / names.get(key, name) for key, name in defaults.items()]
 
 
 def write_trace_csv(path, trace):
-    lines = [TRACE_HEADER]
-    for rec in trace.records:
-        lines.append(
-            ",".join(
-                [str(rec.k)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        rec.lam,
-                        rec.consensus_error,
-                        rec.opt_error_mean,
-                        rec.opt_error_max,
-                        rec.noise_norm,
-                    )
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ["%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (r.k, r.lam, r.consensus_error, r.opt_error_mean,
+                                                   r.opt_error_max, r.noise_norm)
+            for r in trace.records]
+    Path(path).write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
 
 
 def write_summary_json(path, trace):
@@ -270,15 +253,14 @@ def cmd_run(args) -> int:
         )
     except (InvalidConfig, TopologyError, ProblemError, ValueError) as exc:
         return _fail(f"[{type(exc).__name__}] {exc}")
-    out = resolve_out_dir(args.out, resolved)
-    names = resolved.get("output", {}) if isinstance(resolved.get("output"), dict) else {}
+    trace_path, summary_path = output_paths(
+        args.out, resolved, trace_csv="trace.csv", summary_json="summary.json"
+    )
     try:
         trace = run(config)
     except NonFiniteState as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
-    trace_path = out / names.get("trace_csv", "trace.csv")
-    summary_path = out / names.get("summary_json", "summary.json")
     write_trace_csv(trace_path, trace)
     write_summary_json(summary_path, trace)
     print(f"wrote {trace_path} and {summary_path}")
@@ -350,13 +332,11 @@ def cmd_table1(args) -> int:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
     finals = [f for part in parts for f in part]
-    out = resolve_out_dir(args.out, cfg)
-    names = cfg.get("output", {}) if isinstance(cfg.get("output"), dict) else {}
-    path = out / names.get("csv", "table1.csv")
+    path, = output_paths(args.out, cfg, csv="table1.csv")
     lines = [TABLE1_HEADER]
     for i, v in enumerate(variances):
         mean, std, n = _cell_stats(finals[i * runs_per_cell:(i + 1) * runs_per_cell])
-        lines.append(",".join([_fmt(v), _fmt(mean), _fmt(std), str(n)]))
+        lines.append("%.17g,%.17g,%.17g,%d" % (v, mean, std, n))
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
     return 0
@@ -399,12 +379,17 @@ def cmd_coupling(args) -> int:
         "e1": result.e1.tolist(),
         "seed": result.seed,
     }
-    out = resolve_out_dir(args.out, cfg)
-    names = cfg.get("output", {}) if isinstance(cfg.get("output"), dict) else {}
-    path = out / names.get("json", "coupling.json")
+    path, = output_paths(args.out, cfg, json="coupling.json")
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"wrote {path}")
     return 0
+
+
+def _integer(value, name):
+    """int(value) for an integral number; booleans and fractions are errors."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def cmd_privacy_report(args) -> int:
@@ -417,30 +402,19 @@ def cmd_privacy_report(args) -> int:
             "privacy config",
         )
         schedule = build_schedule(cfg["schedule"])
-        rows = privacy.per_iteration_report(
-            schedule,
-            variance=float(cfg["variance"]),
-            nu=float(cfg["nu"]),
-            n_i=int(cfg["n_i"]),
-            delta=float(cfg["delta"]),
-            horizon=int(cfg["horizon"]),
+        delta, variance = float(cfg["delta"]), float(cfg["variance"])
+        report = privacy.per_iteration_report(
+            schedule, variance=variance, nu=float(cfg["nu"]),
+            n_i=_integer(cfg["n_i"], "n_i"), delta=delta,
+            horizon=_integer(cfg["horizon"], "horizon"),
         )
-    except (InvalidConfig, privacy.PrivacyError, ValueError) as exc:
+    except (InvalidConfig, privacy.PrivacyError, TypeError, ValueError) as exc:
         return _fail(f"[{type(exc).__name__}] {exc}")
-    out = resolve_out_dir(args.out, cfg)
-    names = cfg.get("output", {}) if isinstance(cfg.get("output"), dict) else {}
-    path = out / names.get("csv", "privacy_report.csv")
-    delta, variance = float(cfg["delta"]), float(cfg["variance"])
-    lines = [PRIVACY_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [str(row.k)]
-                + [_fmt(v) for v in (row.lam, row.eps_sample, row.eps_gradient,
-                                     row.eps_variable, delta, variance)]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    path, = output_paths(args.out, cfg, csv="privacy_report.csv")
+    row = "%d,%.17g,%.17g,%.17g,%.17g," + "%.17g,%.17g" % (delta, variance)
+    columns = (report.k, report.lam, report.eps_sample, report.eps_gradient, report.eps_variable)
+    rows = [row % r for r in zip(*(c.tolist() for c in columns))]
+    path.write_text("\n".join([PRIVACY_HEADER, *rows]) + "\n")
     print(f"wrote {path}")
     return 0
 

@@ -61,13 +61,15 @@ class StepsizeSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise InvalidConfig(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "constant" and self.lambda0 <= 0:
-            raise InvalidConfig("constant schedule needs lambda0 > 0")
-        if self.kind == "harmonic" and self.scale <= 0:
-            raise InvalidConfig("harmonic schedule needs scale > 0")
+        if self.kind == "constant" and not 0 < self.lambda0 < np.inf:
+            raise InvalidConfig("constant schedule needs a finite lambda0 > 0")
+        if self.kind == "harmonic" and not 0 < self.scale < np.inf:
+            raise InvalidConfig("harmonic schedule needs a finite scale > 0")
         if self.kind == "piecewise_paper":
-            if self.lambda0 <= 0 or self.scale <= 0 or self.switch_k < 1:
-                raise InvalidConfig("piecewise schedule needs lambda0, scale > 0 and switch_k >= 1")
+            if not (0 < self.lambda0 < np.inf and 0 < self.scale < np.inf) or self.switch_k < 1:
+                raise InvalidConfig(
+                    "piecewise schedule needs finite lambda0, scale > 0 and switch_k >= 1"
+                )
             if self.scale / (self.switch_k + 1) > self.lambda0:
                 raise InvalidConfig(
                     "piecewise schedule would increase at the switch "
@@ -101,6 +103,14 @@ def stepsize(schedule: StepsizeSchedule, k: int) -> float:
     if k_eff <= schedule.switch_k:
         return schedule.lambda0
     return schedule.scale / k_eff
+
+
+def stepsizes(schedule: StepsizeSchedule, ks) -> np.ndarray:
+    """`stepsize` over an array of iteration indices, equal element by element."""
+    k_eff = np.maximum(ks, 1)
+    # lambda0 up to the switch, scale/k after: constant never switches, harmonic at once
+    switch = {"constant": np.inf, "harmonic": 0}.get(schedule.kind, schedule.switch_k)
+    return np.where(k_eff <= switch, schedule.lambda0, schedule.scale / k_eff)
 
 
 @dataclass(frozen=True)
@@ -173,6 +183,12 @@ class RunConfig:
             raise InvalidConfig("seed must be an unsigned 64-bit integer")
         if not self.noise_variance >= 0:
             raise InvalidConfig(f"noise variance must be >= 0, got {self.noise_variance}")
+        if self.init_mode == "explicit":
+            m, d = self.problem.m, self.problem.d
+            coords = np.asarray(() if self.init_coords is None else self.init_coords, dtype=float)
+            if coords.shape not in ((d,), (m, d)) or not np.isfinite(coords).all():
+                raise InvalidConfig(f"init coords must be finite, of shape ({m}, {d}) or ({d},)")
+            self.init_coords = np.broadcast_to(coords, (m, d))
 
 
 def philox(seed, *key):
@@ -353,14 +369,7 @@ def resolve_at_saddle_init(problem, w: WeightMatrix, schedule: StepsizeSchedule)
 def _initial_state(config: RunConfig) -> np.ndarray:
     p = config.problem
     if config.init_mode == "explicit":
-        if config.init_coords is None:
-            raise InvalidConfig("explicit init requires coordinates")
-        coords = np.asarray(config.init_coords, dtype=float)
-        if coords.shape == (p.d,):
-            coords = np.tile(coords, (p.m, 1))
-        if coords.shape != (p.m, p.d):
-            raise InvalidConfig(f"init coords must have shape ({p.m}, {p.d}) or ({p.d},)")
-        return coords.copy()
+        return np.array(config.init_coords)
     if config.init_mode == "at_saddle":
         theta = resolve_at_saddle_init(p, config.weights, config.schedule)
         return np.tile(theta, (p.m, 1))

@@ -14,8 +14,10 @@ Calibration uses the standard Gaussian-mechanism bound
 sigma^2 >= 2 ln(1.25/delta) S^2 / eps^2 for eps, delta in (0, 1), stated for
 the variance of the raw per-coordinate noise n_i; for the `variable` target
 the noise reaches x_i scaled by lambda_k, hence the extra lambda_k^2 in the
-denominator. Budgets are per-iteration only; no composition across iterations
-is computed or implied.
+denominator. The mechanism is stated for l2 sensitivity; the l1 figures above
+bound it from above (l2 <= l1), so the calibration is conservative. Budgets
+are per-iteration only; no composition across iterations is computed or
+implied.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .optimizer import StepsizeSchedule, stepsize
+import numpy as np
+
+from .optimizer import StepsizeSchedule, stepsizes
 
 TARGETS = ("sample", "gradient", "variable")
 
@@ -93,6 +97,19 @@ def variance_for_budget(budget: PrivacyBudget, inputs: SensitivityInputs) -> flo
     return var_effective / _effective_lambda_power(budget.target, inputs)
 
 
+def _check_noise(variance, delta):
+    if not 0 < variance < math.inf:
+        raise PrivacyError(f"variance must be positive and finite, got {variance}")
+    if not 0.0 < delta < 1.0:
+        raise PrivacyError(f"delta must be in (0,1), got {delta}")
+
+
+def _gaussian_epsilon(s, var_effective, delta):
+    """Epsilon of the Gaussian mechanism with sensitivity s at the effective
+    noise variance; s and var_effective may be arrays."""
+    return s * np.sqrt(2.0 * math.log(1.25 / delta) / var_effective)
+
+
 @dataclass(frozen=True)
 class BudgetResult:
     epsilon: float
@@ -106,13 +123,10 @@ def budget_for_variance(variance: float, target: str, inputs: SensitivityInputs,
     Values epsilon >= 1 fall outside the range of the calibration bound; they
     are returned with a warning rather than rejected.
     """
-    if variance <= 0:
-        raise PrivacyError(f"variance must be positive, got {variance}")
-    if not 0.0 < delta < 1.0:
-        raise PrivacyError(f"delta must be in (0,1), got {delta}")
-    s = sensitivity(target, inputs)
-    var_effective = variance * _effective_lambda_power(target, inputs)
-    eps = s * math.sqrt(2.0 * math.log(1.25 / delta) / var_effective)
+    _check_noise(variance, delta)
+    eps = float(_gaussian_epsilon(
+        sensitivity(target, inputs), variance * _effective_lambda_power(target, inputs), delta
+    ))
     warning = None
     if eps >= 1.0:
         warning = (
@@ -123,17 +137,23 @@ def budget_for_variance(variance: float, target: str, inputs: SensitivityInputs,
 
 
 @dataclass(frozen=True)
-class IterationBudget:
-    k: int
-    lam: float
-    eps_sample: float
-    eps_gradient: float
-    eps_variable: float
+class PrivacyReport:
+    """Per-iteration epsilons as columns; see `per_iteration_report`."""
+
+    k: np.ndarray
+    lam: np.ndarray
+    eps_sample: np.ndarray
+    eps_gradient: np.ndarray
+    eps_variable: np.ndarray
 
 
 def per_iteration_report(schedule: StepsizeSchedule, variance: float, nu: float,
-                         n_i: int, delta: float, horizon: int) -> list[IterationBudget]:
+                         n_i: int, delta: float, horizon: int) -> PrivacyReport:
     """Per-iteration epsilons achieved by a fixed noise variance, k = 1..horizon.
+
+    Returns a PrivacyReport of numpy columns: k, the stepsizes lam (lambda_k),
+    and eps_sample, eps_gradient and eps_variable, whose entries equal the
+    scalar `budget_for_variance` results at each k bit for bit.
 
     Budgets are not composed across iterations. With a non-increasing stepsize
     the sample/gradient epsilons are non-increasing while the variable epsilon
@@ -141,17 +161,18 @@ def per_iteration_report(schedule: StepsizeSchedule, variance: float, nu: float,
     """
     if horizon < 1:
         raise PrivacyError(f"horizon must be >= 1, got {horizon}")
-    rows = []
-    for k in range(1, horizon + 1):
-        lam = stepsize(schedule, k)
-        inputs = SensitivityInputs(nu=nu, lambda_k=lam, n_i=n_i)
-        rows.append(
-            IterationBudget(
-                k=k,
-                lam=lam,
-                eps_sample=budget_for_variance(variance, "sample", inputs, delta).epsilon,
-                eps_gradient=budget_for_variance(variance, "gradient", inputs, delta).epsilon,
-                eps_variable=budget_for_variance(variance, "variable", inputs, delta).epsilon,
-            )
-        )
-    return rows
+    _check_noise(variance, delta)
+    k = np.arange(1, horizon + 1)
+    lam = stepsizes(schedule, k)
+    if not 0 < nu < math.inf or n_i < 1 or not (lam > 0).all():
+        raise PrivacyError("sensitivity inputs require finite nu > 0, lambda_k > 0 and n_i >= 1")
+    # Python's float ** 2 (libm pow), as budget_for_variance squares; numpy's
+    # lam**2 is lam*lam, which differs in the last bit on some rows
+    lam_sq = np.array([v**2 for v in lam.tolist()])
+    return PrivacyReport(
+        k=k,
+        lam=lam,
+        eps_sample=_gaussian_epsilon(nu * lam / n_i, variance, delta),
+        eps_gradient=_gaussian_epsilon(lam, variance, delta),
+        eps_variable=_gaussian_epsilon(1.0, variance * lam_sq, delta),
+    )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpdgd.analysis import (
+    AnalysisError,
     MissingPerAgentData,
     NotAStrictSaddle,
     assert_contraction,
@@ -160,6 +161,15 @@ class TestCouplingExperiment:
             run_coupling_experiment(
                 paper_problem, complete5, paper_problem.refined_minimum(), PAPER_SCHEDULE,
                 variance=0.5, runs=2, horizon=100, escape_radius=0.5, seed=1,
+            )
+
+    @pytest.mark.parametrize("runs, radius", [(0, 0.5), (2, -1.0), (2, 0.0),
+                                              (2, float("nan")), (2, float("inf"))])
+    def test_rejects_bad_bounds(self, paper_problem, complete5, runs, radius):
+        with pytest.raises(AnalysisError):
+            run_coupling_experiment(
+                paper_problem, complete5, paper_problem.refined_saddle(), PAPER_SCHEDULE,
+                variance=0.5, runs=runs, horizon=100, escape_radius=radius, seed=1,
             )
 
     def test_deterministic(self, paper_problem, complete5):

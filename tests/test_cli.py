@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
-from dpdgd import cli
+from dpdgd import cli, privacy
+from dpdgd.optimizer import stepsize
 
 BASE_RUN_CFG = {
     "problem": {"name": "estimation_paper"},
@@ -117,6 +119,15 @@ class TestRunCommand:
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(["run", "--config", path, "--out", str(tmp_path)]) == 2
         assert "divergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coords", [[1.0, 2.0, 3.0], [float("nan"), 1.0]])
+    def test_bad_explicit_coords_exit_one(self, tmp_path, capsys, coords):
+        cfg = dict(BASE_RUN_CFG, init={"mode": "explicit", "coords": coords})
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "coords" in err[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestTable1Command:
@@ -233,6 +244,30 @@ class TestCouplingCommand:
         assert len(err) == 1 and err[0].startswith("divergence:")
         assert not (tmp_path / "coupling.json").exists()
 
+    @pytest.mark.parametrize("key, value", [("runs", 0), ("escape_radius", -1.0),
+                                            ("escape_radius", float("nan"))])
+    def test_bad_bounds_exit_one(self, tmp_path, capsys, key, value):
+        path = write_cfg(tmp_path, dict(self._cfg(), **{key: value}))
+        assert cli.main(["coupling", "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: [AnalysisError]")
+        assert not (tmp_path / "coupling.json").exists()
+
+
+def _privacy_restatement(cfg):
+    """The report CSV restated row by row from scalar budget_for_variance
+    calls and "%.17g"."""
+    schedule = cli.build_schedule(cfg["schedule"])
+    lines = [cli.PRIVACY_HEADER]
+    for k in range(1, cfg["horizon"] + 1):
+        inputs = privacy.SensitivityInputs(nu=cfg["nu"], lambda_k=stepsize(schedule, k),
+                                           n_i=cfg["n_i"])
+        eps = [privacy.budget_for_variance(cfg["variance"], target, inputs, cfg["delta"]).epsilon
+               for target in privacy.TARGETS]
+        values = [inputs.lambda_k, *eps, cfg["delta"], cfg["variance"]]
+        lines.append(",".join([str(k)] + ["%.17g" % float(v) for v in values]))
+    return "\n".join(lines) + "\n"
+
 
 class TestPrivacyReportCommand:
     def _cfg(self, **kw):
@@ -268,6 +303,45 @@ class TestPrivacyReportCommand:
     def test_zero_horizon_exit_one(self, tmp_path, capsys):
         path = write_cfg(tmp_path, self._cfg(horizon=0))
         assert cli.main(["privacy-report", "--config", path, "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("schedule", [
+        {"kind": "constant", "lambda0": 0.01},
+        {"kind": "harmonic", "scale": 0.7},
+        {"kind": "piecewise_paper", "lambda0": 0.02, "switch_k": 500, "scale": 1.0},
+    ])
+    @pytest.mark.parametrize("variance", [0.05, 0.5, 3.7])
+    def test_csv_equals_scalar_restatement(self, tmp_path, schedule, variance):
+        cfg = self._cfg(schedule=schedule, variance=variance, nu=8.3685, n_i=3, horizon=3000)
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(["privacy-report", "--config", path, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "privacy_report.csv").read_text()
+        assert text == _privacy_restatement(cfg)
+
+    def test_pins_pow_rounded_row(self, tmp_path):
+        # lambda**2 by libm pow, not lambda*lambda: the two differ in the last
+        # bit of this row's eps_variable
+        path = write_cfg(tmp_path, self._cfg(variance=3.7, horizon=3000))
+        assert cli.main(["privacy-report", "--config", path, "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "privacy_report.csv").read_text().splitlines()[2947].split(",")
+        assert row[0] == "2947" and row[4] == "3887.2850063916994"
+
+    @pytest.mark.parametrize("key, value", [
+        ("variance", float("nan")), ("variance", float("inf")), ("nu", float("nan")),
+        ("nu", float("inf")), ("delta", float("nan")), ("horizon", 10.7), ("n_i", 2.9),
+        ("horizon", True), ("n_i", True), ("nu", [1.0]),
+        ("schedule", {"kind": "constant", "lambda0": float("nan")}),
+    ])
+    def test_no_guarantee_exit_one(self, tmp_path, capsys, key, value):
+        path = write_cfg(tmp_path, self._cfg(**{key: value}))
+        assert cli.main(["privacy-report", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_horizon_accepted(self, tmp_path):
+        path = write_cfg(tmp_path, self._cfg(horizon=50.0, n_i=2.0))
+        assert cli.main(["privacy-report", "--config", path, "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "privacy_report.csv").read_text().splitlines()) == 51
 
 
 class TestVerifyCommand:

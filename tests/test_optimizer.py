@@ -23,6 +23,7 @@ from dpdgd.optimizer import (
     run_conventional_dgd,
     step,
     stepsize,
+    stepsizes,
 )
 from dpdgd.problems import QuadraticProblem
 from dpdgd.topology import build_metropolis_weights, builtin_topology, validate_weight_matrix
@@ -62,6 +63,14 @@ class TestStepsize:
             lams = [stepsize(s, k) for k in range(1, 2000)]
             assert all(a >= b for a, b in zip(lams[:-1], lams[1:]))
 
+    def test_vector_form_equals_scalar(self):
+        ks = np.r_[0:1100, 2940:2960, 10**6]
+        for s in (StepsizeSchedule.constant(0.003), StepsizeSchedule.harmonic(0.7),
+                  PAPER_SCHEDULE, StepsizeSchedule.piecewise_paper(0.003, 100, 0.3)):
+            lams = stepsizes(s, ks)
+            assert lams.dtype == np.float64
+            assert lams.tolist() == [stepsize(s, int(k)) for k in ks]
+
     def test_rejects_increasing_switch(self):
         with pytest.raises(InvalidConfig):
             StepsizeSchedule.piecewise_paper(0.001, 100, 1.0)
@@ -73,6 +82,13 @@ class TestStepsize:
             StepsizeSchedule.constant(0.0)
         with pytest.raises(InvalidConfig):
             stepsize(PAPER_SCHEDULE, -1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidConfig):
+                StepsizeSchedule.constant(bad)
+            with pytest.raises(InvalidConfig):
+                StepsizeSchedule.harmonic(bad)
+            with pytest.raises(InvalidConfig):
+                StepsizeSchedule.piecewise_paper(0.02, 500, bad)
 
     def test_noise_spec_rejects_negative(self):
         with pytest.raises(InvalidConfig):
@@ -175,6 +191,14 @@ class TestRun:
         with pytest.raises(InvalidConfig):
             RunConfig(problem=paper_problem, weights=w3, schedule=PAPER_SCHEDULE,
                       noise_variance=0.5, iterations=10, seed=0)
+
+    @pytest.mark.parametrize("coords", [None, [1.0, 2.0, 3.0], [[1.0, 2.0]] * 4,
+                                        [np.nan, 1.0], [[1.0, np.inf]] * 5])
+    def test_rejects_bad_explicit_coords(self, paper_problem, rpc5, coords):
+        with pytest.raises(InvalidConfig):
+            RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
+                      noise_variance=0.5, iterations=10, seed=0, init_mode="explicit",
+                      init_coords=coords)
 
     def test_divergence_raises_with_iteration(self):
         q = QuadraticProblem(diag=[8.0], m=2)

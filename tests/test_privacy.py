@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dpdgd.optimizer import StepsizeSchedule
+from dpdgd.optimizer import StepsizeSchedule, stepsize
 from dpdgd.privacy import (
+    TARGETS,
     PrivacyBudget,
     PrivacyError,
     SensitivityInputs,
@@ -160,26 +161,45 @@ class TestMonotonicity:
 
 class TestPerIterationReport:
     def test_constant_schedule_constant_rows(self):
-        rows = per_iteration_report(StepsizeSchedule.constant(0.01), variance=0.5,
-                                    nu=2.0, n_i=3, delta=0.05, horizon=50)
-        assert len(rows) == 50
-        assert len({(r.eps_sample, r.eps_gradient, r.eps_variable) for r in rows}) == 1
+        report = per_iteration_report(StepsizeSchedule.constant(0.01), variance=0.5,
+                                      nu=2.0, n_i=3, delta=0.05, horizon=50)
+        assert len(report.k) == 50
+        triples = zip(report.eps_sample, report.eps_gradient, report.eps_variable)
+        assert len(set(triples)) == 1
 
     def test_paper_schedule_monotonicity(self):
-        rows = per_iteration_report(PAPER_SCHEDULE, variance=0.5, nu=2.0, n_i=3,
-                                    delta=0.05, horizon=600)
-        eps_s = [r.eps_sample for r in rows]
-        eps_g = [r.eps_gradient for r in rows]
-        eps_x = [r.eps_variable for r in rows]
-        assert all(a >= b for a, b in zip(eps_s[:-1], eps_s[1:]))
-        assert all(a >= b for a, b in zip(eps_g[:-1], eps_g[1:]))
-        assert all(a <= b for a, b in zip(eps_x[:-1], eps_x[1:]))
+        report = per_iteration_report(PAPER_SCHEDULE, variance=0.5, nu=2.0, n_i=3,
+                                      delta=0.05, horizon=600)
+        eps_s, eps_g, eps_x = report.eps_sample, report.eps_gradient, report.eps_variable
+        assert (eps_s[:-1] >= eps_s[1:]).all()
+        assert (eps_g[:-1] >= eps_g[1:]).all()
+        assert (eps_x[:-1] <= eps_x[1:]).all()
         # the switch weakens variable privacy in one jump
         assert eps_x[500] > eps_x[499]
+
+    def test_columns_equal_scalar_budgets(self):
+        report = per_iteration_report(PAPER_SCHEDULE, variance=3.7, nu=2.0, n_i=3,
+                                      delta=0.05, horizon=3000)
+        assert report.k.tolist() == list(range(1, 3001))
+        for i in (0, 499, 500, 2946, 2999):
+            inputs = SensitivityInputs(nu=2.0, lambda_k=stepsize(PAPER_SCHEDULE, i + 1), n_i=3)
+            assert report.lam[i] == inputs.lambda_k
+            for target in TARGETS:
+                want = budget_for_variance(3.7, target, inputs, 0.05).epsilon
+                assert getattr(report, f"eps_{target}")[i] == want
 
     def test_rejects_empty_horizon(self):
         with pytest.raises(PrivacyError):
             per_iteration_report(PAPER_SCHEDULE, 0.5, 2.0, 3, 0.05, horizon=0)
+
+    @pytest.mark.parametrize("variance, nu, n_i, delta", [
+        (math.nan, 2.0, 3, 0.05), (math.inf, 2.0, 3, 0.05), (0.0, 2.0, 3, 0.05),
+        (0.5, math.nan, 3, 0.05), (0.5, math.inf, 3, 0.05), (0.5, 0.0, 3, 0.05),
+        (0.5, 2.0, 0, 0.05), (0.5, 2.0, 3, math.nan), (0.5, 2.0, 3, 1.0),
+    ])
+    def test_rejects_inputs_without_a_guarantee(self, variance, nu, n_i, delta):
+        with pytest.raises(PrivacyError):
+            per_iteration_report(PAPER_SCHEDULE, variance, nu, n_i, delta, horizon=10)
 
 
 class TestEmpiricalSensitivity:
