@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib.resources import files as resource_files
 from pathlib import Path
 
@@ -72,6 +71,17 @@ def _check_keys(obj, allowed, required, path):
             raise InvalidConfig(f"{path}: missing required key {key!r}")
 
 
+def _integer(value, name):
+    """int(value) for an integral number or numeral; booleans, fractions and
+    anything int() refuses are errors."""
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
+
+
 def load_config(path):
     try:
         text = Path(path).read_text()
@@ -116,16 +126,16 @@ def _build_problem_uncached(spec):
         for key in ("d", "m", "samples_per_agent", "seed"):
             if key not in spec:
                 raise InvalidConfig(f"problem: ica requires {key!r}")
-        return make_ica_problem(
-            d=int(spec["d"]), m=int(spec["m"]),
-            samples_per_agent=int(spec["samples_per_agent"]), seed=int(spec["seed"]),
-        )
+        return make_ica_problem(**{
+            key: _integer(spec[key], f"problem {key}")
+            for key in ("d", "m", "samples_per_agent", "seed")
+        })
     if name == "custom_quadratic":
         if "diag" not in spec:
             raise InvalidConfig("problem: custom_quadratic requires 'diag'")
         return QuadraticProblem(
             diag=spec["diag"],
-            m=int(spec.get("m", 1)),
+            m=_integer(spec.get("m", 1), "problem m"),
             offsets=spec.get("offsets"),
             init_half_width=float(spec.get("init_half_width", 3.0)),
         )
@@ -141,11 +151,12 @@ def build_weights(spec):
         return validate_weight_matrix(np.asarray(spec["matrix"], dtype=float))
     if "m" not in spec:
         raise InvalidConfig("topology: graph forms require 'm'")
-    m = int(spec["m"])
+    m = _integer(spec["m"], "topology m")
     if "builtin" in spec:
         graph = builtin_topology(spec["builtin"], m)
     else:
-        edges = frozenset((int(i), int(j)) for i, j in spec["edges"])
+        edges = frozenset((_integer(i, "topology edge"), _integer(j, "topology edge"))
+                          for i, j in spec["edges"])
         graph = Graph(m=m, edges=edges)
     return build_metropolis_weights(graph)
 
@@ -160,7 +171,7 @@ def build_schedule(spec):
     if kind == "piecewise_paper":
         return StepsizeSchedule.piecewise_paper(
             lambda0=float(spec.get("lambda0", 0.0)),
-            switch_k=int(spec.get("switch_k", 0)),
+            switch_k=_integer(spec.get("switch_k", 0), "schedule switch_k"),
             scale=float(spec.get("scale", 0.0)),
         )
     raise InvalidConfig(f"schedule: unknown kind {kind!r}")
@@ -186,9 +197,9 @@ def build_run_config(cfg, seed_override=None, record_every_override=None):
     _check_keys(init, {"mode", "coords"}, {"mode"}, "init")
     resolved = dict(cfg)
     if seed_override is not None:
-        resolved["seed"] = int(seed_override)
+        resolved["seed"] = _integer(seed_override, "--seed")
     if record_every_override is not None:
-        resolved["record_every"] = int(record_every_override)
+        resolved["record_every"] = _integer(record_every_override, "--record-every")
     problem = build_problem(resolved["problem"])
     weights = build_weights(resolved["topology"])
     schedule = build_schedule(resolved["schedule"])
@@ -197,11 +208,11 @@ def build_run_config(cfg, seed_override=None, record_every_override=None):
         weights=weights,
         schedule=schedule,
         noise_variance=float(resolved["noise"]["variance"]),
-        iterations=int(resolved["iterations"]),
-        seed=int(resolved["seed"]),
+        iterations=_integer(resolved["iterations"], "iterations"),
+        seed=_integer(resolved["seed"], "seed"),
         init_mode=init["mode"],
         init_coords=init.get("coords"),
-        record_every=int(resolved.get("record_every", 1)),
+        record_every=_integer(resolved.get("record_every", 1), "record_every"),
         record_state=bool(resolved.get("record_state", False)),
         fingerprint=fingerprint(resolved),
     )
@@ -251,7 +262,7 @@ def cmd_run(args) -> int:
         config, resolved = build_run_config(
             cfg, seed_override=args.seed, record_every_override=args.record_every
         )
-    except (InvalidConfig, TopologyError, ProblemError, ValueError) as exc:
+    except (InvalidConfig, TopologyError, ProblemError, TypeError, ValueError) as exc:
         return _fail(f"[{type(exc).__name__}] {exc}")
     trace_path, summary_path = output_paths(
         args.out, resolved, trace_csv="trace.csv", summary_json="summary.json"
@@ -307,11 +318,11 @@ def cmd_table1(args) -> int:
         variances = [float(v) for v in cfg["variances"]]
         if not all(v >= 0 for v in variances):
             raise InvalidConfig("sweep config: variances must be >= 0")
-        runs_per_cell = int(cfg["runs_per_cell"])
+        runs_per_cell = _integer(cfg["runs_per_cell"], "runs_per_cell")
         if runs_per_cell < 1:
             raise InvalidConfig("sweep config: runs_per_cell must be >= 1")
-        master_seed = int(args.seed) if args.seed is not None else int(base_cfg["seed"])
-    except (InvalidConfig, TopologyError, ProblemError, ValueError) as exc:
+        master_seed = _integer(base_cfg["seed"] if args.seed is None else args.seed, "seed")
+    except (InvalidConfig, TopologyError, ProblemError, TypeError, ValueError) as exc:
         return _fail(f"[{type(exc).__name__}] {exc}")
     # every (cell, run) pair in one lockstep batch, or in one contiguous chunk
     # per worker; a run's numbers do not depend on the batch it is in
@@ -324,6 +335,7 @@ def cmd_table1(args) -> int:
     chunks = [(base_cfg, runs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     try:
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 parts = list(pool.map(_table1_finals, chunks))
         else:
@@ -356,14 +368,15 @@ def cmd_coupling(args) -> int:
         problem = build_problem(cfg["problem"])
         weights = build_weights(cfg["topology"])
         schedule = build_schedule(cfg["schedule"])
-        seed = int(args.seed) if args.seed is not None else int(cfg["seed"])
+        seed = _integer(cfg["seed"] if args.seed is None else args.seed, "seed")
         result = analysis.run_coupling_experiment(
             problem, weights, problem.known_saddle(), schedule,
-            variance=float(cfg["variance"]), runs=int(cfg["runs"]),
-            horizon=int(cfg["horizon"]), escape_radius=float(cfg["escape_radius"]),
+            variance=float(cfg["variance"]), runs=_integer(cfg["runs"], "runs"),
+            horizon=_integer(cfg["horizon"], "horizon"), escape_radius=float(cfg["escape_radius"]),
             seed=seed,
         )
-    except (InvalidConfig, TopologyError, ProblemError, analysis.AnalysisError, ValueError) as exc:
+    except (InvalidConfig, TopologyError, ProblemError, analysis.AnalysisError, TypeError,
+            ValueError) as exc:
         return _fail(f"[{type(exc).__name__}] {exc}")
     except NonFiniteState as exc:
         print(f"divergence: {exc}", file=sys.stderr)
@@ -383,13 +396,6 @@ def cmd_coupling(args) -> int:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"wrote {path}")
     return 0
-
-
-def _integer(value, name):
-    """int(value) for an integral number; booleans and fractions are errors."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def cmd_privacy_report(args) -> int:
@@ -532,13 +538,13 @@ def main(argv=None) -> int:
     def add_common(sp, jobs=False):
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=None, help=f"output directory (or ${ENV_OUT_DIR})")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+        sp.add_argument("--seed", default=None, help="override the config seed (an integer)")
         if jobs:
             sp.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
 
     sp_run = sub.add_parser("run", help="single seeded run; writes trace CSV + summary JSON")
     add_common(sp_run)
-    sp_run.add_argument("--record-every", type=int, default=None, help="trace row spacing")
+    sp_run.add_argument("--record-every", default=None, help="trace row spacing (an integer)")
     sp_run.set_defaults(func=cmd_run)
 
     sp_t1 = sub.add_parser("table1", help="final-error sweep over noise variances")

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; every run draws noise from it, so load it up front
 
 from .topology import WeightMatrix
 

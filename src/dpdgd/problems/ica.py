@@ -16,7 +16,6 @@ renormalizing after every mixing step.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from .base import KnownPoint, NotUnitNorm, Problem, ProblemConstants
 
@@ -51,19 +50,18 @@ class IcaProblem(Problem):
         flat = self.samples.reshape(-1, self.d)
         nu = 0.0
         gmax = 0.0
+        hessians = []
         for u in us:
             proj = flat @ u
             # euclidean Hessian 12 * mean (u^T y)^2 y y^T; spectral norm bound
             h = 12.0 * (flat * (proj**2)[:, None]).T @ flat / flat.shape[0]
+            hessians.append(h)
             nu = max(nu, float(np.abs(np.linalg.eigvalsh(h)).max()))
             g = 4.0 * (proj**3) @ flat / flat.shape[0]
             gmax = max(gmax, float(np.linalg.norm(g)))
         # crude Hessian-Lipschitz estimate by secants between sampled sphere points
         rho = 0.0
-        for a, b in zip(us[:-1], us[1:]):
-            pa, pb = flat @ a, flat @ b
-            ha = 12.0 * (flat * (pa**2)[:, None]).T @ flat / flat.shape[0]
-            hb = 12.0 * (flat * (pb**2)[:, None]).T @ flat / flat.shape[0]
+        for a, b, ha, hb in zip(us[:-1], us[1:], hessians[:-1], hessians[1:]):
             rho = max(rho, float(np.abs(np.linalg.eigvalsh(ha - hb)).max() / np.linalg.norm(a - b)))
         # 5% headroom over the sphere sample, same caveat as the other problems
         return ProblemConstants(
@@ -124,6 +122,7 @@ class IcaProblem(Problem):
         """Stationary point of the *sampled* objective nearest the nominal
         saddle, found by root-finding on the Lagrangian system."""
         if self._refined_saddle is None:
+            from scipy import optimize  # here, so that no other command pays for loading scipy
             u0 = self.nominal_saddle()
             lam0 = float(u0 @ self.aggregated_euclidean_gradient(u0))
 

@@ -129,6 +129,36 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("config error:") and "coords" in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, flags", [
+        ({"iterations": 10.7}, []), ({"record_every": 2.5}, []), ({"seed": True}, []),
+        ({"seed": float("inf")}, []), ({"iterations": "ten"}, []),
+        ({"problem": {"name": "ica", "d": 4.5, "m": 5, "samples_per_agent": 16, "seed": 1}}, []),
+        ({"problem": {"name": "ica", "d": 4, "m": 5, "samples_per_agent": 16, "seed": 1.5}}, []),
+        ({"problem": {"name": "custom_quadratic", "diag": [1.0, 1.0], "m": 5.5}}, []),
+        ({"topology": {"builtin": "ring", "m": 5.5}}, []),
+        ({"topology": {"m": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4.5], [4, 0]]}}, []),
+        ({"schedule": {"kind": "piecewise_paper", "lambda0": 0.02, "switch_k": 500.5,
+                       "scale": 1.0}}, []),
+        ({"init": {"mode": "explicit", "coords": {"a": 1}}}, []),
+        ({}, ["--seed", "10.7"]), ({}, ["--seed", "seven"]), ({}, ["--record-every", "2.5"]),
+    ])
+    def test_bad_integer_or_type_exit_one(self, tmp_path, capsys, edit, flags):
+        path = write_cfg(tmp_path, dict(BASE_RUN_CFG, **edit))
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out"), *flags]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_floats_accepted(self, tmp_path):
+        floats = dict(BASE_RUN_CFG, iterations=100.0, record_every=10.0, seed=4242.0,
+                      topology={"builtin": "ring_plus_chord", "m": 5.0})
+        assert cli.main(["run", "--config", write_cfg(tmp_path, BASE_RUN_CFG, "a.json"),
+                         "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["run", "--config", write_cfg(tmp_path, floats, "b.json"),
+                         "--out", str(tmp_path / "b")]) == 0
+        trace = (tmp_path / "a" / "trace.csv").read_bytes()
+        assert trace == (tmp_path / "b" / "trace.csv").read_bytes()
+
 
 class TestTable1Command:
     def _sweep_cfg(self, runs_per_cell=1, variances=(0.1, 0.5)):
@@ -185,6 +215,17 @@ class TestTable1Command:
         cfg["runs_per_cell"] = 0
         path = write_cfg(tmp_path, cfg)
         assert cli.main(["table1", "--config", path, "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("edit, flags", [
+        ({"runs_per_cell": 1.5}, []), ({"runs_per_cell": True}, []),
+        ({"variances": [0.1, {"a": 1}]}, []), ({}, ["--seed", "1.5"]),
+    ])
+    def test_bad_integer_or_type_exit_one(self, tmp_path, capsys, edit, flags):
+        path = write_cfg(tmp_path, dict(self._sweep_cfg(), **edit))
+        assert cli.main(["table1", "--config", path, "--out", str(tmp_path / "out"), *flags]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
 
 
 class TestCouplingCommand:
@@ -252,6 +293,17 @@ class TestCouplingCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: [AnalysisError]")
         assert not (tmp_path / "coupling.json").exists()
+
+    @pytest.mark.parametrize("edit, flags", [
+        ({"runs": 2.5, "horizon": 300.9}, []), ({"runs": 2.5}, []), ({"horizon": 300.9}, []),
+        ({"seed": True}, []), ({"variance": {"a": 1}}, []), ({}, ["--seed", "31.5"]),
+    ])
+    def test_bad_integer_or_type_exit_one(self, tmp_path, capsys, edit, flags):
+        path = write_cfg(tmp_path, dict(self._cfg(), **edit))
+        assert cli.main(["coupling", "--config", path, "--out", str(tmp_path / "out"), *flags]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
 
 
 def _privacy_restatement(cfg):

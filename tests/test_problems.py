@@ -259,6 +259,13 @@ class TestIca:
         p = make_ica_problem(d=10, m=5, samples_per_agent=160, seed=3)
         assert p.samples.shape[0] * p.samples.shape[1] == 800
 
+    def test_constants_pinned(self):
+        # values of the construction that rebuilt every secant Hessian
+        c = make_ica_problem(10, 5, 160, 99).constants
+        assert c.nu == float.fromhex("0x1.5182a77df51a4p+5")
+        assert c.rho == float.fromhex("0x1.7fade14a35c6bp+4")
+        assert c.G == float.fromhex("0x1.be3b28ca0e365p+3")
+
     def test_reconstruction_error_on_columns(self, ica4):
         a1 = ica4.A[:, 0]
         assert ica4.reconstruction_error(a1) == 0.0
