@@ -49,25 +49,16 @@ def consensus_error(state) -> float:
 
 
 def compute_metrics(trace: optimizer.RunTrace, problem) -> list[MetricRow]:
-    """Re-derive metric rows from recorded per-agent states; grad_norm_mean is
-    the aggregated gradient norm at the agent mean."""
-    rows = []
-    for rec in trace.records:
-        if rec.x is None:
-            raise MissingPerAgentData("trace was recorded without per-agent states")
-        errs = problem.optimization_errors(rec.x)
-        rows.append(
-            MetricRow(
-                k=rec.k,
-                consensus_error=consensus_error(rec.x),
-                opt_error_mean=float(errs.mean()),
-                opt_error_max=float(errs.max()),
-                grad_norm_mean=float(
-                    np.linalg.norm(problem.aggregated_gradient(rec.x.mean(axis=0)))
-                ),
-            )
-        )
-    return rows
+    """Re-derive metric rows from recorded per-agent states, by the kernel's own
+    row metrics; grad_norm_mean is the aggregated gradient norm at the agent mean."""
+    if any(rec.x is None for rec in trace.records):
+        raise MissingPerAgentData("trace was recorded without per-agent states")
+    metrics = optimizer.row_metrics(problem, [rec.x for rec in trace.records])
+    return [
+        MetricRow(rec.k, *errors,
+                  float(np.linalg.norm(problem.aggregated_gradient(rec.x.mean(axis=0)))))
+        for rec, errors in zip(trace.records, metrics)
+    ]
 
 
 @dataclass(frozen=True)

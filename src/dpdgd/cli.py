@@ -71,15 +71,34 @@ def _check_keys(obj, allowed, required, path):
             raise InvalidConfig(f"{path}: missing required key {key!r}")
 
 
-def _integer(value, name):
-    """int(value) for an integral number or numeral; booleans, fractions and
-    anything int() refuses are errors."""
+def _integer(value, name, flag=False):
+    """int(value) for an integral number, or for a numeral given as a command-line
+    flag; booleans, fractions, config strings and anything int() refuses are errors."""
     try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        if (isinstance(value, bool) or (isinstance(value, str) and not flag)
+                or (isinstance(value, float) and not value.is_integer())):
             raise ValueError
         return int(value)
     except (TypeError, ValueError):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(value, name):
+    """float(value) for a number; booleans, strings, other types and integers
+    beyond the float range are errors."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        return float(value)
+    except (TypeError, OverflowError):
+        raise InvalidConfig(f"{name} must be a number, got {value!r}") from None
+
+
+def _seed(cfg, args):
+    """The --seed flag if given, else the config's seed."""
+    if args.seed is None:
+        return _integer(cfg["seed"], "seed")
+    return _integer(args.seed, "--seed", flag=True)
 
 
 def load_config(path):
@@ -137,7 +156,7 @@ def _build_problem_uncached(spec):
             diag=spec["diag"],
             m=_integer(spec.get("m", 1), "problem m"),
             offsets=spec.get("offsets"),
-            init_half_width=float(spec.get("init_half_width", 3.0)),
+            init_half_width=_real(spec.get("init_half_width", 3.0), "problem init_half_width"),
         )
     raise InvalidConfig(f"problem: unknown name {name!r}")
 
@@ -164,15 +183,17 @@ def build_weights(spec):
 def build_schedule(spec):
     _check_keys(spec, {"kind", "lambda0", "switch_k", "scale"}, {"kind"}, "schedule")
     kind = spec["kind"]
+    lambda0 = _real(spec.get("lambda0", 0.0), "schedule lambda0")
+    scale = _real(spec.get("scale", 0.0), "schedule scale")
     if kind == "constant":
-        return StepsizeSchedule.constant(float(spec.get("lambda0", 0.0)))
+        return StepsizeSchedule.constant(lambda0)
     if kind == "harmonic":
-        return StepsizeSchedule.harmonic(float(spec.get("scale", 0.0)))
+        return StepsizeSchedule.harmonic(scale)
     if kind == "piecewise_paper":
         return StepsizeSchedule.piecewise_paper(
-            lambda0=float(spec.get("lambda0", 0.0)),
+            lambda0=lambda0,
             switch_k=_integer(spec.get("switch_k", 0), "schedule switch_k"),
-            scale=float(spec.get("scale", 0.0)),
+            scale=scale,
         )
     raise InvalidConfig(f"schedule: unknown kind {kind!r}")
 
@@ -197,9 +218,9 @@ def build_run_config(cfg, seed_override=None, record_every_override=None):
     _check_keys(init, {"mode", "coords"}, {"mode"}, "init")
     resolved = dict(cfg)
     if seed_override is not None:
-        resolved["seed"] = _integer(seed_override, "--seed")
+        resolved["seed"] = _integer(seed_override, "--seed", flag=True)
     if record_every_override is not None:
-        resolved["record_every"] = _integer(record_every_override, "--record-every")
+        resolved["record_every"] = _integer(record_every_override, "--record-every", flag=True)
     problem = build_problem(resolved["problem"])
     weights = build_weights(resolved["topology"])
     schedule = build_schedule(resolved["schedule"])
@@ -207,7 +228,7 @@ def build_run_config(cfg, seed_override=None, record_every_override=None):
         problem=problem,
         weights=weights,
         schedule=schedule,
-        noise_variance=float(resolved["noise"]["variance"]),
+        noise_variance=_real(resolved["noise"]["variance"], "noise.variance"),
         iterations=_integer(resolved["iterations"], "iterations"),
         seed=_integer(resolved["seed"], "seed"),
         init_mode=init["mode"],
@@ -315,13 +336,16 @@ def cmd_table1(args) -> int:
         base_cfg.pop("output", None)
         # validate the base config once up front
         build_run_config(base_cfg, seed_override=args.seed)
-        variances = [float(v) for v in cfg["variances"]]
+        variances = [_real(v, "variances") for v in cfg["variances"]]
         if not all(v >= 0 for v in variances):
             raise InvalidConfig("sweep config: variances must be >= 0")
         runs_per_cell = _integer(cfg["runs_per_cell"], "runs_per_cell")
         if runs_per_cell < 1:
             raise InvalidConfig("sweep config: runs_per_cell must be >= 1")
-        master_seed = _integer(base_cfg["seed"] if args.seed is None else args.seed, "seed")
+        master_seed = _seed(base_cfg, args)
+        jobs = _integer(args.jobs, "--jobs", flag=True)
+        if jobs < 1:
+            raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
     except (InvalidConfig, TopologyError, ProblemError, TypeError, ValueError) as exc:
         return _fail(f"[{type(exc).__name__}] {exc}")
     # every (cell, run) pair in one lockstep batch, or in one contiguous chunk
@@ -330,7 +354,7 @@ def cmd_table1(args) -> int:
         (v, _table1_seed(master_seed, i, r))
         for i, v in enumerate(variances) for r in range(runs_per_cell)
     ]
-    jobs = max(1, min(args.jobs or 1, len(runs)))
+    jobs = min(jobs, len(runs))
     bounds = [len(runs) * c // jobs for c in range(jobs + 1)]
     chunks = [(base_cfg, runs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     try:
@@ -368,11 +392,12 @@ def cmd_coupling(args) -> int:
         problem = build_problem(cfg["problem"])
         weights = build_weights(cfg["topology"])
         schedule = build_schedule(cfg["schedule"])
-        seed = _integer(cfg["seed"] if args.seed is None else args.seed, "seed")
+        seed = _seed(cfg, args)
         result = analysis.run_coupling_experiment(
             problem, weights, problem.known_saddle(), schedule,
-            variance=float(cfg["variance"]), runs=_integer(cfg["runs"], "runs"),
-            horizon=_integer(cfg["horizon"], "horizon"), escape_radius=float(cfg["escape_radius"]),
+            variance=_real(cfg["variance"], "variance"), runs=_integer(cfg["runs"], "runs"),
+            horizon=_integer(cfg["horizon"], "horizon"),
+            escape_radius=_real(cfg["escape_radius"], "escape_radius"),
             seed=seed,
         )
     except (InvalidConfig, TopologyError, ProblemError, analysis.AnalysisError, TypeError,
@@ -408,9 +433,9 @@ def cmd_privacy_report(args) -> int:
             "privacy config",
         )
         schedule = build_schedule(cfg["schedule"])
-        delta, variance = float(cfg["delta"]), float(cfg["variance"])
+        delta, variance = _real(cfg["delta"], "delta"), _real(cfg["variance"], "variance")
         report = privacy.per_iteration_report(
-            schedule, variance=variance, nu=float(cfg["nu"]),
+            schedule, variance=variance, nu=_real(cfg["nu"], "nu"),
             n_i=_integer(cfg["n_i"], "n_i"), delta=delta,
             horizon=_integer(cfg["horizon"], "horizon"),
         )
@@ -528,8 +553,19 @@ def cmd_list_configs(_args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error raises instead of exiting 2, the divergence code."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dpdgd",
         description="Differentially private decentralized nonconvex optimization runner",
     )
@@ -540,7 +576,7 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=None, help=f"output directory (or ${ENV_OUT_DIR})")
         sp.add_argument("--seed", default=None, help="override the config seed (an integer)")
         if jobs:
-            sp.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+            sp.add_argument("--jobs", default=1, help="parallel sweep workers (an integer >= 1)")
 
     sp_run = sub.add_parser("run", help="single seeded run; writes trace CSV + summary JSON")
     add_common(sp_run)
@@ -566,7 +602,11 @@ def main(argv=None) -> int:
     sp_lc = sub.add_parser("list-configs", help="list bundled experiment configs")
     sp_lc.set_defaults(func=cmd_list_configs)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     return args.func(args)
 
 

@@ -35,6 +35,7 @@ _INIT_STREAM = 2
 
 NOISE_BLOCK = 64  # iterations of noise drawn from a stream at a time
 _NOISE_BUFFER = 2**16  # cap on the doubles buffered across all streams (512 KB)
+RECORD_CHUNK = 32  # recorded states whose metrics are computed in one stacked call
 
 
 class InvalidConfig(ValueError):
@@ -246,12 +247,11 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
     streams = list(streams)
     scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1)
     block = max(1, min(NOISE_BLOCK, _NOISE_BUFFER // max(1, runs * m * d)))
-    records = [[] for _ in range(runs)]
     stopped_at = [None] * runs
+    rows = []  # (run, k, lam, x, noise_norm, gn_norm, mean_gn); metrics come after the loop
     if record_every:
         lam = stepsize(schedule, k0 + 1)
-        for r in range(runs):
-            records[r].append(_record(problem, x[r], k0, lam, 0.0, 0.0, keep_state, None))
+        rows += [(r, k0, lam, x[r].copy(), 0.0, 0.0, None) for r in range(runs)]
     k_end = k0 + iterations
     buf, pos = None, 0
     for k in range(k0 + 1, k_end + 1):
@@ -279,14 +279,11 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
         if not np.isfinite(x).all():
             raise NonFiniteState(k)
         if record_every and (k % record_every == 0 or k == k_end):
-            for i, r in enumerate(active):
-                records[r].append(
-                    _record(
-                        problem, x[i], k, lam,
-                        float(np.linalg.norm(n[i])), float(np.linalg.norm(gn[i])),
-                        keep_state, gn[i].mean(axis=0) if keep_state else None,
-                    )
-                )
+            rows += [
+                (r, k, lam, x[i].copy(), float(np.linalg.norm(n[i])),
+                 float(np.linalg.norm(gn[i])), gn[i].mean(axis=0) if keep_state else None)
+                for i, r in enumerate(active)
+            ]
         if stop is not None:
             done = np.asarray(stop(x, k), dtype=bool)
             if done.any():
@@ -299,7 +296,27 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
                 if not active.size:
                     break
     final[active] = x
+    records = [[] for _ in range(runs)]
+    metrics = row_metrics(problem, [row[3] for row in rows])
+    for (r, k, lam, xr, noise_norm, gn_norm, mean_gn), errors in zip(rows, metrics):
+        records[r].append(TraceRecord(k, lam, *errors, noise_norm, gn_norm,
+                                      xr if keep_state else None, mean_gn))
     return Lockstep(x=final, records=records, stopped_at=stopped_at)
+
+
+def row_metrics(problem, xs) -> list:
+    """(consensus_error, opt_error_mean, opt_error_max) of each state in xs, a
+    sequence of (m, d) states, RECORD_CHUNK states to a stacked call; each
+    triple is bitwise what the state alone gives."""
+    out = []
+    for a in range(0, len(xs), RECORD_CHUNK):
+        x = np.array(xs[a:a + RECORD_CHUNK], dtype=float)
+        dev = (x - x.mean(axis=1, keepdims=True)).reshape(len(x), 1, -1)
+        # a (1, md) @ (md, 1) matmul is a dot, like the norm of one flattened state
+        consensus = np.sqrt(dev @ dev.swapaxes(1, 2)).reshape(-1)
+        errs = problem.optimization_errors(x).reshape(len(x), -1)
+        out += zip(consensus.tolist(), errs.mean(axis=1).tolist(), errs.max(axis=1).tolist())
+    return out
 
 
 def step(state: AgentState, w: WeightMatrix, problem, schedule: StepsizeSchedule,
@@ -375,21 +392,6 @@ def _initial_state(config: RunConfig) -> np.ndarray:
         theta = resolve_at_saddle_init(p, config.weights, config.schedule)
         return np.tile(theta, (p.m, 1))
     return p.sample_init(init_rng(config.seed))
-
-
-def _record(problem, x, k, lam, noise_norm, gn_norm, keep_state, mean_gn):
-    errs = problem.optimization_errors(x)
-    return TraceRecord(
-        k=k,
-        lam=lam,
-        consensus_error=float(np.linalg.norm(x - x.mean(axis=0))),
-        opt_error_mean=float(errs.mean()),
-        opt_error_max=float(errs.max()),
-        noise_norm=noise_norm,
-        gn_norm=gn_norm,
-        x=x.copy() if keep_state else None,
-        mean_gn=mean_gn,
-    )
 
 
 def run_batch(configs, mix_state=False) -> list:

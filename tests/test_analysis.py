@@ -56,6 +56,20 @@ class TestComputeMetrics:
             assert row.opt_error_mean == pytest.approx(rec.opt_error_mean, abs=1e-15)
             assert row.grad_norm_mean >= 0.0
 
+    def test_rows_equal_trace_rows_exactly(self, ica4, rpc5):
+        # one definition of the row metrics: the kernel's and compute_metrics' agree bit for bit
+        cfg = RunConfig(problem=ica4, weights=rpc5, schedule=StepsizeSchedule.constant(0.01),
+                        noise_variance=0.5, iterations=70, seed=3, record_every=1,
+                        record_state=True)
+        trace = run(cfg)
+        rows = compute_metrics(trace, ica4)
+        assert len(rows) == len(trace.records) == 71
+        for rec, row in zip(trace.records, rows):
+            assert (row.k, row.consensus_error, row.opt_error_mean, row.opt_error_max) == (
+                rec.k, rec.consensus_error, rec.opt_error_mean, rec.opt_error_max)
+            assert row.grad_norm_mean == float(
+                np.linalg.norm(ica4.aggregated_gradient(rec.x.mean(axis=0))))
+
     def test_needs_states(self, paper_problem, rpc5):
         cfg = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
                         noise_variance=0.5, iterations=10, seed=2, record_every=5)

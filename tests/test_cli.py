@@ -429,3 +429,89 @@ class TestBundledConfigs:
         cli.build_run_config(base)
         assert cfg["variances"] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
         assert cfg["runs_per_cell"] == 100
+
+
+def _assert_one_line_exit_one(argv, out, capsys, prefix, *words):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    assert all(word in err[0] for word in words), err
+    assert not out.exists()
+
+
+class TestUsageErrors:
+    """argparse's own exit code 2 is the divergence code; usage errors exit 1."""
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["run"], ["run", "--config"],
+                                      ["privacy-report", "--config", "x.json", "--extra"]])
+    def test_usage_error_exit_one(self, tmp_path, capsys, argv):
+        _assert_one_line_exit_one(argv, tmp_path / "out", capsys, "usage error:")
+
+    @pytest.mark.parametrize("jobs", ["2.5", "0", "-3", "two", "true"])
+    def test_bad_jobs_exit_one(self, tmp_path, capsys, jobs):
+        path = write_cfg(tmp_path, TestTable1Command()._sweep_cfg())
+        out = tmp_path / "out"
+        _assert_one_line_exit_one(["table1", "--config", path, "--out", str(out), "--jobs", jobs],
+                                  out, capsys, "config error:", "--jobs")
+
+
+class TestNumericTypes:
+    """JSON strings and booleans are not numbers, even when they parse as one."""
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"iterations": "10"}, "iterations"),
+        ({"record_every": "10"}, "record_every"),
+        ({"seed": "4242"}, "seed"),
+        ({"noise": {"variance": "0.5"}}, "noise.variance"),
+        ({"noise": {"variance": True}}, "noise.variance"),
+        ({"schedule": {"kind": "constant", "lambda0": "0.02"}}, "lambda0"),
+        ({"schedule": {"kind": "harmonic", "scale": True}}, "scale"),
+        ({"schedule": {"kind": "piecewise_paper", "lambda0": 0.02, "switch_k": "500",
+                       "scale": 1.0}}, "switch_k"),
+        ({"problem": {"name": "custom_quadratic", "diag": [1.0, 1.0], "m": 5,
+                      "init_half_width": "3"}}, "init_half_width"),
+        ({"problem": {"name": "ica", "d": "4", "m": 5, "samples_per_agent": 16, "seed": 1}},
+         "problem d"),
+    ])
+    def test_run_fields(self, tmp_path, capsys, edit, field):
+        path = write_cfg(tmp_path, dict(BASE_RUN_CFG, **edit))
+        out = tmp_path / "out"
+        _assert_one_line_exit_one(["run", "--config", path, "--out", str(out)], out, capsys,
+                                  "config error:", field)
+
+    def test_bundled_config_with_string_numbers(self, tmp_path, capsys):
+        cfg = json.loads(cli.bundled_config_path("estimation_paper.json").read_text())
+        cfg["iterations"] = "10"
+        cfg["noise"] = {"variance": "0.5"}
+        out = tmp_path / "out"
+        _assert_one_line_exit_one(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)],
+                                  out, capsys, "config error:")
+
+    def test_flags_still_parse_numerals(self, tmp_path):
+        path = write_cfg(tmp_path, BASE_RUN_CFG)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path), "--seed", "9",
+                         "--record-every", "50"]) == 0
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize("variances", [["0.1", 0.5], [0.1, True]])
+    def test_table1_variances(self, tmp_path, capsys, variances):
+        cfg = dict(TestTable1Command()._sweep_cfg(), variances=variances)
+        out = tmp_path / "out"
+        _assert_one_line_exit_one(["table1", "--config", write_cfg(tmp_path, cfg), "--out",
+                                   str(out)], out, capsys, "config error:", "variances")
+
+    @pytest.mark.parametrize("key, value", [("variance", "0.5"), ("variance", True),
+                                            ("escape_radius", "0.5"), ("escape_radius", True)])
+    def test_coupling_fields(self, tmp_path, capsys, key, value):
+        cfg = dict(TestCouplingCommand()._cfg(), **{key: value})
+        out = tmp_path / "out"
+        _assert_one_line_exit_one(["coupling", "--config", write_cfg(tmp_path, cfg), "--out",
+                                   str(out)], out, capsys, "config error:", key)
+
+    @pytest.mark.parametrize("key, value", [("variance", "0.5"), ("delta", "0.05"),
+                                            ("nu", True), ("nu", "8.37")])
+    def test_privacy_fields(self, tmp_path, capsys, key, value):
+        cfg = TestPrivacyReportCommand()._cfg(**{key: value})
+        out = tmp_path / "out"
+        _assert_one_line_exit_one(["privacy-report", "--config", write_cfg(tmp_path, cfg),
+                                   "--out", str(out)], out, capsys, "config error:", key)

@@ -11,13 +11,16 @@ from dpdgd.optimizer import (
     InvalidConfig,
     NoiseSpec,
     NonFiniteState,
+    RECORD_CHUNK,
     RunConfig,
     StepsizeSchedule,
+    TraceRecord,
     init_rng,
     lockstep,
     noise_streams,
     polish_fixed_point,
     resolve_at_saddle_init,
+    row_metrics,
     run,
     run_batch,
     run_conventional_dgd,
@@ -373,3 +376,123 @@ class TestLockstep:
         with pytest.raises(InvalidConfig):
             RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
                       noise_variance=-0.5, iterations=10, seed=1)
+
+
+def _restated_row(problem, x, k, lam, noise_norm, gn_norm, keep_state, mean_gn):
+    """One trace row computed from its own state alone."""
+    errs = problem.optimization_errors(x)
+    return TraceRecord(
+        k=k, lam=lam, consensus_error=float(np.linalg.norm(x - x.mean(axis=0))),
+        opt_error_mean=float(errs.mean()), opt_error_max=float(errs.max()),
+        noise_norm=noise_norm, gn_norm=gn_norm, x=x.copy() if keep_state else None,
+        mean_gn=mean_gn,
+    )
+
+
+def _restated_run(problem, w, x, schedule, iterations, seed, variance, keep_state, stop_k=None):
+    """One run's rows (record_every 1), one iteration and one row at a time."""
+    rngs = noise_streams(seed, problem.m)
+    rows = [_restated_row(problem, x, 0, stepsize(schedule, 1), 0.0, 0.0, keep_state, None)]
+    for k in range(1, iterations + 1):
+        lam = stepsize(schedule, k)
+        n = np.array([rng.standard_normal(problem.d) for rng in rngs]) * np.sqrt(variance)
+        gn = problem.agent_gradients(x) + n
+        x = problem.retract(w @ (x - lam * gn))
+        rows.append(_restated_row(problem, x, k, lam, float(np.linalg.norm(n)),
+                                  float(np.linalg.norm(gn)), keep_state,
+                                  gn.mean(axis=0) if keep_state else None))
+        if k == stop_k:
+            break
+    return rows
+
+
+def _same_rows(got, want):
+    """Every TraceRecord field equal bit for bit (NaN included)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in dataclasses.fields(TraceRecord):
+            va, vb = getattr(a, field.name), getattr(b, field.name)
+            assert (va is None) == (vb is None), field.name
+            if va is not None:
+                assert type(va) is type(vb), field.name
+                assert np.asarray(va).tobytes() == np.asarray(vb).tobytes(), field.name
+
+
+def _row_problems():
+    from dpdgd.problems import make_ica_problem, make_paper_estimation_problem
+
+    ica = make_ica_problem(d=4, m=5, samples_per_agent=40, seed=5)
+    offsets = np.arange(10.0).reshape(5, 2) / 7
+    return {
+        "estimation": (make_paper_estimation_problem(), StepsizeSchedule.constant(0.02)),
+        "quadratic": (QuadraticProblem([0.5, 1.5], m=5, offsets=offsets),
+                      StepsizeSchedule.constant(0.05)),
+        "saddle_quadratic": (QuadraticProblem([0.5, -1.5], m=5),  # no minimum: NaN errors
+                             StepsizeSchedule.constant(0.05)),
+        "ica": (ica, StepsizeSchedule.constant(0.01)),
+    }
+
+
+class TestDeferredRows:
+    """The kernel keeps each recorded state and computes the row metrics after
+    the loop, RECORD_CHUNK states at a time; the rows must equal the per-row
+    formulas exactly."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return _row_problems()
+
+    @pytest.mark.parametrize("name", ["estimation", "quadratic", "saddle_quadratic", "ica"])
+    @pytest.mark.parametrize("n_states", [1, RECORD_CHUNK - 1, RECORD_CHUNK, RECORD_CHUNK + 1])
+    def test_row_metrics_equal_one_state_at_a_time(self, problems, name, n_states, rng):
+        problem = problems[name][0]
+        xs = [problem.retract(rng.standard_normal((problem.m, problem.d)))
+              for _ in range(n_states)]
+        want = [_restated_row(problem, x, 0, 0.0, 0.0, 0.0, False, None) for x in xs]
+        got = row_metrics(problem, xs)
+        assert len(got) == n_states
+        for (ce, mean, mx), row in zip(got, want):
+            assert (np.array([ce, mean, mx]).tobytes()
+                    == np.array([row.consensus_error, row.opt_error_mean,
+                                 row.opt_error_max]).tobytes())
+
+    @pytest.mark.parametrize("name", ["estimation", "quadratic", "saddle_quadratic", "ica"])
+    @pytest.mark.parametrize("iterations", [1, RECORD_CHUNK - 2, RECORD_CHUNK - 1, RECORD_CHUNK])
+    @pytest.mark.parametrize("keep_state", [False, True])
+    def test_single_run_rows_equal_restatement(self, problems, rpc5, name, iterations,
+                                               keep_state):
+        # record_every 1 gives iterations + 1 rows: 2, chunk - 1, chunk and chunk + 1
+        problem, schedule = problems[name]
+        x0 = problem.sample_init(init_rng(3))
+        out = lockstep(problem, rpc5.w, x0[None], schedule, iterations, [noise_streams(8, 5)],
+                       [np.sqrt(0.3)], record_every=1, keep_state=keep_state)
+        want = _restated_run(problem, rpc5.w, x0, schedule, iterations, 8, 0.3, keep_state)
+        _same_rows(out.records[0], want)
+
+    @pytest.mark.parametrize("name", ["estimation", "quadratic", "ica"])
+    @pytest.mark.parametrize("keep_state", [False, True])
+    def test_batch_with_early_stops_equals_restatement(self, problems, rpc5, name, keep_state):
+        # 3 runs, 2 of them stopping early: 21 + 6 + 41 rows cross two chunk boundaries
+        problem, schedule = problems[name]
+        seeds = (21, 22, 23)
+        x0 = np.stack([problem.sample_init(init_rng(s)) for s in seeds])
+        when = {5: [False, True, False], 20: [True, False]}
+        out = lockstep(problem, rpc5.w, x0, schedule, 40, [noise_streams(s, 5) for s in seeds],
+                       [np.sqrt(0.5)] * 3, record_every=1, keep_state=keep_state,
+                       stop=lambda x, k: when.get(k, [False] * len(x)))
+        assert out.stopped_at == [20, 5, None]
+        for r, (seed, stop_k) in enumerate(zip(seeds, out.stopped_at)):
+            want = _restated_run(problem, rpc5.w, x0[r], schedule, 40, seed, 0.5, keep_state,
+                                 stop_k)
+            _same_rows(out.records[r], want)
+
+    def test_sparse_rows_are_the_dense_rows(self, problems, rpc5):
+        # record_every 7 over 40 iterations keeps k = 0, 7, ..., 35 and the last step
+        problem, schedule = problems["estimation"]
+        x0 = problem.sample_init(init_rng(4))[None]
+        dense, sparse = (
+            lockstep(problem, rpc5.w, x0, schedule, 40, [noise_streams(4, 5)], [0.7],
+                     record_every=every).records[0]
+            for every in (1, 7)
+        )
+        _same_rows(sparse, [row for row in dense if row.k % 7 == 0 or row.k == 40])

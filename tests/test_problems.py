@@ -329,3 +329,21 @@ class TestIca:
     def test_retraction_normalizes(self, ica4, rng):
         x = rng.standard_normal((5, 4)) * 3
         assert np.allclose(np.linalg.norm(ica4.retract(x), axis=1), 1.0)
+
+    def test_retraction_equals_norm_form(self, ica4, rng):
+        for shape, scale in (((5, 4), 3.0), ((7, 5, 4), 1e-150), ((2, 3, 5, 4), 1e150)):
+            x = rng.standard_normal(shape) * scale
+            want = x / np.linalg.norm(x, axis=-1, keepdims=True)
+            assert ica4.retract(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 4, 10])
+    @pytest.mark.parametrize("sign_factor", [1.0, -1.0])
+    def test_stacked_gradients_match_agent_gradient(self, d, sign_factor, rng):
+        base = make_ica_problem(d=d, m=5, samples_per_agent=48, seed=d)
+        p = IcaProblem(mixing=base.A, samples=base.samples, sign_factor=sign_factor)
+        x = p.retract(rng.standard_normal((3, p.m, d)))
+        got = p.agent_gradients(x)
+        want = np.array([[p.agent_gradient(j, row[j]) for j in range(p.m)] for row in x])
+        assert got.shape == x.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+        assert np.array_equal(got[1], p.agent_gradients(x[1]))
