@@ -148,10 +148,9 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
     """
     if not variance >= 0:
         raise AnalysisError(f"variance must be >= 0, got {variance}")
-    if runs < 1 or not 0 < escape_radius < np.inf:
-        raise AnalysisError(
-            f"need runs >= 1 and a finite escape_radius > 0, got {runs} and {escape_radius}"
-        )
+    if runs < 1 or not 0 < escape_radius < np.inf or not 0 <= seed < 2**64:
+        raise AnalysisError(f"need runs >= 1, a finite escape_radius > 0 and a seed in [0, 2**64), "
+                            f"got {runs}, {escape_radius} and {seed}")
     saddle = np.asarray(saddle, dtype=float)
     kind = classify_stationary_point(problem, saddle, grad_tol=1e-6, eig_tol=1e-6)
     if kind != "strict_saddle":

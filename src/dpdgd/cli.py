@@ -20,6 +20,7 @@ import os
 import sys
 from importlib.resources import files as resource_files
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .problems import (
     make_paper_estimation_problem,
 )
 from .topology import (
+    BUILTIN_TOPOLOGIES,
     Graph,
     TopologyError,
     build_metropolis_weights,
@@ -54,51 +56,175 @@ PRIVACY_HEADER = "k,lambda,eps_sample,eps_gradient,eps_variable,delta,variance"
 
 _TABLE1_STREAM = 10
 
-
-def _fail(msg) -> int:
-    print(f"config error: {msg}", file=sys.stderr)
-    return 1
-
-
-def _check_keys(obj, allowed, required, path):
-    if not isinstance(obj, dict):
-        raise InvalidConfig(f"{path}: expected an object")
-    for key in obj:
-        if key not in allowed:
-            raise InvalidConfig(f"{path}: unknown key {key!r} (allowed: {sorted(allowed)})")
-    for key in required:
-        if key not in obj:
-            raise InvalidConfig(f"{path}: missing required key {key!r}")
+# -- config schema: a table maps each key of a JSON object to a Field; an object
+# with variants (problem `name`, schedule `kind`, init `mode`, topology form) has
+# a table per variant. Ranges the library checks (RunConfig, StepsizeSchedule,
+# Graph, validate_weight_matrix, problems, coupling, privacy) are left to it.
 
 
-def _integer(value, name, flag=False):
-    """int(value) for an integral number, or for a numeral given as a command-line
-    flag; booleans, fractions, config strings and anything int() refuses are errors."""
+class Field(NamedTuple):
+    type: str  # "object" or a key of _WHAT
+    required: bool = False
+    default: object = None
+    checks: tuple = ()  # (predicate, what the value must be) for ranges only the CLI knows
+    sub: object = None  # the table of an object, or the options of a choice
+
+
+class _Variants(dict):
+    """The tables of an object's variants, chosen by the value of `key` or,
+    when `key` is None, by which variant's name is a key of the object."""
+
+    def __init__(self, key, **tables):
+        super().__init__(tables)
+        self.key = key
+
+
+_WHAT = {"int": "a 64-bit integer", "real": "a number", "bool": "true or false",
+         "choice": "one of {}", "path": "a printable string", "edges": "a list of [i, j] pairs",
+         "array": "a list of numbers (a list of lists for a matrix)"}
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers_only(value):
+    return all(map(_numbers_only, value)) if isinstance(value, list) else _is_number(value)
+
+
+def _convert(value, field, name):
+    """`value` as a `field.type`, or InvalidConfig naming the field."""
+    kind = field.type
     try:
-        if (isinstance(value, bool) or (isinstance(value, str) and not flag)
-                or (isinstance(value, float) and not value.is_integer())):
-            raise ValueError
-        return int(value)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
+        if kind == "int" and _is_number(value) and -2**63 <= value < 2**64 and (
+                isinstance(value, int) or value.is_integer()):
+            return int(value)
+        if kind == "real" and _is_number(value):
+            return float(value)  # OverflowError beyond the float range
+        if (kind == "bool" and isinstance(value, bool) or kind == "choice" and value in field.sub
+                or kind == "path" and isinstance(value, str) and value.isprintable()):
+            return value
+        if kind == "array" and isinstance(value, list) and _numbers_only(value):
+            return np.asarray(value, dtype=float)  # ValueError if ragged
+        if kind == "edges" and isinstance(value, list) and all(
+                isinstance(e, list) and len(e) == 2 for e in value):
+            return frozenset((_convert(i, _INT, name), _convert(j, _INT, name)) for i, j in value)
+    except (ValueError, OverflowError):
+        pass
+    raise InvalidConfig(f"{name} must be {_WHAT[kind].format(list(field.sub or ()))}, "
+                        f"got {value!r}")
 
 
-def _real(value, name):
-    """float(value) for a number; booleans, strings, other types and integers
-    beyond the float range are errors."""
+def _walk(value, table, label, prefix=""):
+    """`value` checked against `table`, with its fields named `prefix + key`."""
+    if not isinstance(value, dict):
+        raise InvalidConfig(f"{label} must be an object, got {value!r}")
+    if isinstance(table, _Variants):
+        table, prefix = _variant(value, table, label), label + " "
+    for key in value:
+        if key not in table:
+            raise InvalidConfig(f"{label}: unknown key {key!r} (allowed: {sorted(table)})")
+    out = {}
+    for key, field in table.items():
+        name, given = prefix + key, value.get(key, field.default)
+        if key not in value and field.required:
+            raise InvalidConfig(f"{label}: missing required key {key!r}")
+        if key not in value and given is None:
+            out[key] = None
+        elif field.type == "object":
+            out[key] = _walk(given, field.sub, name, name + ".")
+        else:
+            out[key] = _convert(given, field, name)
+            for ok, what in field.checks:
+                if not ok(out[key]):
+                    raise InvalidConfig(f"{name} must be {what}, got {given!r}")
+    return out
+
+
+def _variant(value, variants, label):
+    """The table of the variant that the object `value` is."""
+    key = variants.key
+    names = [name for name in variants if (value.get(key) == name if key else name in value)]
+    if len(names) != 1:
+        raise InvalidConfig(f"{label} {key} must be one of {list(variants)}, got {value.get(key)!r}"
+                            if key else f"{label}: give exactly one of {' | '.join(variants)}")
+    table = variants[names[0]]
+    return {key: Field("choice", True, sub=names), **table} if key else table
+
+
+def _output(**files):
+    """The `output` object of a command that writes `files` (key=default name):
+    the directory they go to and their names."""
+    plain = ((lambda s: s not in ("", ".", "..") and "/" not in s and len(s.encode()) <= 255,
+              "a file name without '/' of at most 255 bytes"),)
+    names = {key: Field("path", default=name, checks=plain) for key, name in files.items()}
+    return Field("object", default={}, sub={"dir": Field("path", default="."), **names})
+
+
+_INT, _REAL = Field("int", True), Field("real", True)
+
+_PROBLEM = _Variants(  # the keys are the parameters of _PROBLEM_MAKERS
+    "name",
+    estimation_paper={},
+    ica={"d": _INT, "m": _INT, "samples_per_agent": _INT, "seed": _INT},
+    custom_quadratic={"diag": Field("array", True), "m": Field("int", default=1),
+                      "offsets": Field("array"), "init_half_width": Field("real", default=3.0)},
+)
+_TOPOLOGY = _Variants(
+    None,
+    builtin={"builtin": Field("choice", True, sub=BUILTIN_TOPOLOGIES), "m": _INT},
+    edges={"edges": Field("edges", True), "m": _INT},
+    matrix={"matrix": Field("array", True)},
+)
+_SCHEDULE = _Variants(  # the keys are StepsizeSchedule's fields
+    "kind",
+    constant={"lambda0": _REAL},
+    harmonic={"scale": _REAL},
+    piecewise_paper={"lambda0": _REAL, "switch_k": _INT, "scale": _REAL},
+)
+_INIT = _Variants("mode", random_box={}, explicit={"coords": Field("array", True)}, at_saddle={})
+
+_SHARED = {  # the entries of more than one command's table
+    "problem": Field("object", True, sub=_PROBLEM),
+    "topology": Field("object", True, sub=_TOPOLOGY),
+    "schedule": Field("object", True, sub=_SCHEDULE),
+}
+_BASE = {  # a run without its output files: `table1.base`
+    **_SHARED,
+    "noise": Field("object", True, sub={"variance": _REAL}),
+    "init": Field("object", default={"mode": "random_box"}, sub=_INIT),
+    "iterations": _INT,
+    "record_every": Field("int", default=1),
+    "record_state": Field("bool", default=False),
+    "seed": _INT,
+}
+_RUN = {**_BASE, "output": _output(trace_csv="trace.csv", summary_json="summary.json")}
+_TABLE1 = {
+    "base": Field("object", True, sub=_BASE),
+    "variances": Field("array", True, checks=((lambda v: v.ndim == 1 and v.size and (v >= 0).all(),
+                                               ">= 0, in a non-empty list"),)),
+    "runs_per_cell": Field("int", True, checks=((lambda n: n >= 1, ">= 1"),)),
+    "output": _output(csv="table1.csv"),
+}
+_COUPLING = {**_SHARED, "variance": _REAL, "runs": _INT, "horizon": _INT, "escape_radius": _REAL,
+             "seed": _INT, "output": _output(json="coupling.json")}
+_PRIVACY = {"schedule": _SHARED["schedule"], "variance": _REAL, "delta": _REAL, "nu": _REAL,
+            "n_i": _INT, "horizon": _INT, "output": _output(csv="privacy_report.csv")}
+
+
+def _flag(text, name):
+    """The integer a command-line numeral gives."""
     try:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError
-        return float(value)
-    except (TypeError, OverflowError):
-        raise InvalidConfig(f"{name} must be a number, got {value!r}") from None
+        return int(text)
+    except ValueError:
+        raise InvalidConfig(f"{name} must be an integer, got {text!r}") from None
 
 
-def _seed(cfg, args):
-    """The --seed flag if given, else the config's seed."""
-    if args.seed is None:
-        return _integer(cfg["seed"], "seed")
-    return _integer(args.seed, "--seed", flag=True)
+def _with_flags(cfg, **flags):
+    """The config with each given flag's integer in place of the key of its name."""
+    given = {key: _flag(text, "--" + key.replace("_", "-"))
+             for key, text in flags.items() if text is not None}
+    return {**cfg, **given} if given and isinstance(cfg, dict) else cfg
 
 
 def load_config(path):
@@ -118,84 +244,32 @@ def build_problem(spec):
     # instances are shared per spec within a process (constants estimation is
     # the expensive part); callers must treat them as immutable
     key = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    if key in _PROBLEM_CACHE:
-        return _PROBLEM_CACHE[key]
-    problem = _build_problem_uncached(spec)
-    _PROBLEM_CACHE[key] = problem
-    return problem
+    if key not in _PROBLEM_CACHE:
+        params = _walk(spec, _PROBLEM, "problem")
+        _PROBLEM_CACHE[key] = _PROBLEM_MAKERS[params.pop("name")](**params)
+    return _PROBLEM_CACHE[key]
 
 
 _PROBLEM_CACHE = {}
+_PROBLEM_MAKERS = {"estimation_paper": make_paper_estimation_problem, "ica": make_ica_problem,
+                   "custom_quadratic": QuadraticProblem}
 
 
-def _build_problem_uncached(spec):
-    _check_keys(
-        spec,
-        {"name", "d", "m", "samples_per_agent", "seed", "diag", "offsets", "init_half_width"},
-        {"name"},
-        "problem",
-    )
-    name = spec["name"]
-    if name == "estimation_paper":
-        extra = set(spec) - {"name"}
-        if extra:
-            raise InvalidConfig(f"problem: estimation_paper takes no parameters, got {sorted(extra)}")
-        return make_paper_estimation_problem()
-    if name == "ica":
-        for key in ("d", "m", "samples_per_agent", "seed"):
-            if key not in spec:
-                raise InvalidConfig(f"problem: ica requires {key!r}")
-        return make_ica_problem(**{
-            key: _integer(spec[key], f"problem {key}")
-            for key in ("d", "m", "samples_per_agent", "seed")
-        })
-    if name == "custom_quadratic":
-        if "diag" not in spec:
-            raise InvalidConfig("problem: custom_quadratic requires 'diag'")
-        return QuadraticProblem(
-            diag=spec["diag"],
-            m=_integer(spec.get("m", 1), "problem m"),
-            offsets=spec.get("offsets"),
-            init_half_width=_real(spec.get("init_half_width", 3.0), "problem init_half_width"),
-        )
-    raise InvalidConfig(f"problem: unknown name {name!r}")
-
-
-def build_weights(spec):
-    _check_keys(spec, {"builtin", "m", "edges", "matrix"}, set(), "topology")
-    forms = [k for k in ("builtin", "edges", "matrix") if k in spec]
-    if len(forms) != 1:
-        raise InvalidConfig("topology: give exactly one of builtin | edges | matrix")
+def build_weights(spec, agents=None):
+    """The mixing matrix of a topology. One whose agent count is not `agents` is
+    rejected before it is built (a graph costs O(m^2))."""
+    spec = _walk(spec, _TOPOLOGY, "topology")
+    m = spec["m"] if "m" in spec else len(spec["matrix"])
+    if agents is not None and m != agents:
+        raise InvalidConfig(f"topology has {m} agents but problem has {agents}")
     if "matrix" in spec:
-        return validate_weight_matrix(np.asarray(spec["matrix"], dtype=float))
-    if "m" not in spec:
-        raise InvalidConfig("topology: graph forms require 'm'")
-    m = _integer(spec["m"], "topology m")
-    if "builtin" in spec:
-        graph = builtin_topology(spec["builtin"], m)
-    else:
-        edges = frozenset((_integer(i, "topology edge"), _integer(j, "topology edge"))
-                          for i, j in spec["edges"])
-        graph = Graph(m=m, edges=edges)
+        return validate_weight_matrix(spec["matrix"])
+    graph = builtin_topology(spec["builtin"], m) if "builtin" in spec else Graph(m, spec["edges"])
     return build_metropolis_weights(graph)
 
 
 def build_schedule(spec):
-    _check_keys(spec, {"kind", "lambda0", "switch_k", "scale"}, {"kind"}, "schedule")
-    kind = spec["kind"]
-    lambda0 = _real(spec.get("lambda0", 0.0), "schedule lambda0")
-    scale = _real(spec.get("scale", 0.0), "schedule scale")
-    if kind == "constant":
-        return StepsizeSchedule.constant(lambda0)
-    if kind == "harmonic":
-        return StepsizeSchedule.harmonic(scale)
-    if kind == "piecewise_paper":
-        return StepsizeSchedule.piecewise_paper(
-            lambda0=lambda0,
-            switch_k=_integer(spec.get("switch_k", 0), "schedule switch_k"),
-            scale=scale,
-        )
-    raise InvalidConfig(f"schedule: unknown kind {kind!r}")
+    return StepsizeSchedule(**_walk(spec, _SCHEDULE, "schedule"))
 
 
 def fingerprint(cfg) -> str:
@@ -206,52 +280,33 @@ def fingerprint(cfg) -> str:
 
 
 def build_run_config(cfg, seed_override=None, record_every_override=None):
-    _check_keys(
-        cfg,
-        {"problem", "topology", "schedule", "noise", "init", "iterations",
-         "record_every", "record_state", "seed", "output"},
-        {"problem", "topology", "schedule", "noise", "iterations", "seed"},
-        "run config",
-    )
-    _check_keys(cfg["noise"], {"variance"}, {"variance"}, "noise")
-    init = cfg.get("init", {"mode": "random_box"})
-    _check_keys(init, {"mode", "coords"}, {"mode"}, "init")
-    resolved = dict(cfg)
-    if seed_override is not None:
-        resolved["seed"] = _integer(seed_override, "--seed", flag=True)
-    if record_every_override is not None:
-        resolved["record_every"] = _integer(record_every_override, "--record-every", flag=True)
+    """The RunConfig of a run config, and the config as checked by the schema."""
+    resolved = _with_flags(cfg, seed=seed_override, record_every=record_every_override)
+    checked = _walk(resolved, _RUN, "run config")
     problem = build_problem(resolved["problem"])
-    weights = build_weights(resolved["topology"])
-    schedule = build_schedule(resolved["schedule"])
+    init = checked["init"]
     config = RunConfig(
         problem=problem,
-        weights=weights,
-        schedule=schedule,
-        noise_variance=_real(resolved["noise"]["variance"], "noise.variance"),
-        iterations=_integer(resolved["iterations"], "iterations"),
-        seed=_integer(resolved["seed"], "seed"),
+        weights=build_weights(resolved["topology"], problem.m),
+        schedule=build_schedule(resolved["schedule"]),
+        noise_variance=checked["noise"]["variance"],
+        iterations=checked["iterations"],
+        seed=checked["seed"],
         init_mode=init["mode"],
         init_coords=init.get("coords"),
-        record_every=_integer(resolved.get("record_every", 1), "record_every"),
-        record_state=bool(resolved.get("record_state", False)),
+        record_every=checked["record_every"],
+        record_state=checked["record_state"],
         fingerprint=fingerprint(resolved),
     )
-    return config, resolved
+    return config, checked
 
 
-def output_paths(flag_value, cfg, **defaults):
-    """Output files named by the config's `output` object, else by the defaults, in the
-    directory from --out, $DPDGD_OUT or `output.dir`, else the current one (created)."""
-    names = cfg["output"] if isinstance(cfg.get("output"), dict) else {}
-    if flag_value:
-        out = Path(flag_value)
-    elif os.environ.get(ENV_OUT_DIR):
-        out = Path(os.environ[ENV_OUT_DIR])
-    else:
-        out = Path(names.get("dir") or ".")
+def output_paths(flag_value, names):
+    """The files of a checked `output` object, in the directory from --out,
+    $DPDGD_OUT or `output.dir` (created)."""
+    out = Path(flag_value or os.environ.get(ENV_OUT_DIR) or names["dir"])
     out.mkdir(parents=True, exist_ok=True)
-    return [out / names.get(key, name) for key, name in defaults.items()]
+    return [out / name for key, name in names.items() if key != "dir"]
 
 
 def write_trace_csv(path, trace):
@@ -278,21 +333,11 @@ def write_summary_json(path, trace):
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        config, resolved = build_run_config(
-            cfg, seed_override=args.seed, record_every_override=args.record_every
-        )
-    except (InvalidConfig, TopologyError, ProblemError, TypeError, ValueError) as exc:
-        return _fail(f"[{type(exc).__name__}] {exc}")
-    trace_path, summary_path = output_paths(
-        args.out, resolved, trace_csv="trace.csv", summary_json="summary.json"
+    config, checked = build_run_config(
+        load_config(args.config), seed_override=args.seed, record_every_override=args.record_every
     )
-    try:
-        trace = run(config)
-    except NonFiniteState as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 2
+    trace = run(config)
+    trace_path, summary_path = output_paths(args.out, checked["output"])
     write_trace_csv(trace_path, trace)
     write_summary_json(summary_path, trace)
     print(f"wrote {trace_path} and {summary_path}")
@@ -300,7 +345,7 @@ def cmd_run(args) -> int:
 
 
 def _table1_seed(master_seed, cell_index, r):
-    key = (int(master_seed), _TABLE1_STREAM, int(cell_index), r)
+    key = (master_seed, _TABLE1_STREAM, cell_index, r)
     return int(np.random.SeedSequence(key).generate_state(1, dtype=np.uint64)[0])
 
 
@@ -310,7 +355,7 @@ def _table1_finals(payload):
     base_cfg, runs = payload
     config, _ = build_run_config(base_cfg, seed_override=runs[0][1])
     traces = run_batch(
-        [dataclasses.replace(config, noise_variance=float(v), seed=s) for v, s in runs]
+        [dataclasses.replace(config, noise_variance=v, seed=s) for v, s in runs]
     )
     return [trace.records[-1].opt_error_mean for trace in traces]
 
@@ -328,47 +373,31 @@ def _table1_cell(payload):
 
 
 def cmd_table1(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        _check_keys(cfg, {"base", "variances", "runs_per_cell", "output"},
-                    {"base", "variances", "runs_per_cell"}, "sweep config")
-        base_cfg = dict(cfg["base"])
-        base_cfg.pop("output", None)
-        # validate the base config once up front
-        build_run_config(base_cfg, seed_override=args.seed)
-        variances = [_real(v, "variances") for v in cfg["variances"]]
-        if not all(v >= 0 for v in variances):
-            raise InvalidConfig("sweep config: variances must be >= 0")
-        runs_per_cell = _integer(cfg["runs_per_cell"], "runs_per_cell")
-        if runs_per_cell < 1:
-            raise InvalidConfig("sweep config: runs_per_cell must be >= 1")
-        master_seed = _seed(base_cfg, args)
-        jobs = _integer(args.jobs, "--jobs", flag=True)
-        if jobs < 1:
-            raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
-    except (InvalidConfig, TopologyError, ProblemError, TypeError, ValueError) as exc:
-        return _fail(f"[{type(exc).__name__}] {exc}")
+    cfg = load_config(args.config)
+    checked = _walk(cfg, _TABLE1, "sweep config")
+    # builds the base run once up front, so that the library's checks fail early
+    _, base = build_run_config(cfg["base"], seed_override=args.seed)
+    jobs = _flag(args.jobs, "--jobs")
+    if jobs < 1:
+        raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
+    variances, runs_per_cell = checked["variances"].tolist(), checked["runs_per_cell"]
     # every (cell, run) pair in one lockstep batch, or in one contiguous chunk
     # per worker; a run's numbers do not depend on the batch it is in
     runs = [
-        (v, _table1_seed(master_seed, i, r))
+        (v, _table1_seed(base["seed"], i, r))
         for i, v in enumerate(variances) for r in range(runs_per_cell)
     ]
     jobs = min(jobs, len(runs))
     bounds = [len(runs) * c // jobs for c in range(jobs + 1)]
-    chunks = [(base_cfg, runs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    try:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_table1_finals, chunks))
-        else:
-            parts = [_table1_finals(chunks[0])]
-    except NonFiniteState as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 2
+    chunks = [(cfg["base"], runs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_table1_finals, chunks))
+    else:
+        parts = [_table1_finals(chunks[0])]
     finals = [f for part in parts for f in part]
-    path, = output_paths(args.out, cfg, csv="table1.csv")
+    path, = output_paths(args.out, checked["output"])
     lines = [TABLE1_HEADER]
     for i, v in enumerate(variances):
         mean, std, n = _cell_stats(finals[i * runs_per_cell:(i + 1) * runs_per_cell])
@@ -379,69 +408,30 @@ def cmd_table1(args) -> int:
 
 
 def cmd_coupling(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        _check_keys(
-            cfg,
-            {"problem", "topology", "schedule", "variance", "runs", "horizon",
-             "escape_radius", "seed", "output"},
-            {"problem", "topology", "schedule", "variance", "runs", "horizon",
-             "escape_radius", "seed"},
-            "coupling config",
-        )
-        problem = build_problem(cfg["problem"])
-        weights = build_weights(cfg["topology"])
-        schedule = build_schedule(cfg["schedule"])
-        seed = _seed(cfg, args)
-        result = analysis.run_coupling_experiment(
-            problem, weights, problem.known_saddle(), schedule,
-            variance=_real(cfg["variance"], "variance"), runs=_integer(cfg["runs"], "runs"),
-            horizon=_integer(cfg["horizon"], "horizon"),
-            escape_radius=_real(cfg["escape_radius"], "escape_radius"),
-            seed=seed,
-        )
-    except (InvalidConfig, TopologyError, ProblemError, analysis.AnalysisError, TypeError,
-            ValueError) as exc:
-        return _fail(f"[{type(exc).__name__}] {exc}")
-    except NonFiniteState as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 2
-    resolved = dict(cfg)
-    resolved["seed"] = seed
-    payload = {
-        "config_fingerprint": fingerprint(resolved),
-        "escape_count": result.escape_count,
-        "total_runs": result.total_runs,
-        "escape_radius": result.escape_radius,
-        "iterations_to_escape": result.iterations_to_escape,
-        "e1": result.e1.tolist(),
-        "seed": result.seed,
-    }
-    path, = output_paths(args.out, cfg, json="coupling.json")
+    cfg = _with_flags(load_config(args.config), seed=args.seed)
+    checked = _walk(cfg, _COUPLING, "coupling config")
+    problem = build_problem(cfg["problem"])
+    result = analysis.run_coupling_experiment(
+        problem, build_weights(cfg["topology"], problem.m), problem.known_saddle(),
+        build_schedule(cfg["schedule"]), variance=checked["variance"], runs=checked["runs"],
+        horizon=checked["horizon"], escape_radius=checked["escape_radius"], seed=checked["seed"],
+    )
+    payload = dict(dataclasses.asdict(result), e1=result.e1.tolist(),
+                   config_fingerprint=fingerprint(dict(cfg, seed=checked["seed"])))
+    path, = output_paths(args.out, checked["output"])
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"wrote {path}")
     return 0
 
 
 def cmd_privacy_report(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        _check_keys(
-            cfg,
-            {"schedule", "variance", "delta", "nu", "n_i", "horizon", "output"},
-            {"schedule", "variance", "delta", "nu", "n_i", "horizon"},
-            "privacy config",
-        )
-        schedule = build_schedule(cfg["schedule"])
-        delta, variance = _real(cfg["delta"], "delta"), _real(cfg["variance"], "variance")
-        report = privacy.per_iteration_report(
-            schedule, variance=variance, nu=_real(cfg["nu"], "nu"),
-            n_i=_integer(cfg["n_i"], "n_i"), delta=delta,
-            horizon=_integer(cfg["horizon"], "horizon"),
-        )
-    except (InvalidConfig, privacy.PrivacyError, TypeError, ValueError) as exc:
-        return _fail(f"[{type(exc).__name__}] {exc}")
-    path, = output_paths(args.out, cfg, csv="privacy_report.csv")
+    checked = _walk(load_config(args.config), _PRIVACY, "privacy config")
+    delta, variance = checked["delta"], checked["variance"]
+    report = privacy.per_iteration_report(
+        StepsizeSchedule(**checked["schedule"]), variance=variance, nu=checked["nu"],
+        n_i=checked["n_i"], delta=delta, horizon=checked["horizon"],
+    )
+    path, = output_paths(args.out, checked["output"])
     row = "%d,%.17g,%.17g,%.17g,%.17g," + "%.17g,%.17g" % (delta, variance)
     columns = (report.k, report.lam, report.eps_sample, report.eps_gradient, report.eps_variable)
     rows = [row % r for r in zip(*(c.tolist() for c in columns))]
@@ -491,9 +481,7 @@ def _verify_checks():
     yield "gradient_finite_difference", ok, f"worst rel err {worst:.2e}"
 
     # contraction inequality on a short live run
-    from .topology import build_metropolis_weights as _bmw
-
-    weights = _bmw(builtin_topology("ring_plus_chord", 5))
+    weights = build_metropolis_weights(builtin_topology("ring_plus_chord", 5))
     config = RunConfig(
         problem=p, weights=weights,
         schedule=StepsizeSchedule.piecewise_paper(0.02, 500, 1.0),
@@ -607,7 +595,15 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InvalidConfig, TopologyError, ProblemError, analysis.AnalysisError,
+            privacy.PrivacyError) as exc:  # inputs the method does not take
+        print(f"config error: [{type(exc).__name__}] {exc}", file=sys.stderr)
+        return 1
+    except NonFiniteState as exc:
+        print(f"divergence: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

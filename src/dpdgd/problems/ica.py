@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KnownPoint, NotUnitNorm, Problem, ProblemConstants
+from .base import KnownPoint, NotUnitNorm, Problem, ProblemConstants, ProblemError
 
 UNIT_NORM_TOL = 1e-8
 
@@ -133,11 +133,13 @@ class IcaProblem(Problem):
                 g = self.aggregated_euclidean_gradient(u)
                 return np.concatenate([g - lam * u, [u @ u - 1.0]])
 
-            sol = optimize.fsolve(system, np.concatenate([u0, [lam0]]), xtol=1e-13)
+            # full_output: a failure is reported in the result, not as a warning
+            sol = optimize.fsolve(system, np.concatenate([u0, [lam0]]), xtol=1e-13,
+                                  full_output=True)[0]
             u = sol[: self.d] / np.linalg.norm(sol[: self.d])
             resid = np.linalg.norm(self.aggregated_gradient(u))
             if resid > 1e-10:
-                raise RuntimeError(f"saddle refinement did not converge (residual {resid:.2e})")
+                raise ProblemError(f"saddle refinement did not converge (residual {resid:.2e})")
             self._refined_saddle = u
         return self._refined_saddle.copy()
 
@@ -169,8 +171,8 @@ def make_ica_problem(d, m, samples_per_agent, seed) -> IcaProblem:
     Rademacher entries have fourth moment 1, so -sign(mu - 3) = +1 and the
     contrast is minimized (not maximized).
     """
-    if d < 2 or m < 1 or samples_per_agent < 1:
-        raise ValueError("need d >= 2, m >= 1, samples_per_agent >= 1")
+    if d < 2 or m < 1 or samples_per_agent < 1 or seed < 0:
+        raise ProblemError("need d >= 2, m >= 1, samples_per_agent >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     signs = np.sign(np.diag(r))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KnownPoint, Problem, ProblemConstants
+from .base import KnownPoint, Problem, ProblemConstants, ProblemError
 
 
 class QuadraticProblem(Problem):
@@ -19,12 +19,14 @@ class QuadraticProblem(Problem):
         self.c = np.array(diag, dtype=float)
         self.d = self.c.size
         self.m = int(m)
+        w = self.init_half_width = float(init_half_width)
+        if self.c.ndim != 1 or not self.d or self.m < 1 or not 0 <= 2 * w < np.inf:
+            raise ProblemError("need a non-empty diag, m >= 1 and a finite init_half_width >= 0")
         if offsets is None:
             offsets = np.zeros((self.m, self.d))
         self.offsets = np.array(offsets, dtype=float)
         if self.offsets.shape != (self.m, self.d):
-            raise ValueError(f"offsets must have shape ({self.m}, {self.d})")
-        self.init_half_width = float(init_half_width)
+            raise ProblemError(f"offsets must have shape ({self.m}, {self.d})")
         reach = self.init_half_width + np.abs(self.offsets).max(initial=0.0)
         self.constants = ProblemConstants(
             nu=2.0 * float(np.abs(self.c).max()),

@@ -286,7 +286,7 @@ class TestCouplingCommand:
         assert not (tmp_path / "coupling.json").exists()
 
     @pytest.mark.parametrize("key, value", [("runs", 0), ("escape_radius", -1.0),
-                                            ("escape_radius", float("nan"))])
+                                            ("escape_radius", float("nan")), ("seed", -1)])
     def test_bad_bounds_exit_one(self, tmp_path, capsys, key, value):
         path = write_cfg(tmp_path, dict(self._cfg(), **{key: value}))
         assert cli.main(["coupling", "--config", path, "--out", str(tmp_path)]) == 1
@@ -382,6 +382,9 @@ class TestPrivacyReportCommand:
         ("nu", float("inf")), ("delta", float("nan")), ("horizon", 10.7), ("n_i", 2.9),
         ("horizon", True), ("n_i", True), ("nu", [1.0]),
         ("schedule", {"kind": "constant", "lambda0": float("nan")}),
+        pytest.param("n_i", 10**400, id="n_i-beyond-float"),
+        pytest.param("schedule", {"kind": "piecewise_paper", "lambda0": 0.02, "switch_k": 10**400,
+                                  "scale": 1.0}, id="switch_k-beyond-float"),
     ])
     def test_no_guarantee_exit_one(self, tmp_path, capsys, key, value):
         path = write_cfg(tmp_path, self._cfg(**{key: value}))
@@ -472,6 +475,13 @@ class TestNumericTypes:
                       "init_half_width": "3"}}, "init_half_width"),
         ({"problem": {"name": "ica", "d": "4", "m": 5, "samples_per_agent": 16, "seed": 1}},
          "problem d"),
+        ({"init": {"mode": "explicit", "coords": ["1.3", "1.0"]}}, "coords"),
+        ({"problem": {"name": "custom_quadratic", "diag": ["1.0", "2.0"], "m": 5}}, "diag"),
+        ({"problem": {"name": "custom_quadratic", "diag": [1.0, 2.0], "m": 5,
+                      "offsets": [["0.0", 0.0]] * 5}}, "offsets"),
+        ({"topology": {"matrix": [["0.2"] * 5] * 5}}, "matrix"),
+        ({"record_state": "false"}, "record_state"),
+        ({"problem": {"name": "custom_quadratic", "diag": [], "m": 5}}, "diag"),
     ])
     def test_run_fields(self, tmp_path, capsys, edit, field):
         path = write_cfg(tmp_path, dict(BASE_RUN_CFG, **edit))
@@ -515,3 +525,69 @@ class TestNumericTypes:
         out = tmp_path / "out"
         _assert_one_line_exit_one(["privacy-report", "--config", write_cfg(tmp_path, cfg),
                                    "--out", str(out)], out, capsys, "config error:", key)
+
+
+class TestSchema:
+    """The `output` object, agent counts and the ICA saddle go through the same
+    exit-1 path as every other field."""
+
+    @pytest.mark.parametrize("command, cfg, output", [
+        ("run", BASE_RUN_CFG, {"trace_csv": 5}),
+        ("run", BASE_RUN_CFG, "x"),
+        ("run", BASE_RUN_CFG, None),
+        ("run", BASE_RUN_CFG, {"csv": "a.csv"}),
+        ("run", BASE_RUN_CFG, {"summary_json": "sub/s.json"}),
+        ("privacy-report", TestPrivacyReportCommand()._cfg(), {"csv": None}),
+        ("coupling", TestCouplingCommand()._cfg(), {"json": ""}),
+        ("table1", TestTable1Command()._sweep_cfg(), {"dir": 3}),
+    ])
+    def test_bad_output_exit_one(self, tmp_path, capsys, command, cfg, output):
+        path = write_cfg(tmp_path, dict(cfg, output=output))
+        out = tmp_path / "out"
+        _assert_one_line_exit_one([command, "--config", path, "--out", str(out)], out, capsys,
+                                  "config error:", "output")
+
+    def test_output_names_and_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(BASE_RUN_CFG, output={"dir": "results", "summary_json": "s.json"})
+        assert cli.main(["run", "--config", write_cfg(tmp_path, cfg)]) == 0
+        assert sorted(p.name for p in (tmp_path / "results").iterdir()) == ["s.json", "trace.csv"]
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("run", BASE_RUN_CFG), ("coupling", TestCouplingCommand()._cfg()),
+    ])
+    def test_agent_count_mismatch_before_graph(self, tmp_path, capsys, monkeypatch, command, cfg):
+        def never(*args):
+            raise AssertionError("graph built")
+
+        monkeypatch.setattr(cli, "builtin_topology", never)
+        monkeypatch.setattr(cli, "build_metropolis_weights", never)
+        path = write_cfg(tmp_path, dict(cfg, topology={"builtin": "complete", "m": 1000}))
+        out = tmp_path / "out"
+        _assert_one_line_exit_one([command, "--config", path, "--out", str(out)], out, capsys,
+                                  "config error:", "1000 agents")
+
+    def test_coupling_matrix_agent_count(self, tmp_path, capsys):
+        cfg = dict(TestCouplingCommand()._cfg(), topology={"matrix": [[1 / 3] * 3] * 3})
+        out = tmp_path / "out"
+        _assert_one_line_exit_one(["coupling", "--config", write_cfg(tmp_path, cfg), "--out",
+                                   str(out)], out, capsys, "config error:", "3 agents")
+
+    def test_failed_ica_saddle_refinement_exit_one(self, tmp_path, capsys):
+        cfg = json.loads(cli.bundled_config_path("ica_d10.json").read_text())
+        cfg["init"] = {"mode": "at_saddle"}
+        out = tmp_path / "out"
+        _assert_one_line_exit_one(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)],
+                                  out, capsys, "config error: [ProblemError]", "saddle refinement")
+
+    @pytest.mark.parametrize("problem", [
+        {"name": "custom_quadratic", "diag": [1.0, -1.0], "m": 5, "init_half_width": 1e308},
+        {"name": "custom_quadratic", "diag": [1.0, -1.0], "m": 5, "init_half_width": float("inf")},
+        {"name": "ica", "d": 3, "m": 5, "samples_per_agent": 4, "seed": -1},
+    ])
+    def test_problem_ranges_exit_one(self, tmp_path, capsys, problem):
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, dict(BASE_RUN_CFG, problem=problem))
+        field = "init_half_width" if "init_half_width" in problem else "seed"
+        _assert_one_line_exit_one(["run", "--config", path, "--out", str(out)], out, capsys,
+                                  "config error: [ProblemError]", field)
