@@ -20,7 +20,6 @@ from .optimizer import (
     RunTrace,
     StepsizeSchedule,
     run,
-    run_conventional_dgd,
     step,
     stepsize,
 )

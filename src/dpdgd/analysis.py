@@ -185,35 +185,3 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
         seed=seed,
     )
 
-
-def escape_iterations_vs_stepsize(problem, w: WeightMatrix, saddle, variances,
-                                  stepsizes, runs, horizon, escape_radius, seed):
-    """Median escape iteration on a (variance, constant-stepsize) grid.
-
-    Used for the qualitative check that a larger stable stepsize escapes
-    faster (the escape time scales like 1/lambda up to logs). Cells where more
-    than half the runs are censored report None. The stable range is
-    lambda <= 1/nu with nu the gradient Lipschitz constant.
-    """
-    rows = []
-    for vi, variance in enumerate(variances):
-        for si, lam in enumerate(stepsizes):
-            cell_seed = int(
-                np.random.SeedSequence((int(seed), 4, vi, si)).generate_state(1)[0]
-            )
-            res = run_coupling_experiment(
-                problem, w, saddle, optimizer.StepsizeSchedule.constant(lam),
-                variance, runs, horizon, escape_radius, cell_seed,
-            )
-            vals = [it if it is not None else np.inf for it in res.iterations_to_escape]
-            med = float(np.median(vals))
-            rows.append(
-                {
-                    "variance": variance,
-                    "stepsize": lam,
-                    "escapes": res.escape_count,
-                    "runs": runs,
-                    "median_escape_iteration": None if np.isinf(med) else med,
-                }
-            )
-    return rows

@@ -43,11 +43,15 @@ class InvalidConfig(ValueError):
 
 
 class NonFiniteState(RuntimeError):
-    """Iterates left the representable range; carries the failing iteration."""
+    """Iterates left the representable range; carries the failing iteration.
+    The message is built from args, so a pickled copy reads the same."""
 
     def __init__(self, iteration, what="state"):
-        super().__init__(f"non-finite {what} at iteration {iteration}")
+        super().__init__(iteration, what)
         self.iteration = iteration
+
+    def __str__(self):
+        return "non-finite {1} at iteration {0}".format(*self.args)
 
 
 @dataclass(frozen=True)
@@ -224,16 +228,14 @@ class Lockstep:
 
 @np.errstate(over="ignore", invalid="ignore")  # blow-ups raise NonFiniteState instead
 def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
-             mix_state=False, record_every=0, keep_state=False, noise_map=None,
-             stop=None) -> Lockstep:
+             record_every=0, keep_state=False, noise_map=None, stop=None) -> Lockstep:
     """Advance the R runs stacked in x (R, ..., m, d) from iteration k0 to
     k0 + iterations, every run by the same update.
 
     Run r's noise for agent j is drawn from streams[r][j], in blocks of up to
     NOISE_BLOCK iterations, and scaled by scales[r]; a run with streams[r] None
     draws nothing and gets zero noise. `noise_map` maps the (R, m, d) noise
-    onto x's shape. The private update is x <- W (x - lam (g + N)); with
-    mix_state it is the conventional x <- W x - lam (g + N). Any non-finite
+    onto x's shape. The update is x <- W (x - lam (g + N)). Any non-finite
     state raises NonFiniteState. With record_every > 0 each run records rows
     at k0, at every multiple of record_every and at the last iteration.
     `stop(x, k)` returns a mask over the runs still advancing; a run whose
@@ -272,10 +274,7 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
         pos += 1
         lam = stepsize(schedule, k)
         gn = problem.agent_gradients(x) + (n if noise_map is None else noise_map(n))
-        if mix_state:
-            x = problem.retract(w_arr @ x - lam * gn)
-        else:
-            x = problem.retract(mixing_update(w_arr, x, gn, lam))
+        x = problem.retract(mixing_update(w_arr, x, gn, lam))
         if not np.isfinite(x).all():
             raise NonFiniteState(k)
         if record_every and (k % record_every == 0 or k == k_end):
@@ -339,6 +338,7 @@ def _uses_retraction(problem):
     return type(problem).retract is not Problem.retract
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up leaves theta unchanged
 def polish_fixed_point(problem, w: WeightMatrix, lam: float, theta) -> np.ndarray:
     """Nudge theta (a refined stationary point) to a bitwise fixed point of the
     noise-free update, when one exists within +/-64 ULP per coordinate.
@@ -349,7 +349,8 @@ def polish_fixed_point(problem, w: WeightMatrix, lam: float, theta) -> np.ndarra
     reproduces its input. With identical agents and an exactly-averaging W the
     fixed point exists within a few ULP of the Newton root; on heterogeneous
     topologies the agents move structurally (per-agent gradients differ at a
-    stationary point of the mean) and theta is returned unchanged.
+    stationary point of the mean) and theta is returned unchanged, as it is
+    when the update overflows.
     """
     theta = np.asarray(theta, dtype=float)
     if _uses_retraction(problem) or problem.d > 3:
@@ -364,8 +365,8 @@ def polish_fixed_point(problem, w: WeightMatrix, lam: float, theta) -> np.ndarra
     center_drift = drift(theta)
     if not center_drift.any():
         return theta
-    if np.abs(center_drift).max() > 1e-8:
-        return theta  # structural motion; no bitwise fixed point exists
+    if not np.abs(center_drift).max() <= 1e-8:
+        return theta  # structural motion or a blow-up; no bitwise fixed point exists
     ulp = np.spacing(np.abs(theta))
     offsets = np.arange(-64, 65)
     grids = np.meshgrid(*([offsets] * d), indexing="ij")
@@ -394,7 +395,7 @@ def _initial_state(config: RunConfig) -> np.ndarray:
     return p.sample_init(init_rng(config.seed))
 
 
-def run_batch(configs, mix_state=False) -> list:
+def run_batch(configs) -> list:
     """Execute runs that share problem, topology, schedule and recording, and
     differ in seed, noise variance or initial state, in lockstep. Returns one
     RunTrace per config, equal to what that config alone would give."""
@@ -411,7 +412,7 @@ def run_batch(configs, mix_state=False) -> list:
         c0.iterations,
         [noise_streams(c.seed, p.m) if c.noise_variance > 0 else None for c in configs],
         [np.sqrt(c.noise_variance) for c in configs],
-        mix_state=mix_state, record_every=c0.record_every, keep_state=c0.record_state,
+        record_every=c0.record_every, keep_state=c0.record_state,
     )
     return [
         RunTrace(records, AgentState(x=x, k=c.iterations), c.seed, c.weights.eta, c.fingerprint)
@@ -423,9 +424,3 @@ def run(config: RunConfig) -> RunTrace:
     """Execute the private algorithm, recording rows at k = 0, every
     record_every iterations, and the final step."""
     return run_batch([config])[0]
-
-
-def run_conventional_dgd(config: RunConfig) -> RunTrace:
-    """Baseline x^{k+1} = W x^k - lambda_k (g^k + N^k): mixes states instead of
-    state-minus-gradient messages. Kept for comparison traces only."""
-    return run_batch([config], mix_state=True)[0]

@@ -81,8 +81,9 @@ def sensitivity(target: str, inputs: SensitivityInputs) -> float:
 
 def _effective_lambda_power(target: str, inputs: SensitivityInputs) -> float:
     # the noise reaching the protected quantity is n_i scaled by lambda for
-    # the variable target, unscaled otherwise
-    return inputs.lambda_k**2 if target == "variable" else 1.0
+    # the variable target, unscaled otherwise; float_power is libm pow, like
+    # Python's float **, but overflows to inf instead of raising
+    return np.float_power(inputs.lambda_k, 2) if target == "variable" else 1.0
 
 
 def variance_for_budget(budget: PrivacyBudget, inputs: SensitivityInputs) -> float:
@@ -106,8 +107,12 @@ def _check_noise(variance, delta):
 
 def _gaussian_epsilon(s, var_effective, delta):
     """Epsilon of the Gaussian mechanism with sensitivity s at the effective
-    noise variance; s and var_effective may be arrays."""
-    return s * np.sqrt(2.0 * math.log(1.25 / delta) / var_effective)
+    noise variance; s and var_effective may be arrays. An epsilon that
+    overflows to inf or underflows to 0 bounds nothing: it raises PrivacyError."""
+    eps = s * np.sqrt(np.divide(2.0 * math.log(1.25 / delta), var_effective))
+    if not ((eps > 0) & (eps < math.inf)).all():
+        raise PrivacyError("an epsilon leaves the float range: these inputs give no guarantee")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,7 @@ class BudgetResult:
     warning: str | None = None
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # an overflow raises instead
 def budget_for_variance(variance: float, target: str, inputs: SensitivityInputs,
                         delta: float) -> BudgetResult:
     """Invert variance_for_budget: the epsilon achieved at a fixed variance.
@@ -147,6 +153,7 @@ class PrivacyReport:
     eps_variable: np.ndarray
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # an overflow raises instead
 def per_iteration_report(schedule: StepsizeSchedule, variance: float, nu: float,
                          n_i: int, delta: float, horizon: int) -> PrivacyReport:
     """Per-iteration epsilons achieved by a fixed noise variance, k = 1..horizon.
@@ -166,9 +173,9 @@ def per_iteration_report(schedule: StepsizeSchedule, variance: float, nu: float,
     lam = stepsizes(schedule, k)
     if not 0 < nu < math.inf or n_i < 1 or not (lam > 0).all():
         raise PrivacyError("sensitivity inputs require finite nu > 0, lambda_k > 0 and n_i >= 1")
-    # Python's float ** 2 (libm pow), as budget_for_variance squares; numpy's
-    # lam**2 is lam*lam, which differs in the last bit on some rows
-    lam_sq = np.array([v**2 for v in lam.tolist()])
+    # libm pow, as _effective_lambda_power squares; numpy's lam**2 is lam*lam,
+    # which differs in the last bit on some rows
+    lam_sq = np.float_power(lam, 2)
     return PrivacyReport(
         k=k,
         lam=lam,

@@ -2,8 +2,8 @@
 
 A problem distributes a nonconvex objective F(theta) = (1/m) sum_i f_i(theta)
 over m agents; each agent only ever evaluates its own gradient. Problems also
-carry the smoothness/boundedness constants used by the privacy calibration and
-the known stationary points used by the experiment harnesses.
+carry the gradient-Lipschitz constant used by the privacy calibration and the
+known stationary points used by the experiment harnesses.
 """
 
 from __future__ import annotations
@@ -35,23 +35,20 @@ class NotUnitNorm(ProblemError):
 
 @dataclass(frozen=True)
 class ProblemConstants:
-    """Smoothness constants: gradient Lipschitz nu, Hessian Lipschitz rho,
-    gradient bound G, and per-agent sample counts n_i.
+    """Gradient Lipschitz constant nu and per-agent sample counts n_i.
 
-    For the built-in problems these are estimated numerically over the working
-    region (documented upper-ish bounds, not claimed tight); nu additionally
+    For the built-in problems nu is estimated numerically over the working
+    region (a documented upper-ish bound, not claimed tight); it additionally
     covers the data-direction Lipschitz constant used by the sensitivity
     formulas.
     """
 
     nu: float
-    rho: float
-    G: float
     n_i: tuple
 
     def __post_init__(self):
-        if not (self.nu > 0 and self.rho > 0 and self.G > 0):
-            raise ProblemError("constants nu, rho, G must be positive")
+        if not self.nu > 0:
+            raise ProblemError("constant nu must be positive")
         if any(n < 1 for n in self.n_i):
             raise ProblemError("per-agent sample counts must be >= 1")
 
@@ -70,7 +67,8 @@ class KnownPoint:
 
 
 class Problem:
-    """Base class; subclasses implement per-agent objectives and gradients."""
+    """Base class; subclasses implement per-agent objectives and the batched
+    `agent_gradients`, the one gradient formula every other gradient reads."""
 
     name = "problem"
     d: int
@@ -83,16 +81,15 @@ class Problem:
     def agent_objective(self, agent: int, theta) -> float:
         raise NotImplementedError
 
-    def agent_gradient(self, agent: int, theta) -> np.ndarray:
-        raise NotImplementedError
-
     def agent_gradients(self, x) -> np.ndarray:
         """Gradients for all agents, x being (..., m, d) per-agent iterates
         with any leading batch axes."""
-        x = self._check_state(x)
-        flat = x.reshape(-1, self.m, self.d)
-        g = [[self.agent_gradient(i, row[i]) for i in range(self.m)] for row in flat]
-        return np.array(g, dtype=float).reshape(x.shape)
+        raise NotImplementedError
+
+    def agent_gradient(self, agent: int, theta) -> np.ndarray:
+        """Row `agent` of agent_gradients with every agent at theta."""
+        self._check_agent(agent)
+        return self.agent_gradients(np.tile(self._check_theta(theta), (self.m, 1)))[agent]
 
     # -- aggregated surface ------------------------------------------------
 
@@ -100,8 +97,8 @@ class Problem:
         return float(np.mean([self.agent_objective(i, theta) for i in range(self.m)]))
 
     def aggregated_gradient(self, theta) -> np.ndarray:
-        theta = self._check_theta(theta)
-        return np.mean([self.agent_gradient(i, theta) for i in range(self.m)], axis=0)
+        """Mean of the agent_gradients rows with every agent at theta."""
+        return self.agent_gradients(np.tile(self._check_theta(theta), (self.m, 1))).mean(axis=0)
 
     def aggregated_hessian(self, theta) -> np.ndarray:
         """Mean per-agent Hessian; the default falls back to central finite

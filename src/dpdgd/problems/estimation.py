@@ -36,7 +36,7 @@ def _dot_norm(v):
 
 
 class EstimationProblem(Problem):
-    """m-agent linear-measurement estimation with cubic regularization."""
+    """m-agent linear-measurement estimation with cubic regularization, in d = 2."""
 
     name = "estimation"
 
@@ -44,6 +44,8 @@ class EstimationProblem(Problem):
                  ramp_radius=0.5):
         self.M = np.array(measurement, dtype=float)
         self.Y = np.array(observations, dtype=float)  # (m, s)
+        if self.M.shape[1:] != (2,):
+            raise DimensionMismatch(f"measurement {self.M.shape} is not (s, 2); the problem is 2-D")
         if self.Y.ndim != 2 or self.Y.shape[1] != self.M.shape[0]:
             raise DimensionMismatch(
                 f"observations {self.Y.shape} incompatible with measurement {self.M.shape}"
@@ -66,86 +68,37 @@ class EstimationProblem(Problem):
 
     # -- construction-time constants ----------------------------------------
 
-    def _boundary_points(self, n_per_side=512):
-        ts = np.linspace(0.0, 1.0, n_per_side)
-        sides = []
-        corners = [
-            (self.lo, np.array([self.hi[0], self.lo[1]])),
-            (np.array([self.hi[0], self.lo[1]]), self.hi),
-            (self.hi, np.array([self.lo[0], self.hi[1]])),
-            (np.array([self.lo[0], self.hi[1]]), self.lo),
-        ] if self.d == 2 else None
-        if corners is None:
-            # generic d: sample each face on a coarse grid
-            pts = []
-            grid = [np.linspace(self.lo[j], self.hi[j], 16) for j in range(self.d)]
-            for j in range(self.d):
-                mesh = np.meshgrid(*[grid[i] for i in range(self.d) if i != j], indexing="ij")
-                face = np.stack([m.ravel() for m in mesh], axis=1)
-                for val in (self.lo[j], self.hi[j]):
-                    full = np.insert(face, j, val, axis=1)
-                    pts.append(full)
-            return np.vstack(pts)
-        for a, b in corners:
-            sides.append(a[None, :] + (b - a)[None, :] * ts[:, None])
-        return np.vstack(sides)
-
     def _boundary_gradient_bound(self):
-        g = self._inside_gradients_all(self._boundary_points())
+        # 512 points along each side of the box; they lie in the box, so only
+        # the closed form is read (the wall slope this sets is not yet known)
+        corners = [self.lo, np.array([self.hi[0], self.lo[1]]), self.hi,
+                   np.array([self.lo[0], self.hi[1]]), self.lo]
+        ts = np.linspace(0.0, 1.0, 512)[:, None]
+        pts = np.vstack([a + (b - a) * ts for a, b in zip(corners[:-1], corners[1:])])
+        g = self.agent_gradients(np.broadcast_to(pts[:, None, :], (len(pts), self.m, self.d)))
         return float(np.linalg.norm(g, axis=-1).max())
 
     def _estimate_constants(self):
-        # grid over the region: gradient-Lipschitz nu from Hessian norms,
-        # Hessian-Lipschitz rho from pairwise secants along the grid
+        # grid over the region: gradient-Lipschitz nu from Hessian norms
         axes = [np.linspace(self.lo[j], self.hi[j], 41) for j in range(self.d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         pts = pts[np.linalg.norm(pts, axis=1) > 1e-9]
-        hs = self._inside_hessian(pts)
-        nu_theta = float(np.abs(np.linalg.eigvalsh(hs)).max())
+        nu_theta = float(np.abs(np.linalg.eigvalsh(self._inside_hessian(pts))).max())
         # data-direction Lipschitz constant of the per-sample gradient:
         # grad difference is -2 M^T (Y - Y'), so the l1->l1 operator norm of
         # 2 M^T bounds it exactly
         nu_data = 2.0 * float(np.abs(self.M.T).sum(axis=0).max())
-        secants = np.abs(np.linalg.eigvalsh(hs[:-1] - hs[1:])).max(axis=-1)
-        rho = max(1e-12, float((secants / _dot_norm(pts[:-1] - pts[1:])).max()))
-        # gradient bound over the region plus the extension shell
-        g_in = float(np.linalg.norm(self._inside_gradients_all(pts), axis=-1).max())
-        shell = self._boundary_points(n_per_side=128)
-        nvec = shell - np.clip(shell, self.lo + 1e-9, self.hi - 1e-9)
-        nn = _dot_norm(nvec)[:, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            outward = np.where(nn > 0, nvec / nn, 1.0 / np.sqrt(self.d))
-        g_out = 0.0
-        for r in (0.1, 0.5, 2.0):
-            probes = np.broadcast_to((shell + r * outward)[:, None, :], (len(shell), self.m, self.d))
-            g_out = max(g_out, float(np.linalg.norm(self.agent_gradients(probes), axis=-1).max()))
         # 5% headroom: grid sampling slightly undershoots suprema (e.g. the
         # Hessian norm approaches its bound only near the cubic's singularity)
-        return ProblemConstants(
-            nu=max(1.05 * nu_theta, nu_data),
-            rho=1.05 * rho,
-            G=1.05 * max(g_in, g_out),
-            n_i=tuple([1] * self.m),
-        )
+        return ProblemConstants(nu=max(1.05 * nu_theta, nu_data), n_i=tuple([1] * self.m))
 
     # -- inside-region closed forms ------------------------------------------
 
-    def _inside_objective(self, agent, theta, y=None):
-        y = self.Y[agent] if y is None else np.asarray(y, dtype=float)
-        r = y - self.M @ theta
+    def _inside_objective(self, agent, theta):
+        r = self.Y[agent] - self.M @ theta
         nt = np.linalg.norm(theta)
         return float(r @ r + self.kappa * nt**3)
-
-    def _inside_gradient(self, agent, theta, y=None):
-        mty = self._MtY[agent] if y is None else self.M.T @ np.asarray(y, dtype=float)
-        return self._inside_gradients(theta, np.linalg.norm(theta), mty)
-
-    def _inside_gradients_all(self, theta):
-        """All agents' gradients at each row of theta (..., d): (..., m, d)."""
-        nt = _dot_norm(theta)[..., None]
-        base = 2.0 * (theta @ self._MtM) + 3.0 * self.kappa * nt * theta
-        return -2.0 * self._MtY + base[..., None, :]
 
     def _inside_gradients(self, x, nt, mty):
         """Closed-form gradients at rows x (..., d) with norms nt (..., 1) and
@@ -162,50 +115,15 @@ class EstimationProblem(Problem):
 
     # -- extension ------------------------------------------------------------
 
-    def _wall_parts(self, theta):
-        tc = np.clip(theta, self.lo, self.hi)
-        dvec = theta - tc
-        r = float(np.linalg.norm(dvec))
-        return tc, dvec, r
-
-    def _extended_objective(self, agent, theta, y=None):
-        tc, dvec, r = self._wall_parts(theta)
-        if r == 0.0:
-            return self._inside_objective(agent, theta, y=y)
-        g = self._inside_gradient(agent, tc, y=y)
-        t = min(r / self.ramp_radius, 1.0)
-        s = 1.0 - _smoothstep(t)
-        return self._inside_objective(agent, tc, y=y) + s * float(g @ dvec) + self.wall_slope * r
-
-    def _extended_gradient(self, agent, theta, y=None):
-        tc, dvec, r = self._wall_parts(theta)
-        if r == 0.0:
-            return self._inside_gradient(agent, theta, y=y)
-        nhat = dvec / r
-        g = self._inside_gradient(agent, tc, y=y)
-        t = r / self.ramp_radius
-        if t < 1.0:
-            s = 1.0 - _smoothstep(t)
-            sp = -6.0 * t * (1.0 - t) / self.ramp_radius
-        else:
-            s, sp = 0.0, 0.0
-        unclamped = (dvec == 0.0).astype(float)
-        grad = unclamped * g + self.wall_slope * nhat
-        if s != 0.0 or sp != 0.0:
-            nt = np.linalg.norm(tc)
-            hd = self._inside_hessian(tc) @ dvec if nt > 0 else 2.0 * (self._MtM @ dvec)
-            grad = grad + sp * float(g @ dvec) * nhat + s * (unclamped * hd + (1.0 - unclamped) * g)
-        return grad
-
-    def _wall_gradients(self, theta, agents):
-        """_extended_gradient of the given agents at rows theta (N, d), all
-        outside the box, vectorized over the rows."""
+    def _wall_gradients(self, theta, mty):
+        """Gradients of the extension (see agent_objective) at rows theta
+        (N, d), all outside the box, with data terms mty (N, d)."""
         tc = np.clip(theta, self.lo, self.hi)
         dvec = theta - tc
         r = _dot_norm(dvec)[:, None]
         nhat = dvec / r
         ntc = _dot_norm(tc)
-        g = self._inside_gradients(tc, ntc[:, None], self._MtY[agents])
+        g = self._inside_gradients(tc, ntc[:, None], mty)
         t = r / self.ramp_radius
         ramp = t < 1.0
         s = np.where(ramp, 1.0 - _smoothstep(t), 0.0)
@@ -220,32 +138,44 @@ class EstimationProblem(Problem):
         ramped = grad + sp * gd * nhat + s * (unclamped * hd + (1.0 - unclamped) * g)
         return np.where(ramp, ramped, grad)
 
-    # -- Problem interface ------------------------------------------------------
-
-    def agent_objective(self, agent, theta):
-        self._check_agent(agent)
-        return self._extended_objective(agent, self._check_theta(theta))
-
-    def agent_gradient(self, agent, theta):
-        self._check_agent(agent)
-        return self._extended_gradient(agent, self._check_theta(theta))
-
-    def agent_gradient_for_observation(self, agent, theta, y):
-        """Gradient with agent's observation replaced by y (sensitivity probes)."""
-        self._check_agent(agent)
-        return self._extended_gradient(agent, self._check_theta(theta), y=y)
-
-    def agent_gradients(self, x):
-        """Extended gradients for x (..., m, d); agents outside the box take
-        the wall extension, the rest the closed form."""
-        x = self._check_state(x)
+    def _gradients(self, x, mty):
+        """Extended gradients for x (..., m, d) with data terms mty (m, d): the
+        wall extension for agents outside the box, the closed form for the rest."""
         nt = np.linalg.norm(x, axis=-1, keepdims=True)
-        g = self._inside_gradients(x, nt, self._MtY)
+        g = self._inside_gradients(x, nt, mty)
         outside = np.clip(x, self.lo, self.hi) != x
         if outside.any():
             rows = outside.any(axis=-1)
-            g[rows] = self._wall_gradients(x[rows], np.nonzero(rows)[-1])
+            g[rows] = self._wall_gradients(x[rows], mty[np.nonzero(rows)[-1]])
         return g
+
+    # -- Problem interface ------------------------------------------------------
+
+    def agent_objective(self, agent, theta):
+        """f_i inside the box; outside it f_i(tc) + s grad f_i(tc).dvec + wall_slope r,
+        with tc theta clipped to the box, dvec = theta - tc, r = |dvec| and s
+        falling from 1 to 0 by a smoothstep over the ramp."""
+        self._check_agent(agent)
+        theta = self._check_theta(theta)
+        tc = np.clip(theta, self.lo, self.hi)
+        dvec = theta - tc
+        r = float(np.linalg.norm(dvec))
+        if r == 0.0:
+            return self._inside_objective(agent, theta)
+        g = self._inside_gradients(tc, np.linalg.norm(tc), self._MtY[agent])
+        s = 1.0 - _smoothstep(min(r / self.ramp_radius, 1.0))
+        return self._inside_objective(agent, tc) + s * float(g @ dvec) + self.wall_slope * r
+
+    def agent_gradients(self, x):
+        return self._gradients(self._check_state(x), self._MtY)
+
+    def agent_gradient_for_observation(self, agent, theta, y):
+        """Gradient with agent's observation replaced by y (sensitivity probes):
+        row `agent` of the batched gradients with that agent's data term M^T y."""
+        self._check_agent(agent)
+        mty = self._MtY.copy()
+        mty[agent] = self.M.T @ np.asarray(y, dtype=float)
+        return self._gradients(np.tile(self._check_theta(theta), (self.m, 1)), mty)[agent]
 
     def aggregated_hessian(self, theta):
         theta = self._check_theta(theta)

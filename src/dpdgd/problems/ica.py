@@ -50,25 +50,13 @@ class IcaProblem(Problem):
         us /= np.linalg.norm(us, axis=1, keepdims=True)
         flat = self.samples.reshape(-1, self.d)
         nu = 0.0
-        gmax = 0.0
-        hessians = []
         for u in us:
             proj = flat @ u
             # euclidean Hessian 12 * mean (u^T y)^2 y y^T; spectral norm bound
             h = 12.0 * (flat * (proj**2)[:, None]).T @ flat / flat.shape[0]
-            hessians.append(h)
             nu = max(nu, float(np.abs(np.linalg.eigvalsh(h)).max()))
-            g = 4.0 * (proj**3) @ flat / flat.shape[0]
-            gmax = max(gmax, float(np.linalg.norm(g)))
-        # crude Hessian-Lipschitz estimate by secants between sampled sphere points
-        rho = 0.0
-        for a, b, ha, hb in zip(us[:-1], us[1:], hessians[:-1], hessians[1:]):
-            rho = max(rho, float(np.abs(np.linalg.eigvalsh(ha - hb)).max() / np.linalg.norm(a - b)))
         # 5% headroom over the sphere sample, same caveat as the other problems
-        return ProblemConstants(
-            nu=1.05 * nu, rho=max(1.05 * rho, 1e-12), G=1.05 * gmax,
-            n_i=tuple([self.n_per_agent] * self.m),
-        )
+        return ProblemConstants(nu=1.05 * nu, n_i=tuple([self.n_per_agent] * self.m))
 
     # -- objective / gradients -----------------------------------------------
 
@@ -79,20 +67,9 @@ class IcaProblem(Problem):
         sq = proj * proj  # explicit squaring keeps f(u) == f(-u) bitwise
         return float(self.sign_factor * np.mean(sq * sq))
 
-    def _euclidean_gradient(self, agent, u):
-        ys = self.samples[agent]
-        proj = ys @ u
-        return self.sign_factor * 4.0 * (proj * proj * proj) @ ys / ys.shape[0]
-
-    def agent_gradient(self, agent, u):
-        """Tangent-space projection of the sample-average gradient."""
-        self._check_agent(agent)
-        u = self._check_theta(u)
-        g = self._euclidean_gradient(agent, u)
-        return g - (u @ g) * u
-
     def agent_gradients(self, x):
-        # per agent, as stacked (1, d) row matmuls: proj = x Y^T, g = proj^3 Y
+        """Tangent-space projections of the sample-average gradients, per agent
+        as stacked (1, d) row matmuls: proj = x Y^T, g = proj^3 Y."""
         x = self._check_state(x)[..., None, :]
         proj = x @ self._samples_t
         g = (proj * proj * proj) @ self.samples

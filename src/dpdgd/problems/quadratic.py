@@ -27,13 +27,8 @@ class QuadraticProblem(Problem):
         self.offsets = np.array(offsets, dtype=float)
         if self.offsets.shape != (self.m, self.d):
             raise ProblemError(f"offsets must have shape ({self.m}, {self.d})")
-        reach = self.init_half_width + np.abs(self.offsets).max(initial=0.0)
-        self.constants = ProblemConstants(
-            nu=2.0 * float(np.abs(self.c).max()),
-            rho=1e-12,  # exactly quadratic; constant kept positive for the interface
-            G=2.0 * float(np.abs(self.c).max()) * reach * np.sqrt(self.d),
-            n_i=tuple([1] * self.m),
-        )
+        self.constants = ProblemConstants(nu=2.0 * float(np.abs(self.c).max()),
+                                          n_i=tuple([1] * self.m))
         if (self.c > 0).any() and (self.c < 0).any() and not self.offsets.any():
             self.known_points = (KnownPoint(coords=tuple(np.zeros(self.d)), kind="strict_saddle"),)
 
@@ -41,11 +36,6 @@ class QuadraticProblem(Problem):
         self._check_agent(agent)
         theta = self._check_theta(theta)
         return float(self.c @ (theta - self.offsets[agent]) ** 2)
-
-    def agent_gradient(self, agent, theta):
-        self._check_agent(agent)
-        theta = self._check_theta(theta)
-        return 2.0 * self.c * (theta - self.offsets[agent])
 
     def agent_gradients(self, x):
         x = self._check_state(x)

@@ -205,6 +205,21 @@ class TestTable1Command:
             tmp_path / "3" / "table1.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_divergence_exit_two(self, tmp_path, capsys, jobs):
+        # |1 - 0.9 * 2 * 8| = 13.4: every run overflows at iteration 274; with
+        # --jobs 2 the error reaches the parent pickled
+        base = dict(BASE_RUN_CFG, problem={"name": "custom_quadratic", "diag": [8.0], "m": 2},
+                    topology={"builtin": "complete", "m": 2},
+                    schedule={"kind": "constant", "lambda0": 0.9},
+                    init={"mode": "explicit", "coords": [1.0]}, iterations=5000)
+        path = write_cfg(tmp_path, {"base": base, "variances": [0.0, 0.5], "runs_per_cell": 1})
+        out = tmp_path / "out"
+        assert cli.main(["table1", "--config", path, "--out", str(out), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["divergence: non-finite state at iteration 274"]
+        assert not out.exists()
+
     def test_negative_variance_exit_one(self, tmp_path, capsys):
         path = write_cfg(tmp_path, self._sweep_cfg(variances=(0.1, -0.5)))
         assert cli.main(["table1", "--config", path, "--out", str(tmp_path)]) == 1
@@ -284,6 +299,17 @@ class TestCouplingCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("divergence:")
         assert not (tmp_path / "coupling.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_at_the_saddle_exit_two(self, tmp_path, capsys):
+        # the saddle polish meets the overflow first; it leaves the report to
+        # the kernel, without a warning or a search of every ULP candidate
+        cfg = dict(self._cfg(), schedule={"kind": "constant", "lambda0": 1e308})
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(["coupling", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["divergence: non-finite state at iteration 1"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("runs", 0), ("escape_radius", -1.0),
                                             ("escape_radius", float("nan")), ("seed", -1)])
@@ -385,6 +411,7 @@ class TestPrivacyReportCommand:
         pytest.param("n_i", 10**400, id="n_i-beyond-float"),
         pytest.param("schedule", {"kind": "piecewise_paper", "lambda0": 0.02, "switch_k": 10**400,
                                   "scale": 1.0}, id="switch_k-beyond-float"),
+        ("variance", 5e-324), ("schedule", {"kind": "constant", "lambda0": 1e200}),
     ])
     def test_no_guarantee_exit_one(self, tmp_path, capsys, key, value):
         path = write_cfg(tmp_path, self._cfg(**{key: value}))

@@ -1,6 +1,7 @@
 """Property test of the config schema: a config built from a command's schema
-keys, with arbitrary JSON values, exits 0, 1 or 2 without a traceback. Exit 1
-prints exactly one stderr line and creates no output directory.
+keys, with arbitrary JSON values, exits 0, 1 or 2 without a traceback. Exit 0
+prints nothing to stderr and no warning. Exits 1 and 2 print exactly one
+stderr line (warnings counted) and create no output directory.
 
 Cases are valid configs (every problem, topology form, schedule kind and init
 mode) with a few schema keys replaced, dropped or added, and configs drawn
@@ -15,7 +16,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpdgd import cli
@@ -170,12 +171,28 @@ def run_case(command, cfg):
         return code, err.getvalue().splitlines() + [str(w.message) for w in caught], out.exists()
 
 
+PRIVACY = {"schedule": SCHEDULES[0], "delta": 0.05, "n_i": 1, "horizon": 5}
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(cases())
+# inputs that once printed numpy warnings: an overflow in the saddle polish,
+# epsilons that overflow, and a quadratic constant that overflowed
+@example(("coupling", {"problem": PROBLEMS[0][0], "topology": {"builtin": "complete", "m": 5},
+                       "schedule": {"kind": "constant", "lambda0": 1e308}, "variance": 0.5,
+                       "runs": 2, "horizon": 5, "escape_radius": 0.5, "seed": 3}))
+@example(("privacy-report", dict(PRIVACY, nu=1e308, variance=1e-308)))
+@example(("privacy-report", dict(PRIVACY, nu=8.0, variance=5e-324)))
+@example(("run", {"problem": dict(PROBLEMS[2][0], offsets=[[1e308, 0.0], [0.0, 0.0]]),
+                  "topology": {"builtin": "complete", "m": 2}, "schedule": SCHEDULES[0],
+                  "noise": {"variance": 0.5}, "iterations": 5, "seed": 7}))
 def test_any_config_exits_cleanly(case):
     code, lines, wrote = run_case(*case)
     assert code in (0, 1, 2)
     assert not any("Traceback" in line for line in lines)
-    if code == 1:
-        assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    if code == 0:
+        assert lines == []
+    else:
+        prefix = "config error:" if code == 1 else "divergence:"
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
         assert not wrote

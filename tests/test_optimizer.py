@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from dpdgd.optimizer import (
     row_metrics,
     run,
     run_batch,
-    run_conventional_dgd,
     step,
     stepsize,
     stepsizes,
@@ -213,6 +213,10 @@ class TestRun:
             with pytest.raises(NonFiniteState) as err:
                 run(cfg)
         assert err.value.iteration > 0
+        # a sweep worker's error reaches the parent pickled
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert copy.iteration == err.value.iteration
+        assert str(copy) == str(err.value) == f"non-finite state at iteration {copy.iteration}"
 
     def test_single_agent_harmonic_converges(self):
         q = QuadraticProblem(diag=[1.0, 1.0], m=1)
@@ -280,28 +284,6 @@ class TestSaddleInit:
         saddle = trace.records[0].x[0]
         dev = max(np.linalg.norm(r.x - saddle, axis=1).max() for r in trace.records)
         assert dev <= 1e-9
-
-
-class TestConventionalDgd:
-    def test_single_agent_matches_private_algorithm(self):
-        q = QuadraticProblem(diag=[1.0, 2.0], m=1, offsets=[[1.0, -1.0]])
-        w = validate_weight_matrix([[1.0]])
-        cfg = dict(problem=q, weights=w, schedule=StepsizeSchedule.constant(0.1),
-                   noise_variance=0.0, iterations=40, seed=3,
-                   init_mode="explicit", init_coords=np.array([[2.0, 2.0]]))
-        assert _records_equal(run(RunConfig(**cfg)), run_conventional_dgd(RunConfig(**cfg)))
-
-    def test_reaches_consensus(self, paper_problem, rpc5):
-        cfg = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
-                        noise_variance=0.0, iterations=3000, seed=8, record_every=3000)
-        trace = run_conventional_dgd(cfg)
-        assert trace.records[-1].consensus_error <= 0.05
-
-    def test_determinism(self, paper_problem, rpc5):
-        cfg = dict(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
-                   noise_variance=0.5, iterations=100, seed=21, record_every=25)
-        assert _records_equal(run_conventional_dgd(RunConfig(**cfg)),
-                              run_conventional_dgd(RunConfig(**cfg)))
 
 
 class TestLockstep:

@@ -107,12 +107,17 @@ class TestBudgetForVariance:
         assert res.epsilon >= 1.0
         assert res.warning is not None and "1" in res.warning
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_bad_arguments(self):
         inputs = SensitivityInputs(nu=1.0, lambda_k=0.5, n_i=1)
         with pytest.raises(PrivacyError):
             budget_for_variance(0.0, "gradient", inputs, 0.05)
         with pytest.raises(PrivacyError):
             budget_for_variance(1.0, "gradient", inputs, 1.5)
+        with pytest.raises(PrivacyError):  # epsilon overflows
+            budget_for_variance(5e-324, "gradient", inputs, 0.05)
+        with pytest.raises(PrivacyError):  # lambda_k**2 overflows, so epsilon underflows to 0
+            budget_for_variance(1.0, "variable", SensitivityInputs(nu=1.0, lambda_k=1e200), 0.05)
 
 
 class TestMonotonicity:
@@ -196,7 +201,9 @@ class TestPerIterationReport:
         (math.nan, 2.0, 3, 0.05), (math.inf, 2.0, 3, 0.05), (0.0, 2.0, 3, 0.05),
         (0.5, math.nan, 3, 0.05), (0.5, math.inf, 3, 0.05), (0.5, 0.0, 3, 0.05),
         (0.5, 2.0, 0, 0.05), (0.5, 2.0, 3, math.nan), (0.5, 2.0, 3, 1.0),
+        (5e-324, 2.0, 3, 0.05), (1e-308, 1e308, 3, 0.05),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_rejects_inputs_without_a_guarantee(self, variance, nu, n_i, delta):
         with pytest.raises(PrivacyError):
             per_iteration_report(PAPER_SCHEDULE, variance, nu, n_i, delta, horizon=10)
