@@ -158,10 +158,11 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
     e1 = min_eigvec(problem.aggregated_hessian(saddle))
     start = optimizer.polish_fixed_point(problem, w, optimizer.stepsize(schedule, 1), saddle)
     m = problem.m
-    streams = [
-        [optimizer.philox(seed, _COUPLING_STREAM, r, j) for j in range(m)] if variance > 0 else None
-        for r in range(runs)
-    ]
+    streams = [None] * runs
+    if variance > 0:
+        rngs = optimizer.philox_streams(seed, [(_COUPLING_STREAM, r, j)
+                                               for r in range(runs) for j in range(m)])
+        streams = [rngs[r * m:(r + 1) * m] for r in range(runs)]
 
     def escaped(x, k):
         # x is (pairs, 2, m, d); a pair escapes when either mean leaves the ball

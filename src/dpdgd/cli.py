@@ -163,11 +163,14 @@ def _output(**files):
 
 _INT, _REAL = Field("int", True), Field("real", True)
 
+# an all-zero diag has no curvature to bound: the problem's nu would be 0
+_DIAG = Field("array", True, checks=((lambda c: np.isfinite(c).all() and c.any(),
+                                      "finite with a nonzero entry"),))
 _PROBLEM = _Variants(  # the keys are the parameters of _PROBLEM_MAKERS
     "name",
     estimation_paper={},
     ica={"d": _INT, "m": _INT, "samples_per_agent": _INT, "seed": _INT},
-    custom_quadratic={"diag": Field("array", True), "m": Field("int", default=1),
+    custom_quadratic={"diag": _DIAG, "m": Field("int", default=1),
                       "offsets": Field("array"), "init_half_width": Field("real", default=3.0)},
 )
 _TOPOLOGY = _Variants(

@@ -13,7 +13,9 @@ aggregated objective, while disagreement contracts at the spectral gap eta.
 
 Noise discipline: the master seed spawns one counter-based Philox substream
 per agent, so the draw for agent j at iteration k depends only on
-(seed, j, k) and runs are reproducible regardless of scheduling.
+(seed, j, k) and runs are reproducible regardless of scheduling. The keys of
+a batch of streams come from one vectorized pass of numpy's SeedSequence
+algorithm, equal to SeedSequence's own keys bit for bit.
 
 One kernel, `lockstep`, advances R runs stacked into an (R, ..., m, d) state;
 a run's numbers do not depend on the batch it shares.
@@ -21,6 +23,7 @@ a run's numbers do not depend on the batch it shares.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,19 +200,119 @@ class RunConfig:
             self.init_coords = np.broadcast_to(coords, (m, d))
 
 
-def philox(seed, *key):
-    """The counter-based Philox stream keyed (seed, *key)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), *key))))
+# numpy's SeedSequence: a 4-word uint32 pool mixed from the entropy words by
+# multiply-xorshift hashes whose constants follow a fixed chain
+_POOL = 4
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_chain(init, mult, n):
+    """(xor, multiplier) constants of n successive SeedSequence hashes."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return h[:-1], h[1:]
+
+
+def _column(values):
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+@functools.lru_cache
+def _mixing_constants(length):
+    """Hash constants of each pool update for `length` entropy words: the
+    initial fill, one update per source slot, one per word past the pool."""
+    xor, mul = _hash_chain(0x43B0D7E5, 0x931E8875, _POOL * _POOL + _POOL * max(0, length - _POOL))
+    steps = [(_column(xor[:_POOL]), _column(mul[:_POOL]))]
+    t = _POOL
+    for src in range(_POOL):
+        # pool[src] hashes into every other slot in turn; slot src keeps its
+        # value, so its constant (a placeholder) goes unused
+        idx = [t + dst - (dst > src) if dst != src else t for dst in range(_POOL)]
+        steps.append((_column([xor[i] for i in idx]), _column([mul[i] for i in idx])))
+        t += _POOL - 1
+    return steps + [(_column(xor[i:i + _POOL]), _column(mul[i:i + _POOL]))
+                    for i in range(t, len(xor), _POOL)]
+
+
+_STATE_CONSTANTS = tuple(_column(c) for c in _hash_chain(0x8B51F9DD, 0x58F38DED, _POOL))
+
+
+def _hash(v, xor, mul):
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mix(a, b):
+    r = a * _MIX_L - b * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _seed_sequence_keys(words) -> np.ndarray:
+    """`SeedSequence(entropy).generate_state(2, np.uint64)` for every row of
+    `words`, an (n, L) array of the entropies' uint32 words, in one pass."""
+    words = words.T
+    length, n = words.shape
+    first, *steps = _mixing_constants(length)
+    pool = np.zeros((_POOL, n), np.uint32)
+    pool[:length] = words[:_POOL]
+    pool = _hash(pool, *first)
+    for src, consts in enumerate(steps[:_POOL]):
+        mixed = _mix(pool, _hash(pool[src], *consts))
+        mixed[src] = pool[src]
+        pool = mixed
+    for word, consts in zip(words[_POOL:], steps[_POOL:]):
+        pool = _mix(pool, _hash(word, *consts))
+    state = _hash(pool, *_STATE_CONSTANTS).astype(np.uint64)
+    # the four words read as two little-endian uint64s
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
+
+
+def stream_keys(seed, keys) -> np.ndarray:
+    """(n, 2) uint64 Philox keys of the streams (seed, *key), one per key in
+    `keys`, equal-length tuples of integers in [0, 2**32); row i is
+    `SeedSequence((seed, *keys[i])).generate_state(2, np.uint64)` bit for bit."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed_words = [seed & 0xFFFFFFFF]  # SeedSequence's little-endian 32-bit split
+    while seed >> 32 * len(seed_words):
+        seed_words.append(seed >> 32 * len(seed_words) & 0xFFFFFFFF)
+    keys = np.asarray(keys)
+    if keys.size and not (keys.dtype.kind in "iu" and keys.min() >= 0 and keys.max() < 2**32):
+        raise ValueError("stream key entries must be integers in [0, 2**32)")
+    words = np.empty((len(keys), len(seed_words) + keys.shape[1]), dtype=np.uint32)
+    words[:, :len(seed_words)] = seed_words
+    words[:, len(seed_words):] = keys
+    return _seed_sequence_keys(words)
+
+
+class _PhiloxKey(numpy.random.bit_generator.ISeedSequence):
+    """Hands Philox a precomputed key, which is all it asks a seed sequence for."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def philox_streams(seed, keys) -> list:
+    """The counter-based Philox streams keyed (seed, *key) for each key in
+    `keys` (see `stream_keys`), drawing what
+    `Generator(Philox(SeedSequence((seed, *key))))` draws."""
+    Generator, Philox = np.random.Generator, np.random.Philox
+    return [Generator(Philox(_PhiloxKey(key))) for key in stream_keys(seed, keys)]
 
 
 def noise_streams(seed, m):
     """One Philox substream per agent; draw j at iteration k is a pure
     function of (seed, j, k)."""
-    return [philox(seed, _NOISE_STREAM, j) for j in range(m)]
+    return philox_streams(seed, [(_NOISE_STREAM, j) for j in range(m)])
 
 
 def init_rng(seed):
-    return philox(seed, _INIT_STREAM)
+    return philox_streams(seed, [(_INIT_STREAM,)])[0]
 
 
 def mixing_update(w_arr, x, gn, lam):
@@ -246,8 +349,9 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
     m, d = x.shape[-2:]
     final = x.copy()
     active = np.arange(runs)
-    streams = list(streams)
-    scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1)
+    fills = [None if rngs is None else [rng.standard_normal for rng in rngs] for rngs in streams]
+    scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1, 1)
+    agent_gradients, retract, isfinite = problem.agent_gradients, problem.retract, np.isfinite
     block = max(1, min(NOISE_BLOCK, _NOISE_BUFFER // max(1, runs * m * d)))
     stopped_at = [None] * runs
     rows = []  # (run, k, lam, x, noise_norm, gn_norm, mean_gn); metrics come after the loop
@@ -265,17 +369,19 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
             if buf is None or buf.shape[2] != size:
                 buf = None  # release the old block before allocating
                 buf = np.zeros((len(active), m, size, d))
-            for i, rngs in enumerate(streams):
-                if rngs is not None:
+            for i, fill in enumerate(fills):
+                if fill is not None:
                     for j in range(m):
-                        rngs[j].standard_normal(out=buf[i, j])
+                        fill[j](out=buf[i, j])
+            buf *= scales  # the same product as scaling each step's slice
+            lams = stepsizes(schedule, np.arange(k, k + size)).tolist()
             pos = 0
-        n = buf[:, :, pos] * scales
+        n = buf[:, :, pos]
+        lam = lams[pos]
         pos += 1
-        lam = stepsize(schedule, k)
-        gn = problem.agent_gradients(x) + (n if noise_map is None else noise_map(n))
-        x = problem.retract(mixing_update(w_arr, x, gn, lam))
-        if not np.isfinite(x).all():
+        gn = agent_gradients(x) + (n if noise_map is None else noise_map(n))
+        x = retract(mixing_update(w_arr, x, gn, lam))
+        if not isfinite(x).all():
             raise NonFiniteState(k)
         if record_every and (k % record_every == 0 or k == k_end):
             rows += [
@@ -291,7 +397,7 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
                     stopped_at[r] = k
                 keep = ~done
                 active, x, buf, scales = active[keep], x[keep], buf[keep], scales[keep]
-                streams = [rngs for rngs, kept in zip(streams, keep) if kept]
+                fills = [fill for fill, kept in zip(fills, keep) if kept]
                 if not active.size:
                     break
     final[active] = x

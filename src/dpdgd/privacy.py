@@ -86,16 +86,23 @@ def _effective_lambda_power(target: str, inputs: SensitivityInputs) -> float:
     return np.float_power(inputs.lambda_k, 2) if target == "variable" else 1.0
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # an overflow raises instead
 def variance_for_budget(budget: PrivacyBudget, inputs: SensitivityInputs) -> float:
     """Minimal per-coordinate variance of the raw noise n_i meeting the budget.
 
     sample:   2 nu^2 lambda^2 ln(1.25/delta) / (n_i^2 eps^2)
     gradient: 2 lambda^2 ln(1.25/delta) / eps^2
     variable: 2 ln(1.25/delta) / (lambda^2 eps^2)
+
+    A variance that overflows to inf or underflows to 0 calibrates nothing:
+    it raises PrivacyError.
     """
     s = sensitivity(budget.target, inputs)
-    var_effective = 2.0 * math.log(1.25 / budget.delta) * s * s / budget.epsilon**2
-    return var_effective / _effective_lambda_power(budget.target, inputs)
+    var_effective = np.divide(2.0 * math.log(1.25 / budget.delta) * s * s, budget.epsilon**2)
+    variance = float(var_effective / _effective_lambda_power(budget.target, inputs))
+    if not 0 < variance < math.inf:
+        raise PrivacyError("the variance leaves the float range: these inputs give no guarantee")
+    return variance
 
 
 def _check_noise(variance, delta):

@@ -618,3 +618,11 @@ class TestSchema:
         field = "init_half_width" if "init_half_width" in problem else "seed"
         _assert_one_line_exit_one(["run", "--config", path, "--out", str(out)], out, capsys,
                                   "config error: [ProblemError]", field)
+
+    @pytest.mark.parametrize("diag", [[0.0, 0.0], [0.0], [float("nan"), 1.0], [float("inf"), 1.0]])
+    def test_degenerate_diag_exit_one(self, tmp_path, capsys, diag):
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, dict(BASE_RUN_CFG, problem={"name": "custom_quadratic",
+                                                               "diag": diag, "m": 5}))
+        _assert_one_line_exit_one(["run", "--config", path, "--out", str(out)], out, capsys,
+                                  "config error:", "problem diag must be finite with a nonzero entry")

@@ -19,6 +19,7 @@ from dpdgd.optimizer import (
     init_rng,
     lockstep,
     noise_streams,
+    philox_streams,
     polish_fixed_point,
     resolve_at_saddle_init,
     row_metrics,
@@ -27,6 +28,7 @@ from dpdgd.optimizer import (
     step,
     stepsize,
     stepsizes,
+    stream_keys,
 )
 from dpdgd.problems import QuadraticProblem
 from dpdgd.topology import build_metropolis_weights, builtin_topology, validate_weight_matrix
@@ -255,6 +257,53 @@ class TestNoiseStatistics:
         a = run(RunConfig(seed=1, **cfg))
         b = run(RunConfig(seed=2, **cfg))
         assert np.array_equal(a.final_state.x, b.final_state.x)
+
+
+def _seed_sequence_stream(*key):
+    """A stream built the way numpy documents: Philox seeded by a SeedSequence."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+class TestPhiloxKeys:
+    """`stream_keys` restates numpy's SeedSequence in one vectorized pass."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+    def test_keys_match_seed_sequence(self):
+        rng = np.random.default_rng(0x5EED)
+        seeds = self.SEEDS + rng.integers(0, 2**32, 40).tolist() + [
+            int(s) for s in rng.integers(0, 2**64, 40, dtype=np.uint64)]
+        checked = 0
+        for seed in seeds:
+            for width in range(5):  # with 64-bit seeds, up to 6 entropy words
+                keys = rng.integers(0, 2**32, (30, width)).tolist()
+                keys[0], keys[1] = [0] * width, [2**32 - 1] * width
+                want = [np.random.SeedSequence((seed, *key)).generate_state(2, np.uint64)
+                        for key in keys]
+                assert np.array_equal(stream_keys(seed, keys), want), (seed, width)
+                checked += len(keys)
+        assert checked >= 10_000
+
+    @pytest.mark.parametrize("seed", [2024, 2**64 - 1])
+    def test_streams_draw_what_seed_sequence_streams_draw(self, seed):
+        coupling_keys = [(3, r, j) for r in range(40) for j in range(5)]  # (stream, pair, agent)
+        for key, rng in zip(coupling_keys, philox_streams(seed, coupling_keys)):
+            assert np.array_equal(rng.standard_normal(1000),
+                                  _seed_sequence_stream(seed, *key).standard_normal(1000))
+        for j, rng in enumerate(noise_streams(seed, 5)):
+            assert np.array_equal(rng.standard_normal(1000),
+                                  _seed_sequence_stream(seed, 1, j).standard_normal(1000))
+        assert np.array_equal(init_rng(seed).uniform(-1.0, 1.0, 1000),
+                              _seed_sequence_stream(seed, 2).uniform(-1.0, 1.0, 1000))
+
+    @pytest.mark.parametrize("seed, keys", [
+        (1, [(2**32,)]), (1, [(0, 2**32 + 5)]), (1, [(2**70,)]), (1, [(-1,)]), (1, [(0.5,)]),
+        (-1, [(0,)]),
+    ])
+    def test_out_of_range_entries_raise(self, seed, keys):
+        # SeedSequence splits an entry >= 2**32 into more words; keys take one word each
+        with pytest.raises(ValueError):
+            stream_keys(seed, keys)
 
 
 class TestSaddleInit:

@@ -64,6 +64,16 @@ class TestVarianceForBudget:
         var = variance_for_budget(PrivacyBudget(0.5, 0.05, "sample"), inputs)
         assert var < 1e-26  # scales with lambda^2
 
+    @pytest.mark.parametrize("budget, inputs", [
+        (PrivacyBudget(1e-200, 0.05, "gradient"), SensitivityInputs(1.0, 0.02)),  # eps^2 is 0
+        (PrivacyBudget(0.5, 0.05, "variable"), SensitivityInputs(1.0, 1e-200)),  # lambda^2 is 0
+        (PrivacyBudget(0.5, 0.05, "sample"), SensitivityInputs(1e300, 1e10)),  # S overflows
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_inputs_without_a_guarantee(self, budget, inputs):
+        with pytest.raises(PrivacyError):
+            variance_for_budget(budget, inputs)
+
     def test_budget_validation(self):
         with pytest.raises(PrivacyError):
             PrivacyBudget(epsilon=1.0, delta=0.05, target="sample")
