@@ -32,6 +32,7 @@ from .optimizer import (
     StepsizeSchedule,
     run,
     run_batch,
+    stream_keys,
 )
 from .problems import (
     ProblemError,
@@ -171,7 +172,8 @@ _PROBLEM = _Variants(  # the keys are the parameters of _PROBLEM_MAKERS
     estimation_paper={},
     ica={"d": _INT, "m": _INT, "samples_per_agent": _INT, "seed": _INT},
     custom_quadratic={"diag": _DIAG, "m": Field("int", default=1),
-                      "offsets": Field("array"), "init_half_width": Field("real", default=3.0)},
+                      "offsets": Field("array", checks=((lambda c: np.isfinite(c).all(), "finite"),)),
+                      "init_half_width": Field("real", default=3.0)},
 )
 _TOPOLOGY = _Variants(
     None,
@@ -347,9 +349,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _table1_seed(master_seed, cell_index, r):
-    key = (master_seed, _TABLE1_STREAM, cell_index, r)
-    return int(np.random.SeedSequence(key).generate_state(1, dtype=np.uint64)[0])
+def _table1_seeds(master_seed, cells, runs_per_cell):
+    """Seeds of runs 0..runs_per_cell-1 of each sweep cell in `cells`, cell by
+    cell, from one key pass: run r of cell i takes word 0 of the stream key
+    (master_seed, _TABLE1_STREAM, i, r), SeedSequence's generate_state(1, np.uint64)[0]."""
+    keys = [(_TABLE1_STREAM, i, r) for i in cells for r in range(runs_per_cell)]
+    return stream_keys(master_seed, keys)[:, 0].tolist()
 
 
 def _table1_finals(payload):
@@ -371,7 +376,7 @@ def _cell_stats(finals):
 def _table1_cell(payload):
     """One sweep cell: repeated seeded runs at a fixed variance."""
     base_cfg, variance, runs_per_cell, master_seed, cell_index = payload
-    runs = [(variance, _table1_seed(master_seed, cell_index, r)) for r in range(runs_per_cell)]
+    runs = [(variance, s) for s in _table1_seeds(master_seed, [cell_index], runs_per_cell)]
     return _cell_stats(_table1_finals((base_cfg, runs)))
 
 
@@ -386,10 +391,8 @@ def cmd_table1(args) -> int:
     variances, runs_per_cell = checked["variances"].tolist(), checked["runs_per_cell"]
     # every (cell, run) pair in one lockstep batch, or in one contiguous chunk
     # per worker; a run's numbers do not depend on the batch it is in
-    runs = [
-        (v, _table1_seed(base["seed"], i, r))
-        for i, v in enumerate(variances) for r in range(runs_per_cell)
-    ]
+    seeds = _table1_seeds(base["seed"], range(len(variances)), runs_per_cell)
+    runs = list(zip([v for v in variances for _ in range(runs_per_cell)], seeds))
     jobs = min(jobs, len(runs))
     bounds = [len(runs) * c // jobs for c in range(jobs + 1)]
     chunks = [(cfg["base"], runs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]

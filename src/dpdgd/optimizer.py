@@ -272,19 +272,31 @@ def stream_keys(seed, keys) -> np.ndarray:
     """(n, 2) uint64 Philox keys of the streams (seed, *key), one per key in
     `keys`, equal-length tuples of integers in [0, 2**32); row i is
     `SeedSequence((seed, *keys[i])).generate_state(2, np.uint64)` bit for bit."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    seed_words = [seed & 0xFFFFFFFF]  # SeedSequence's little-endian 32-bit split
-    while seed >> 32 * len(seed_words):
-        seed_words.append(seed >> 32 * len(seed_words) & 0xFFFFFFFF)
+    return seeded_stream_keys([seed], keys)[0]
+
+
+def seeded_stream_keys(seeds, keys) -> np.ndarray:
+    """(S, n, 2) uint64: row s is `stream_keys(seeds[s], keys)`. Seeds that
+    split into the same number of 32-bit words share one pass."""
+    seed_words = []
+    for seed in map(int, seeds):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        words = [seed & 0xFFFFFFFF]  # SeedSequence's little-endian 32-bit split
+        while seed >> 32 * len(words):
+            words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
+        seed_words.append(words)
     keys = np.asarray(keys)
     if keys.size and not (keys.dtype.kind in "iu" and keys.min() >= 0 and keys.max() < 2**32):
         raise ValueError("stream key entries must be integers in [0, 2**32)")
-    words = np.empty((len(keys), len(seed_words) + keys.shape[1]), dtype=np.uint32)
-    words[:, :len(seed_words)] = seed_words
-    words[:, len(seed_words):] = keys
-    return _seed_sequence_keys(words)
+    out = np.empty((len(seed_words), len(keys), 2), dtype=np.uint64)
+    for width in set(map(len, seed_words)):
+        group = [s for s, words in enumerate(seed_words) if len(words) == width]
+        words = np.empty((len(group), len(keys), width + keys.shape[1]), dtype=np.uint32)
+        words[..., :width] = np.array([seed_words[s] for s in group], dtype=np.uint32)[:, None]
+        words[..., width:] = keys
+        out[group] = _seed_sequence_keys(words.reshape(-1, words.shape[-1])).reshape(-1, len(keys), 2)
+    return out
 
 
 class _PhiloxKey(numpy.random.bit_generator.ISeedSequence):
@@ -297,12 +309,15 @@ class _PhiloxKey(numpy.random.bit_generator.ISeedSequence):
         return self.key
 
 
+def _philox(key):
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
 def philox_streams(seed, keys) -> list:
     """The counter-based Philox streams keyed (seed, *key) for each key in
     `keys` (see `stream_keys`), drawing what
     `Generator(Philox(SeedSequence((seed, *key))))` draws."""
-    Generator, Philox = np.random.Generator, np.random.Philox
-    return [Generator(Philox(_PhiloxKey(key))) for key in stream_keys(seed, keys)]
+    return [_philox(key) for key in stream_keys(seed, keys)]
 
 
 def noise_streams(seed, m):
@@ -351,7 +366,8 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
     active = np.arange(runs)
     fills = [None if rngs is None else [rng.standard_normal for rng in rngs] for rngs in streams]
     scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1, 1)
-    agent_gradients, retract, isfinite = problem.agent_gradients, problem.retract, np.isfinite
+    agent_gradients, retract = problem.agent_gradients, problem.retract
+    isfinite, count_nonzero = np.isfinite, np.count_nonzero
     block = max(1, min(NOISE_BLOCK, _NOISE_BUFFER // max(1, runs * m * d)))
     stopped_at = [None] * runs
     rows = []  # (run, k, lam, x, noise_norm, gn_norm, mean_gn); metrics come after the loop
@@ -381,7 +397,7 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
         pos += 1
         gn = agent_gradients(x) + (n if noise_map is None else noise_map(n))
         x = retract(mixing_update(w_arr, x, gn, lam))
-        if not isfinite(x).all():
+        if count_nonzero(isfinite(x)) != x.size:
             raise NonFiniteState(k)
         if record_every and (k % record_every == 0 or k == k_end):
             rows += [
@@ -396,7 +412,9 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
                 for r in active[done]:
                     stopped_at[r] = k
                 keep = ~done
-                active, x, buf, scales = active[keep], x[keep], buf[keep], scales[keep]
+                # only the block's remaining steps are copied
+                active, x, scales = active[keep], x[keep], scales[keep]
+                buf, lams, pos = buf[keep, :, pos:], lams[pos:], 0
                 fills = [fill for fill, kept in zip(fills, keep) if kept]
                 if not active.size:
                     break
@@ -491,14 +509,14 @@ def resolve_at_saddle_init(problem, w: WeightMatrix, schedule: StepsizeSchedule)
     return polish_fixed_point(problem, w, stepsize(schedule, 1), problem.known_saddle())
 
 
-def _initial_state(config: RunConfig) -> np.ndarray:
+def _initial_state(config: RunConfig, init_key) -> np.ndarray:
     p = config.problem
     if config.init_mode == "explicit":
         return np.array(config.init_coords)
     if config.init_mode == "at_saddle":
         theta = resolve_at_saddle_init(p, config.weights, config.schedule)
         return np.tile(theta, (p.m, 1))
-    return p.sample_init(init_rng(config.seed))
+    return p.sample_init(_philox(init_key))
 
 
 def run_batch(configs) -> list:
@@ -513,10 +531,16 @@ def run_batch(configs) -> list:
     if any(shared(c) != shared(c0) for c in configs):
         raise InvalidConfig("batched runs must share problem, topology, schedule and recording")
     p = c0.problem
+    # every run's noise keys and init key in one pass; (_INIT_STREAM, 0) keys
+    # init_rng's stream (_INIT_STREAM,), since SeedSequence zero-pads entropy
+    # that fits its 4-word pool, as a seed below 2**64 and two key words do
+    keys = seeded_stream_keys([c.seed for c in configs],
+                              [(_NOISE_STREAM, j) for j in range(p.m)] + [(_INIT_STREAM, 0)])
     out = lockstep(
-        p, c0.weights.w, np.stack([_initial_state(c) for c in configs]), c0.schedule,
-        c0.iterations,
-        [noise_streams(c.seed, p.m) if c.noise_variance > 0 else None for c in configs],
+        p, c0.weights.w, np.stack([_initial_state(c, k[-1]) for c, k in zip(configs, keys)]),
+        c0.schedule, c0.iterations,
+        [[_philox(key) for key in k[:-1]] if c.noise_variance > 0 else None
+         for c, k in zip(configs, keys)],
         [np.sqrt(c.noise_variance) for c in configs],
         record_every=c0.record_every, keep_state=c0.record_state,
     )

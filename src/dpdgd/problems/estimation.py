@@ -62,6 +62,7 @@ class EstimationProblem(Problem):
         self.ramp_radius = float(ramp_radius)
         self._MtM = self.M.T @ self.M
         self._MtY = self.Y @ self.M  # row i = (M^T Y_i)
+        self._shaped = (None,)
         self.wall_slope = WALL_SLOPE_FACTOR * self._boundary_gradient_bound()
         self.constants = self._estimate_constants()
         self._refined = {}
@@ -100,10 +101,10 @@ class EstimationProblem(Problem):
         nt = np.linalg.norm(theta)
         return float(r @ r + self.kappa * nt**3)
 
-    def _inside_gradients(self, x, nt, mty):
+    def _inside_gradients(self, x, nt, data):
         """Closed-form gradients at rows x (..., d) with norms nt (..., 1) and
-        data terms mty = M^T Y_i."""
-        return -2.0 * mty + 2.0 * (x @ self._MtM) + 3.0 * self.kappa * nt * x
+        data terms -2 M^T Y_i."""
+        return data + 2.0 * (x @ self._MtM) + 3.0 * self.kappa * nt * x
 
     def _inside_hessian(self, theta):
         """Hessian at theta (d,), or one per row of theta (..., d)."""
@@ -115,15 +116,15 @@ class EstimationProblem(Problem):
 
     # -- extension ------------------------------------------------------------
 
-    def _wall_gradients(self, theta, mty):
+    def _wall_gradients(self, theta, data):
         """Gradients of the extension (see agent_objective) at rows theta
-        (N, d), all outside the box, with data terms mty (N, d)."""
+        (N, d), all outside the box, with data terms -2 M^T Y_i (N, d)."""
         tc = np.clip(theta, self.lo, self.hi)
         dvec = theta - tc
         r = _dot_norm(dvec)[:, None]
         nhat = dvec / r
         ntc = _dot_norm(tc)
-        g = self._inside_gradients(tc, ntc[:, None], mty)
+        g = self._inside_gradients(tc, ntc[:, None], data)
         t = r / self.ramp_radius
         ramp = t < 1.0
         s = np.where(ramp, 1.0 - _smoothstep(t), 0.0)
@@ -138,16 +139,28 @@ class EstimationProblem(Problem):
         ramped = grad + sp * gd * nhat + s * (unclamped * hd + (1.0 - unclamped) * g)
         return np.where(ramp, ramped, grad)
 
-    def _gradients(self, x, mty):
-        """Extended gradients for x (..., m, d) with data terms mty (m, d): the
-        wall extension for agents outside the box, the closed form for the rest."""
-        nt = np.linalg.norm(x, axis=-1, keepdims=True)
-        g = self._inside_gradients(x, nt, mty)
-        outside = np.clip(x, self.lo, self.hi) != x
-        if outside.any():
+    def _gradients(self, x, lo, hi, data):
+        """Extended gradients for x (..., m, d) with box bounds lo, hi and data
+        terms -2 M^T Y_i of x's shape: the wall extension for agents outside
+        the box, the closed form for the rest. The ufuncs are those that
+        np.linalg.norm and np.clip run, without their Python wrappers; for
+        d = 2 the norm's reduction is one sum of the two squares."""
+        sq = x * x
+        nt = np.sqrt(sq[..., :1] + sq[..., 1:])
+        g = self._inside_gradients(x, nt, data)
+        outside = np.minimum(np.maximum(x, lo), hi) != x
+        if np.count_nonzero(outside):
             rows = outside.any(axis=-1)
-            g[rows] = self._wall_gradients(x[rows], mty[np.nonzero(rows)[-1]])
+            g[rows] = self._wall_gradients(x[rows], data[rows])
         return g
+
+    def _at_shape(self, shape):
+        """lo, hi and -2 M^T Y laid out at a state's shape, so that no ufunc
+        broadcasts; one entry, since a run keeps its state's shape."""
+        if self._shaped[0] != shape:
+            self._shaped = (shape, *(np.ascontiguousarray(np.broadcast_to(a, shape))
+                                     for a in (self.lo, self.hi, -2.0 * self._MtY)))
+        return self._shaped[1:]
 
     # -- Problem interface ------------------------------------------------------
 
@@ -162,20 +175,22 @@ class EstimationProblem(Problem):
         r = float(np.linalg.norm(dvec))
         if r == 0.0:
             return self._inside_objective(agent, theta)
-        g = self._inside_gradients(tc, np.linalg.norm(tc), self._MtY[agent])
+        g = self._inside_gradients(tc, np.linalg.norm(tc), -2.0 * self._MtY[agent])
         s = 1.0 - _smoothstep(min(r / self.ramp_radius, 1.0))
         return self._inside_objective(agent, tc) + s * float(g @ dvec) + self.wall_slope * r
 
     def agent_gradients(self, x):
-        return self._gradients(self._check_state(x), self._MtY)
+        x = self._check_state(x)
+        return self._gradients(x, *self._at_shape(x.shape))
 
     def agent_gradient_for_observation(self, agent, theta, y):
         """Gradient with agent's observation replaced by y (sensitivity probes):
         row `agent` of the batched gradients with that agent's data term M^T y."""
         self._check_agent(agent)
-        mty = self._MtY.copy()
-        mty[agent] = self.M.T @ np.asarray(y, dtype=float)
-        return self._gradients(np.tile(self._check_theta(theta), (self.m, 1)), mty)[agent]
+        data = -2.0 * self._MtY
+        data[agent] = -2.0 * (self.M.T @ np.asarray(y, dtype=float))
+        x = np.tile(self._check_theta(theta), (self.m, 1))
+        return self._gradients(x, self.lo, self.hi, data)[agent]
 
     def aggregated_hessian(self, theta):
         theta = self._check_theta(theta)

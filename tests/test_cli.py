@@ -220,6 +220,18 @@ class TestTable1Command:
         assert err == ["divergence: non-finite state at iteration 274"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("master_seed", [None, 2**64 - 1])
+    def test_seeds_are_seed_sequence_words(self, master_seed):
+        # the bundled sweep's seed, and a 64-bit one, which splits into two words
+        cfg = json.loads(cli.bundled_config_path("estimation_table1.json").read_text())
+        master = cfg["base"]["seed"] if master_seed is None else master_seed
+        cells, runs = len(cfg["variances"]), cfg["runs_per_cell"]
+        want = [int(np.random.SeedSequence((master, cli._TABLE1_STREAM, i, r))
+                    .generate_state(1, np.uint64)[0])
+                for i in range(cells) for r in range(runs)]
+        assert cli._table1_seeds(master, range(cells), runs) == want
+        assert cli._table1_seeds(master, [cells - 1], runs) == want[-runs:]
+
     def test_negative_variance_exit_one(self, tmp_path, capsys):
         path = write_cfg(tmp_path, self._sweep_cfg(variances=(0.1, -0.5)))
         assert cli.main(["table1", "--config", path, "--out", str(tmp_path)]) == 1
@@ -618,6 +630,17 @@ class TestSchema:
         field = "init_half_width" if "init_half_width" in problem else "seed"
         _assert_one_line_exit_one(["run", "--config", path, "--out", str(out)], out, capsys,
                                   "config error: [ProblemError]", field)
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_offsets_exit_one(self, tmp_path, capsys, entry):
+        # JSON NaN and Infinity once ran, and exited 2 as a divergence at iteration 1
+        out = tmp_path / "out"
+        problem = {"name": "custom_quadratic", "diag": [1.0, 1.0], "m": 2,
+                   "offsets": [[entry, 0.0], [0.0, 0.0]]}
+        path = write_cfg(tmp_path, dict(BASE_RUN_CFG, problem=problem,
+                                        topology={"builtin": "complete", "m": 2}))
+        _assert_one_line_exit_one(["run", "--config", path, "--out", str(out)], out, capsys,
+                                  "config error:", "problem offsets must be finite")
 
     @pytest.mark.parametrize("diag", [[0.0, 0.0], [0.0], [float("nan"), 1.0], [float("inf"), 1.0]])
     def test_degenerate_diag_exit_one(self, tmp_path, capsys, diag):

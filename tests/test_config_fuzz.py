@@ -177,13 +177,17 @@ PRIVACY = {"schedule": SCHEDULES[0], "delta": 0.05, "n_i": 1, "horizon": 5}
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(cases())
 # inputs that once printed numpy warnings: an overflow in the saddle polish,
-# epsilons that overflow, and a quadratic constant that overflowed
+# epsilons that overflow, and a quadratic constant that overflowed; and
+# non-finite offsets, which once exited 2 as a divergence
 @example(("coupling", {"problem": PROBLEMS[0][0], "topology": {"builtin": "complete", "m": 5},
                        "schedule": {"kind": "constant", "lambda0": 1e308}, "variance": 0.5,
                        "runs": 2, "horizon": 5, "escape_radius": 0.5, "seed": 3}))
 @example(("privacy-report", dict(PRIVACY, nu=1e308, variance=1e-308)))
 @example(("privacy-report", dict(PRIVACY, nu=8.0, variance=5e-324)))
 @example(("run", {"problem": dict(PROBLEMS[2][0], offsets=[[1e308, 0.0], [0.0, 0.0]]),
+                  "topology": {"builtin": "complete", "m": 2}, "schedule": SCHEDULES[0],
+                  "noise": {"variance": 0.5}, "iterations": 5, "seed": 7}))
+@example(("run", {"problem": dict(PROBLEMS[2][0], offsets=[[float("nan"), 0.0], [0.0, 0.0]]),
                   "topology": {"builtin": "complete", "m": 2}, "schedule": SCHEDULES[0],
                   "noise": {"variance": 0.5}, "iterations": 5, "seed": 7}))
 def test_any_config_exits_cleanly(case):

@@ -25,6 +25,7 @@ from dpdgd.optimizer import (
     row_metrics,
     run,
     run_batch,
+    seeded_stream_keys,
     step,
     stepsize,
     stepsizes,
@@ -296,6 +297,14 @@ class TestPhiloxKeys:
         assert np.array_equal(init_rng(seed).uniform(-1.0, 1.0, 1000),
                               _seed_sequence_stream(seed, 2).uniform(-1.0, 1.0, 1000))
 
+    def test_seeds_of_mixed_widths_in_one_call(self):
+        seeds = self.SEEDS + [2**70, 3, 2**96 + 7]
+        keys = [(1, j) for j in range(5)] + [(2, 0), (2**32 - 1, 9)]
+        for seed, got in zip(seeds, seeded_stream_keys(seeds, keys)):
+            want = [np.random.SeedSequence((seed, *key)).generate_state(2, np.uint64)
+                    for key in keys]
+            assert np.array_equal(got, want), seed
+
     @pytest.mark.parametrize("seed, keys", [
         (1, [(2**32,)]), (1, [(0, 2**32 + 5)]), (1, [(2**70,)]), (1, [(-1,)]), (1, [(0.5,)]),
         (-1, [(0,)]),
@@ -383,19 +392,41 @@ class TestLockstep:
             assert np.array_equal(x_default, x_block)
             assert rows_default == rows_block
 
-    def test_stopped_runs_leave_the_others_unchanged(self, paper_problem, rpc5):
-        x0 = np.stack([paper_problem.sample_init(init_rng(s)) for s in (1, 2, 3)])
+    def test_stopped_runs_leave_the_others_unchanged(self, paper_problem, rpc5, monkeypatch):
+        seeds = (1, 2, 3, 4)
+        x0 = np.stack([paper_problem.sample_init(init_rng(s)) for s in seeds])
 
-        def streams():
-            return [noise_streams(s, 5) for s in (1, 2, 3)]
+        # lambda_k changes at every step past k = 20, so a step misaligned
+        # with its noise block's stepsizes shows
+        schedule = StepsizeSchedule.piecewise_paper(0.02, 20, 0.4)
 
-        free = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 120, streams(), [0.5] * 3)
-        # stop run 1 at k = 50 and run 0 at k = 80
-        when = {50: [False, True, False], 80: [True, False]}
-        stopped = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 120, streams(), [0.5] * 3,
-                           stop=lambda x, k: when.get(k, [False] * len(x)))
-        assert stopped.stopped_at == [80, 50, None]
-        assert np.array_equal(stopped.x[2], free.x[2])
+        def advance(iterations, **kwargs):
+            return lockstep(paper_problem, rpc5.w, x0, schedule, iterations,
+                            [noise_streams(s, 5) for s in seeds], [0.5] * 4, **kwargs)
+
+        # runs 1 and 0 stop at k = 50 and 80, inside a block at each size; the
+        # survivors then cross later block boundaries (300 > the default block)
+        when = {50: [False, True, False, False], 80: [True, False, False]}
+        for block in (optimizer.NOISE_BLOCK, 1, 7):
+            monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
+            stopped = advance(300, stop=lambda x, k: when.get(k, [False] * len(x)))
+            assert stopped.stopped_at == [80, 50, None, None]
+            assert np.array_equal(stopped.x[2:], advance(300).x[2:]), block
+            assert np.array_equal(stopped.x[0], advance(80).x[0]), block
+            assert np.array_equal(stopped.x[1], advance(50).x[1]), block
+
+    def test_run_batch_draws_init_rng_and_noise_streams(self, paper_problem, rpc5):
+        # seeds of one and two 32-bit words share a batch; one run draws no noise
+        seeds, variances = [5, 2**40, 0, 2**64 - 1], [0.5, 0.0, 1.0, 0.25]
+        configs = [RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
+                             noise_variance=v, iterations=30, seed=s)
+                   for s, v in zip(seeds, variances)]
+        for config, trace in zip(configs, run_batch(configs)):
+            x0 = paper_problem.sample_init(init_rng(config.seed))
+            streams = noise_streams(config.seed, 5) if config.noise_variance else None
+            want = lockstep(paper_problem, rpc5.w, x0[None], PAPER_SCHEDULE, 30, [streams],
+                            [np.sqrt(config.noise_variance)])
+            assert np.array_equal(trace.final_state.x, want.x[0]), config.seed
 
     def test_run_batch_rejects_mixed_configs(self, paper_problem, rpc5):
         a = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,

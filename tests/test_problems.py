@@ -47,6 +47,19 @@ def _extension_gradient(p, agent, theta):
             + s * (unclamped * (hess @ dvec) + (1.0 - unclamped) * g))
 
 
+def _norm_and_clip_gradients(p, x, mty):
+    """The estimation problem's gradients at x (..., m, d) with data terms
+    mty = M^T Y_i (m, d), restated with np.linalg.norm and np.clip, whose
+    ufuncs agent_gradients runs without their wrappers."""
+    nt = np.linalg.norm(x, axis=-1, keepdims=True)
+    g = -2.0 * mty + 2.0 * (x @ p._MtM) + 3.0 * p.kappa * nt * x
+    outside = np.clip(x, p.lo, p.hi) != x
+    if outside.any():
+        rows = outside.any(axis=-1)
+        g[rows] = p._wall_gradients(x[rows], -2.0 * mty[np.nonzero(rows)[-1]])
+    return g
+
+
 def _ica_gradient(p, agent, u):
     """Reference for the ICA gradient, one agent at one point: the tangent
     projection of sign_factor * 4 mean((u^T y)^3 y) over the agent's samples."""
@@ -257,6 +270,28 @@ class TestBatchedGradients:
         batch = p.agent_gradients(x)
         for r in range(len(x)):
             assert np.array_equal(batch[r], p.agent_gradients(x[r]))
+
+    @np.errstate(all="ignore")
+    def test_equal_to_norm_and_clip_restatement(self, paper_problem, rng):
+        p = paper_problem
+        # agents inside the box, in the ramp and beyond it, some coordinates special
+        rows = np.concatenate(self._points(p, rng, 24)).reshape(-1, p.d)
+        special = np.array([np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.0, -0.0, 1e300])
+        y = rng.standard_normal(p.M.shape[0])
+        # 0, 1 and 2 leading axes, alternating, so the per-shape bounds and data
+        # terms are rebuilt and reused
+        a, b, c = (p.m, p.d), (6, p.m, p.d), (2, 3, p.m, p.d)
+        for shape in (a, b, a, c, b, c, a):
+            for _ in range(20):
+                x = rng.permutation(rows)[:np.prod(shape[:-1])].reshape(shape)
+                x = np.where(rng.random(shape) < 0.1, rng.choice(special, shape), x)
+                want = _norm_and_clip_gradients(p, x, p._MtY)
+                assert p.agent_gradients(x).tobytes() == want.tobytes()
+            theta, agent = x.reshape(-1, p.d)[0], int(rng.integers(p.m))
+            mty = p._MtY.copy()
+            mty[agent] = p.M.T @ y
+            want = _norm_and_clip_gradients(p, np.tile(theta, (p.m, 1)), mty)[agent]
+            assert p.agent_gradient_for_observation(agent, theta, y).tobytes() == want.tobytes()
 
     def test_quadratic_and_ica_accept_batches(self, ica4, rng):
         q = QuadraticProblem(diag=[1.0, -2.0], m=3, offsets=rng.standard_normal((3, 2)))
