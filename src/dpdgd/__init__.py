@@ -10,17 +10,13 @@ from . import analysis, numdiff, optimizer, privacy, problems, topology
 from .analysis import (
     CouplingResult,
     assert_contraction,
-    consensus_error,
     run_coupling_experiment,
 )
 from .optimizer import (
-    AgentState,
-    NoiseSpec,
     RunConfig,
     RunTrace,
     StepsizeSchedule,
     run,
-    step,
     stepsize,
 )
 from .privacy import (

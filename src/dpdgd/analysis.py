@@ -1,4 +1,4 @@
-"""Trace metrics, the per-step contraction check, and coupled saddle-escape runs.
+"""The per-step contraction check and coupled saddle-escape runs.
 
 The contraction check asserts the norm inequality that drives consensus:
 one mixing step shrinks disagreement by the spectral gap eta and injects at
@@ -34,34 +34,6 @@ class NotAStrictSaddle(AnalysisError):
 
 
 @dataclass(frozen=True)
-class MetricRow:
-    k: int
-    consensus_error: float
-    opt_error_mean: float
-    opt_error_max: float
-    grad_norm_mean: float
-
-
-def consensus_error(state) -> float:
-    """Stacked Euclidean norm of per-agent deviations from the agent mean."""
-    x = state.x if isinstance(state, optimizer.AgentState) else np.asarray(state, dtype=float)
-    return float(np.linalg.norm(x - x.mean(axis=0)))
-
-
-def compute_metrics(trace: optimizer.RunTrace, problem) -> list[MetricRow]:
-    """Re-derive metric rows from recorded per-agent states, by the kernel's own
-    row metrics; grad_norm_mean is the aggregated gradient norm at the agent mean."""
-    if any(rec.x is None for rec in trace.records):
-        raise MissingPerAgentData("trace was recorded without per-agent states")
-    metrics = optimizer.row_metrics(problem, [rec.x for rec in trace.records])
-    return [
-        MetricRow(rec.k, *errors,
-                  float(np.linalg.norm(problem.aggregated_gradient(rec.x.mean(axis=0)))))
-        for rec, errors in zip(trace.records, metrics)
-    ]
-
-
-@dataclass(frozen=True)
 class ContractionViolation:
     k: int
     lhs: float
@@ -84,13 +56,11 @@ def assert_contraction(trace: optimizer.RunTrace, w: WeightMatrix, tol=1e-9) -> 
     """Check ||x^{k+1} - mean|| <= eta ||x^k - mean|| + eta lambda ||g + N|| + tol
     over every adjacent recorded pair.
 
-    Needs a trace recorded with record_every=1 and record_state=True; raises
-    MissingPerAgentData otherwise.
+    Reads each row's recorded consensus_error; needs a trace with consecutive
+    rows (record_every=1), and raises MissingPerAgentData otherwise.
     """
     eta = w.eta
     recs = trace.records
-    if any(r.x is None for r in recs):
-        raise MissingPerAgentData("contraction check needs per-agent states at every row")
     pairs = [
         (a, b) for a, b in zip(recs[:-1], recs[1:]) if b.k == a.k + 1
     ]
@@ -98,8 +68,8 @@ def assert_contraction(trace: optimizer.RunTrace, w: WeightMatrix, tol=1e-9) -> 
         raise MissingPerAgentData("contraction check needs consecutive iterations in the trace")
     violations = []
     for a, b in pairs:
-        lhs = consensus_error(b.x)
-        rhs = eta * consensus_error(a.x) + eta * b.lam * b.gn_norm + tol
+        lhs = b.consensus_error
+        rhs = eta * a.consensus_error + eta * b.lam * b.gn_norm + tol
         if lhs > rhs:
             violations.append(ContractionViolation(k=b.k, lhs=lhs, rhs=rhs))
     return ContractionReport(
@@ -160,9 +130,9 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
     m = problem.m
     streams = [None] * runs
     if variance > 0:
-        rngs = optimizer.philox_streams(seed, [(_COUPLING_STREAM, r, j)
-                                               for r in range(runs) for j in range(m)])
-        streams = [rngs[r * m:(r + 1) * m] for r in range(runs)]
+        keys = optimizer.stream_keys([seed], [(_COUPLING_STREAM, r, j)
+                                              for r in range(runs) for j in range(m)])
+        streams = [[optimizer.philox(key) for key in pair] for pair in keys.reshape(runs, m, 2)]
 
     def escaped(x, k):
         # x is (pairs, 2, m, d); a pair escapes when either mean leaves the ball

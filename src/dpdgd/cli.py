@@ -332,7 +332,7 @@ def write_summary_json(path, trace):
             "opt_error_mean": final.opt_error_mean,
             "opt_error_max": final.opt_error_max,
         },
-        "final_state": trace.final_state.x.tolist(),
+        "final_state": trace.final_state.tolist(),
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -354,7 +354,7 @@ def _table1_seeds(master_seed, cells, runs_per_cell):
     cell, from one key pass: run r of cell i takes word 0 of the stream key
     (master_seed, _TABLE1_STREAM, i, r), SeedSequence's generate_state(1, np.uint64)[0]."""
     keys = [(_TABLE1_STREAM, i, r) for i in cells for r in range(runs_per_cell)]
-    return stream_keys(master_seed, keys)[:, 0].tolist()
+    return stream_keys([master_seed], keys)[0, :, 0].tolist()
 
 
 def _table1_finals(payload):
@@ -371,13 +371,6 @@ def _table1_finals(payload):
 def _cell_stats(finals):
     finals = np.array(finals)
     return float(finals.mean()), float(finals.std()), len(finals)
-
-
-def _table1_cell(payload):
-    """One sweep cell: repeated seeded runs at a fixed variance."""
-    base_cfg, variance, runs_per_cell, master_seed, cell_index = payload
-    runs = [(variance, s) for s in _table1_seeds(master_seed, [cell_index], runs_per_cell)]
-    return _cell_stats(_table1_finals((base_cfg, runs)))
 
 
 def cmd_table1(args) -> int:
@@ -491,8 +484,7 @@ def _verify_checks():
     config = RunConfig(
         problem=p, weights=weights,
         schedule=StepsizeSchedule.piecewise_paper(0.02, 500, 1.0),
-        noise_variance=0.5, iterations=120, seed=11, init_mode="random_box",
-        record_every=1, record_state=True,
+        noise_variance=0.5, iterations=120, seed=11, init_mode="random_box", record_every=1,
     )
     report = analysis.assert_contraction(run(config), weights)
     yield "contraction_inequality", report.ok, f"{report.pairs_checked} pairs checked"

@@ -104,41 +104,15 @@ def stepsize(schedule: StepsizeSchedule, k: int) -> float:
     k = 0 is clamped to the first stepsize)."""
     if k < 0:
         raise InvalidConfig(f"iteration index must be >= 0, got {k}")
-    k_eff = max(k, 1)
-    if schedule.kind == "constant":
-        return schedule.lambda0
-    if schedule.kind == "harmonic":
-        return schedule.scale / k_eff
-    if k_eff <= schedule.switch_k:
-        return schedule.lambda0
-    return schedule.scale / k_eff
+    return float(stepsizes(schedule, k))
 
 
 def stepsizes(schedule: StepsizeSchedule, ks) -> np.ndarray:
-    """`stepsize` over an array of iteration indices, equal element by element."""
+    """lambda_k over an array of iteration indices."""
     k_eff = np.maximum(ks, 1)
     # lambda0 up to the switch, scale/k after: constant never switches, harmonic at once
     switch = {"constant": np.inf, "harmonic": 0}.get(schedule.kind, schedule.switch_k)
     return np.where(k_eff <= switch, schedule.lambda0, schedule.scale / k_eff)
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Per-coordinate Gaussian variance of the gradient noise; 0 disables
-    noise entirely (no RNG draws are consumed)."""
-
-    variance: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise InvalidConfig(f"noise variance must be >= 0, got {self.variance}")
-
-
-@dataclass
-class AgentState:
-    x: np.ndarray  # (m, d)
-    k: int = 0
 
 
 @dataclass
@@ -157,7 +131,7 @@ class TraceRecord:
 @dataclass
 class RunTrace:
     records: list
-    final_state: AgentState
+    final_state: np.ndarray  # (m, d)
     seed: int
     eta: float
     config_fingerprint: str = ""
@@ -268,16 +242,12 @@ def _seed_sequence_keys(words) -> np.ndarray:
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
-def stream_keys(seed, keys) -> np.ndarray:
-    """(n, 2) uint64 Philox keys of the streams (seed, *key), one per key in
-    `keys`, equal-length tuples of integers in [0, 2**32); row i is
-    `SeedSequence((seed, *keys[i])).generate_state(2, np.uint64)` bit for bit."""
-    return seeded_stream_keys([seed], keys)[0]
-
-
-def seeded_stream_keys(seeds, keys) -> np.ndarray:
-    """(S, n, 2) uint64: row s is `stream_keys(seeds[s], keys)`. Seeds that
-    split into the same number of 32-bit words share one pass."""
+def stream_keys(seeds, keys) -> np.ndarray:
+    """(S, n, 2) uint64 Philox keys of the streams (seed, *key) for each seed
+    in `seeds` and each key in `keys`, equal-length tuples of integers in
+    [0, 2**32); entry [s, i] is
+    `SeedSequence((seeds[s], *keys[i])).generate_state(2, np.uint64)` bit for
+    bit. Seeds that split into the same number of 32-bit words share one pass."""
     seed_words = []
     for seed in map(int, seeds):
         if seed < 0:
@@ -309,25 +279,10 @@ class _PhiloxKey(numpy.random.bit_generator.ISeedSequence):
         return self.key
 
 
-def _philox(key):
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
-
-
-def philox_streams(seed, keys) -> list:
-    """The counter-based Philox streams keyed (seed, *key) for each key in
-    `keys` (see `stream_keys`), drawing what
+def philox(key):
+    """The stream with Philox key `key` (a row of `stream_keys`), drawing what
     `Generator(Philox(SeedSequence((seed, *key))))` draws."""
-    return [_philox(key) for key in stream_keys(seed, keys)]
-
-
-def noise_streams(seed, m):
-    """One Philox substream per agent; draw j at iteration k is a pure
-    function of (seed, j, k)."""
-    return philox_streams(seed, [(_NOISE_STREAM, j) for j in range(m)])
-
-
-def init_rng(seed):
-    return philox_streams(seed, [(_INIT_STREAM,)])[0]
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def mixing_update(w_arr, x, gn, lam):
@@ -345,17 +300,17 @@ class Lockstep:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # blow-ups raise NonFiniteState instead
-def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
-             record_every=0, keep_state=False, noise_map=None, stop=None) -> Lockstep:
-    """Advance the R runs stacked in x (R, ..., m, d) from iteration k0 to
-    k0 + iterations, every run by the same update.
+def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record_every=0,
+             keep_state=False, noise_map=None, stop=None) -> Lockstep:
+    """Advance the R runs stacked in x (R, ..., m, d) by iterations steps
+    from k = 0, every run by the same update.
 
     Run r's noise for agent j is drawn from streams[r][j], in blocks of up to
     NOISE_BLOCK iterations, and scaled by scales[r]; a run with streams[r] None
     draws nothing and gets zero noise. `noise_map` maps the (R, m, d) noise
     onto x's shape. The update is x <- W (x - lam (g + N)). Any non-finite
     state raises NonFiniteState. With record_every > 0 each run records rows
-    at k0, at every multiple of record_every and at the last iteration.
+    at k = 0, at every multiple of record_every and at the last iteration.
     `stop(x, k)` returns a mask over the runs still advancing; a run whose
     mask is set stops there and draws no further noise.
     """
@@ -372,16 +327,15 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
     stopped_at = [None] * runs
     rows = []  # (run, k, lam, x, noise_norm, gn_norm, mean_gn); metrics come after the loop
     if record_every:
-        lam = stepsize(schedule, k0 + 1)
-        rows += [(r, k0, lam, x[r].copy(), 0.0, 0.0, None) for r in range(runs)]
-    k_end = k0 + iterations
+        lam = stepsize(schedule, 1)
+        rows += [(r, 0, lam, x[r].copy(), 0.0, 0.0, None) for r in range(runs)]
     buf, pos = None, 0
-    for k in range(k0 + 1, k_end + 1):
+    for k in range(1, iterations + 1):
         if buf is None or pos == buf.shape[2]:
             # (run, agent, iteration, coordinate): each stream fills a
             # contiguous (K, d) slab, the same numbers as K draws of d;
             # rows of runs without streams stay zero
-            size = min(block, k_end - k + 1)
+            size = min(block, iterations - k + 1)
             if buf is None or buf.shape[2] != size:
                 buf = None  # release the old block before allocating
                 buf = np.zeros((len(active), m, size, d))
@@ -399,7 +353,7 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, k0=0,
         x = retract(mixing_update(w_arr, x, gn, lam))
         if count_nonzero(isfinite(x)) != x.size:
             raise NonFiniteState(k)
-        if record_every and (k % record_every == 0 or k == k_end):
+        if record_every and (k % record_every == 0 or k == iterations):
             rows += [
                 (r, k, lam, x[i].copy(), float(np.linalg.norm(n[i])),
                  float(np.linalg.norm(gn[i])), gn[i].mean(axis=0) if keep_state else None)
@@ -440,20 +394,6 @@ def row_metrics(problem, xs) -> list:
         errs = problem.optimization_errors(x).reshape(len(x), -1)
         out += zip(consensus.tolist(), errs.mean(axis=1).tolist(), errs.max(axis=1).tolist())
     return out
-
-
-def step(state: AgentState, w: WeightMatrix, problem, schedule: StepsizeSchedule,
-         noise: NoiseSpec, rngs=None) -> AgentState:
-    """Advance one iteration. Pass the rngs returned by noise_streams to get
-    the run-loop noise sequence; omitting them re-creates fresh streams, which
-    reproduces iteration 1 only."""
-    if rngs is None:
-        rngs = noise_streams(noise.seed, w.m)
-    out = lockstep(
-        problem, w.w, np.asarray(state.x, dtype=float)[None], schedule, 1,
-        [rngs if noise.variance > 0 else None], [np.sqrt(noise.variance)], k0=state.k,
-    )
-    return AgentState(x=out.x[0], k=state.k + 1)
 
 
 def _uses_retraction(problem):
@@ -516,7 +456,7 @@ def _initial_state(config: RunConfig, init_key) -> np.ndarray:
     if config.init_mode == "at_saddle":
         theta = resolve_at_saddle_init(p, config.weights, config.schedule)
         return np.tile(theta, (p.m, 1))
-    return p.sample_init(_philox(init_key))
+    return p.sample_init(philox(init_key))
 
 
 def run_batch(configs) -> list:
@@ -531,21 +471,22 @@ def run_batch(configs) -> list:
     if any(shared(c) != shared(c0) for c in configs):
         raise InvalidConfig("batched runs must share problem, topology, schedule and recording")
     p = c0.problem
-    # every run's noise keys and init key in one pass; (_INIT_STREAM, 0) keys
-    # init_rng's stream (_INIT_STREAM,), since SeedSequence zero-pads entropy
-    # that fits its 4-word pool, as a seed below 2**64 and two key words do
-    keys = seeded_stream_keys([c.seed for c in configs],
-                              [(_NOISE_STREAM, j) for j in range(p.m)] + [(_INIT_STREAM, 0)])
+    # every run's noise keys and init key in one pass; (_INIT_STREAM, 0) draws
+    # what SeedSequence((seed, _INIT_STREAM)) draws, since SeedSequence
+    # zero-pads entropy that fits its 4-word pool, as a seed below 2**64 and
+    # two key words do
+    keys = stream_keys([c.seed for c in configs],
+                       [(_NOISE_STREAM, j) for j in range(p.m)] + [(_INIT_STREAM, 0)])
     out = lockstep(
         p, c0.weights.w, np.stack([_initial_state(c, k[-1]) for c, k in zip(configs, keys)]),
         c0.schedule, c0.iterations,
-        [[_philox(key) for key in k[:-1]] if c.noise_variance > 0 else None
+        [[philox(key) for key in k[:-1]] if c.noise_variance > 0 else None
          for c, k in zip(configs, keys)],
         [np.sqrt(c.noise_variance) for c in configs],
         record_every=c0.record_every, keep_state=c0.record_state,
     )
     return [
-        RunTrace(records, AgentState(x=x, k=c.iterations), c.seed, c.weights.eta, c.fingerprint)
+        RunTrace(records, x, c.seed, c.weights.eta, c.fingerprint)
         for c, records, x in zip(configs, out.records, out.x)
     ]
 

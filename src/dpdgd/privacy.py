@@ -68,22 +68,25 @@ class SensitivityInputs:
             raise PrivacyError("sensitivity inputs require nu, lambda_k > 0 and n_i >= 1")
 
 
-def sensitivity(target: str, inputs: SensitivityInputs) -> float:
-    """Worst-case l1 change of the shared message per unit change of target."""
+def _sensitivity(target: str, nu, lam, n_i):
+    """(S, lambda power) of a target at stepsize lam, a scalar or a column: S
+    bounds the change of the shared message per unit change of the target,
+    and the raw noise variance reaches the target scaled by lambda power."""
     if target == "sample":
-        return inputs.nu * inputs.lambda_k / inputs.n_i
+        return nu * lam / n_i, 1.0
     if target == "gradient":
-        return inputs.lambda_k
+        return lam, 1.0
     if target == "variable":
-        return 1.0
+        # the noise reaches x_i scaled by lambda; float_power is libm pow, like
+        # Python's float **, but overflows to inf instead of raising, and
+        # numpy's lam**2 (lam*lam) differs from it in the last bit on some rows
+        return 1.0, np.float_power(lam, 2)
     raise PrivacyError(f"target must be one of {TARGETS}, got {target!r}")
 
 
-def _effective_lambda_power(target: str, inputs: SensitivityInputs) -> float:
-    # the noise reaching the protected quantity is n_i scaled by lambda for
-    # the variable target, unscaled otherwise; float_power is libm pow, like
-    # Python's float **, but overflows to inf instead of raising
-    return np.float_power(inputs.lambda_k, 2) if target == "variable" else 1.0
+def sensitivity(target: str, inputs: SensitivityInputs) -> float:
+    """Worst-case l1 change of the shared message per unit change of target."""
+    return _sensitivity(target, inputs.nu, inputs.lambda_k, inputs.n_i)[0]
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # an overflow raises instead
@@ -97,9 +100,9 @@ def variance_for_budget(budget: PrivacyBudget, inputs: SensitivityInputs) -> flo
     A variance that overflows to inf or underflows to 0 calibrates nothing:
     it raises PrivacyError.
     """
-    s = sensitivity(budget.target, inputs)
+    s, power = _sensitivity(budget.target, inputs.nu, inputs.lambda_k, inputs.n_i)
     var_effective = np.divide(2.0 * math.log(1.25 / budget.delta) * s * s, budget.epsilon**2)
-    variance = float(var_effective / _effective_lambda_power(budget.target, inputs))
+    variance = float(var_effective / power)
     if not 0 < variance < math.inf:
         raise PrivacyError("the variance leaves the float range: these inputs give no guarantee")
     return variance
@@ -137,9 +140,8 @@ def budget_for_variance(variance: float, target: str, inputs: SensitivityInputs,
     are returned with a warning rather than rejected.
     """
     _check_noise(variance, delta)
-    eps = float(_gaussian_epsilon(
-        sensitivity(target, inputs), variance * _effective_lambda_power(target, inputs), delta
-    ))
+    s, power = _sensitivity(target, inputs.nu, inputs.lambda_k, inputs.n_i)
+    eps = float(_gaussian_epsilon(s, variance * power, delta))
     warning = None
     if eps >= 1.0:
         warning = (
@@ -180,13 +182,8 @@ def per_iteration_report(schedule: StepsizeSchedule, variance: float, nu: float,
     lam = stepsizes(schedule, k)
     if not 0 < nu < math.inf or n_i < 1 or not (lam > 0).all():
         raise PrivacyError("sensitivity inputs require finite nu > 0, lambda_k > 0 and n_i >= 1")
-    # libm pow, as _effective_lambda_power squares; numpy's lam**2 is lam*lam,
-    # which differs in the last bit on some rows
-    lam_sq = np.float_power(lam, 2)
-    return PrivacyReport(
-        k=k,
-        lam=lam,
-        eps_sample=_gaussian_epsilon(nu * lam / n_i, variance, delta),
-        eps_gradient=_gaussian_epsilon(lam, variance, delta),
-        eps_variable=_gaussian_epsilon(1.0, variance * lam_sq, delta),
-    )
+    eps = {}
+    for target in TARGETS:
+        s, power = _sensitivity(target, nu, lam, n_i)
+        eps[f"eps_{target}"] = _gaussian_epsilon(s, variance * power, delta)
+    return PrivacyReport(k=k, lam=lam, **eps)

@@ -27,10 +27,6 @@ class DisconnectedGraph(TopologyError):
     pass
 
 
-class DegenerateWeights(TopologyError):
-    pass
-
-
 class UnknownTopology(TopologyError):
     pass
 
@@ -187,8 +183,6 @@ def build_metropolis_weights(g: Graph) -> WeightMatrix:
         w[j, i] = val
     for i in range(g.m):
         w[i, i] = 1.0 - w[i].sum()
-    if (np.diag(w) <= 0).any():
-        raise DegenerateWeights("metropolis construction produced a non-positive self weight")
     return validate_weight_matrix(w)
 
 

@@ -56,14 +56,14 @@ def saddle_runs(paper_problem, complete5):
 
 
 @pytest.mark.acceptance
-def test_criterion_1_table1_sweep():
-    cfg = json.loads(cli.bundled_config_path("estimation_table1.json").read_text())
-    base = cfg["base"]
-    variances = cfg["variances"]
-    means = []
-    for i, v in enumerate(variances):
-        mean, _, _ = cli._table1_cell((base, v, cfg["runs_per_cell"], base["seed"], i))
-        means.append(mean)
+def test_criterion_1_table1_sweep(tmp_path):
+    # the bundled sweep through the command: 100 runs per variance cell
+    config = cli.bundled_config_path("estimation_table1.json")
+    assert cli.main(["table1", "--config", str(config), "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "table1.csv").read_text().splitlines()[1:]]
+    variances = [float(row[0]) for row in rows]
+    means = [float(row[1]) for row in rows]
+    assert variances == json.loads(config.read_text())["variances"]
     in_band = [
         0.5 * TABLE1_REFERENCE[v] <= m <= 2.0 * TABLE1_REFERENCE[v]
         for v, m in zip(variances, means)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpdgd import cli, privacy
-from dpdgd.optimizer import stepsize
+from dpdgd.optimizer import run, stepsize
 
 BASE_RUN_CFG = {
     "problem": {"name": "estimation_paper"},
@@ -56,6 +56,13 @@ class TestRunCommand:
         assert sa["seed"] == 4242 and sb["seed"] == 9
         assert sa["config_fingerprint"] != sb["config_fingerprint"]
         assert sa["final_state"] != sb["final_state"]
+
+    def test_summary_holds_the_final_state(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE_RUN_CFG)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        config, _ = cli.build_run_config(BASE_RUN_CFG)
+        assert summary["final_state"] == run(config).final_state.tolist()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "from_env"

@@ -8,25 +8,19 @@ import pytest
 
 from dpdgd import optimizer
 from dpdgd.optimizer import (
-    AgentState,
     InvalidConfig,
-    NoiseSpec,
     NonFiniteState,
     RECORD_CHUNK,
     RunConfig,
     StepsizeSchedule,
     TraceRecord,
-    init_rng,
     lockstep,
-    noise_streams,
-    philox_streams,
+    philox,
     polish_fixed_point,
     resolve_at_saddle_init,
     row_metrics,
     run,
     run_batch,
-    seeded_stream_keys,
-    step,
     stepsize,
     stepsizes,
     stream_keys,
@@ -37,6 +31,22 @@ from dpdgd.topology import build_metropolis_weights, builtin_topology, validate_
 PAPER_SCHEDULE = StepsizeSchedule.piecewise_paper(0.02, 500, 1.0)
 
 
+def _seed_sequence_stream(*key):
+    """A stream built the way numpy documents: Philox seeded by a SeedSequence."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def _agent_streams(seed, m):
+    """The noise streams (seed, 1, j) of agents j < m."""
+    return [_seed_sequence_stream(seed, 1, j) for j in range(m)]
+
+
+def _one_step(problem, w, x, lam):
+    """x after one noise-free lockstep iteration at stepsize lam."""
+    return lockstep(problem, w.w, np.asarray(x, dtype=float)[None],
+                    StepsizeSchedule.constant(lam), 1, [None], [0.0]).x[0]
+
+
 def _records_equal(a, b):
     if len(a.records) != len(b.records):
         return False
@@ -45,7 +55,7 @@ def _records_equal(a, b):
                   "noise_norm", "gn_norm"):
             if getattr(ra, f) != getattr(rb, f):
                 return False
-    return np.array_equal(a.final_state.x, b.final_state.x)
+    return np.array_equal(a.final_state, b.final_state)
 
 
 class TestStepsize:
@@ -70,12 +80,19 @@ class TestStepsize:
             assert all(a >= b for a, b in zip(lams[:-1], lams[1:]))
 
     def test_vector_form_equals_scalar(self):
+        def restated(s, k):
+            k = max(k, 1)
+            if s.kind == "constant" or (s.kind == "piecewise_paper" and k <= s.switch_k):
+                return s.lambda0
+            return s.scale / k
+
         ks = np.r_[0:1100, 2940:2960, 10**6]
         for s in (StepsizeSchedule.constant(0.003), StepsizeSchedule.harmonic(0.7),
                   PAPER_SCHEDULE, StepsizeSchedule.piecewise_paper(0.003, 100, 0.3)):
             lams = stepsizes(s, ks)
             assert lams.dtype == np.float64
-            assert lams.tolist() == [stepsize(s, int(k)) for k in ks]
+            assert lams.tolist() == [restated(s, int(k)) for k in ks]
+            assert [stepsize(s, int(k)) for k in ks] == lams.tolist()
 
     def test_rejects_increasing_switch(self):
         with pytest.raises(InvalidConfig):
@@ -96,19 +113,19 @@ class TestStepsize:
             with pytest.raises(InvalidConfig):
                 StepsizeSchedule.piecewise_paper(0.02, 500, bad)
 
-    def test_noise_spec_rejects_negative(self):
-        with pytest.raises(InvalidConfig):
-            NoiseSpec(variance=-0.1)
-
 
 class TestStep:
+    """One iteration of the kernel, x <- W (x - lam (g + N))."""
+
     def test_fixed_point_at_optimum(self):
         q = QuadraticProblem(diag=[1.0, 1.0], m=2)
         w = validate_weight_matrix([[0.5, 0.5], [0.5, 0.5]])
-        state = AgentState(x=np.zeros((2, 2)), k=0)
-        out = step(state, w, q, StepsizeSchedule.constant(0.05), NoiseSpec(0.0, seed=1))
-        assert np.array_equal(out.x, state.x)
-        assert out.k == 1
+        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule.constant(0.05),
+                        noise_variance=0.0, iterations=1, seed=1, init_mode="explicit",
+                        init_coords=np.zeros((2, 2)))
+        trace = run(cfg)
+        assert np.array_equal(trace.final_state, np.zeros((2, 2)))
+        assert [rec.k for rec in trace.records] == [0, 1]
 
     def test_single_agent_is_gradient_descent(self):
         q = QuadraticProblem(diag=[1.0, 2.0], m=1, offsets=[[1.0, -1.0]])
@@ -121,32 +138,32 @@ class TestStep:
         for k in range(50):
             x = np.array([[1.0]]) @ (x[None, :] - 0.1 * 2.0 * q.c * (x - q.offsets[0]))
             x = x[0]
-        assert np.array_equal(trace.final_state.x[0], x)
+        assert np.array_equal(trace.final_state[0], x)
 
     def test_one_step_matches_kronecker_oracle(self, rng):
         m, d = 4, 3
         q = QuadraticProblem(diag=[0.5, 1.0, 1.5], m=m, offsets=rng.standard_normal((m, d)))
         w = build_metropolis_weights(builtin_topology("ring", m))
         x = rng.standard_normal((m, d))
-        state = AgentState(x=x.copy(), k=0)
         lam = 0.07
-        out = step(state, w, q, StepsizeSchedule.constant(lam), NoiseSpec(0.0, seed=0))
+        out = _one_step(q, w, x, lam)
         g = q.agent_gradients(x)
         stacked = np.kron(w.w, np.eye(d)) @ (x - lam * g).ravel()
-        assert np.abs(out.x.ravel() - stacked).max() <= 1e-12
+        assert np.abs(out.ravel() - stacked).max() <= 1e-12
 
     def test_noisy_step_uses_agent_streams(self):
-        # same seed, same k: step() and a manual draw agree
+        # iteration k draws the k-th value of agent j's stream (seed, 1, j)
         q = QuadraticProblem(diag=[1.0], m=3)
         w = build_metropolis_weights(builtin_topology("complete", 3))
-        state = AgentState(x=np.ones((3, 1)), k=0)
-        noise = NoiseSpec(variance=0.25, seed=77)
-        out = step(state, w, q, StepsizeSchedule.constant(0.1), noise)
-        rngs = noise_streams(77, 3)
-        n = np.stack([r.standard_normal(1) for r in rngs]) * 0.5
-        g = q.agent_gradients(state.x)
-        expected = w.w @ (state.x - 0.1 * (g + n))
-        assert np.array_equal(out.x, expected)
+        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule.constant(0.1),
+                        noise_variance=0.25, iterations=2, seed=77, init_mode="explicit",
+                        init_coords=np.ones((3, 1)))
+        x = np.ones((3, 1))
+        rngs = _agent_streams(77, 3)
+        for _ in range(2):
+            n = np.stack([r.standard_normal(1) for r in rngs]) * 0.5
+            x = w.w @ (x - 0.1 * (q.agent_gradients(x) + n))
+        assert np.array_equal(run(cfg).final_state, x)
 
 
 class TestRun:
@@ -167,7 +184,7 @@ class TestRun:
                     noise_variance=0.5, iterations=50, record_every=50)
         a = run(RunConfig(seed=1, **base))
         b = run(RunConfig(seed=2, **base))
-        assert not np.array_equal(a.final_state.x, b.final_state.x)
+        assert not np.array_equal(a.final_state, b.final_state)
 
     def test_mean_dynamics_identity(self, paper_problem, rpc5):
         # the agent mean follows x_mean <- x_mean - lambda * mean(g + n)
@@ -235,7 +252,7 @@ class TestRun:
 class TestNoiseStatistics:
     def test_moments(self):
         variance = 0.7
-        rngs = noise_streams(2024, 2)
+        rngs = [philox(key) for key in stream_keys([2024], [(1, 0), (1, 1)])[0]]
         draws = np.concatenate([rngs[0].standard_normal(50_000),
                                 rngs[1].standard_normal(50_000)]) * np.sqrt(variance)
         n = draws.size
@@ -243,8 +260,8 @@ class TestNoiseStatistics:
         assert abs(draws.var() - variance) <= 0.05 * variance
 
     def test_streams_depend_only_on_seed_and_agent(self):
-        a = noise_streams(5, 3)[1].standard_normal(4)
-        b = noise_streams(5, 7)[1].standard_normal(4)
+        a = philox(stream_keys([5], [(1, j) for j in range(3)])[0, 1]).standard_normal(4)
+        b = philox(stream_keys([5], [(1, j) for j in range(7)])[0, 1]).standard_normal(4)
         assert np.array_equal(a, b)
 
     def test_zero_variance_consumes_no_draws(self, paper_problem, rpc5):
@@ -257,12 +274,7 @@ class TestNoiseStatistics:
         cfg["init_coords"] = np.array([1.0, 1.0])
         a = run(RunConfig(seed=1, **cfg))
         b = run(RunConfig(seed=2, **cfg))
-        assert np.array_equal(a.final_state.x, b.final_state.x)
-
-
-def _seed_sequence_stream(*key):
-    """A stream built the way numpy documents: Philox seeded by a SeedSequence."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+        assert np.array_equal(a.final_state, b.final_state)
 
 
 class TestPhiloxKeys:
@@ -281,26 +293,25 @@ class TestPhiloxKeys:
                 keys[0], keys[1] = [0] * width, [2**32 - 1] * width
                 want = [np.random.SeedSequence((seed, *key)).generate_state(2, np.uint64)
                         for key in keys]
-                assert np.array_equal(stream_keys(seed, keys), want), (seed, width)
+                assert np.array_equal(stream_keys([seed], keys)[0], want), (seed, width)
                 checked += len(keys)
         assert checked >= 10_000
 
     @pytest.mark.parametrize("seed", [2024, 2**64 - 1])
     def test_streams_draw_what_seed_sequence_streams_draw(self, seed):
         coupling_keys = [(3, r, j) for r in range(40) for j in range(5)]  # (stream, pair, agent)
-        for key, rng in zip(coupling_keys, philox_streams(seed, coupling_keys)):
-            assert np.array_equal(rng.standard_normal(1000),
-                                  _seed_sequence_stream(seed, *key).standard_normal(1000))
-        for j, rng in enumerate(noise_streams(seed, 5)):
-            assert np.array_equal(rng.standard_normal(1000),
-                                  _seed_sequence_stream(seed, 1, j).standard_normal(1000))
-        assert np.array_equal(init_rng(seed).uniform(-1.0, 1.0, 1000),
-                              _seed_sequence_stream(seed, 2).uniform(-1.0, 1.0, 1000))
+        run_keys = [(1, j) for j in range(5)] + [(2, 0)]  # the agents' noise, then the init
+        keys = [*stream_keys([seed], coupling_keys)[0], *stream_keys([seed], run_keys)[0]]
+        entropies = ([(seed, *key) for key in coupling_keys]
+                     + [(seed, 1, j) for j in range(5)] + [(seed, 2)])
+        for key, entropy in zip(keys, entropies):
+            assert np.array_equal(philox(key).standard_normal(1000),
+                                  _seed_sequence_stream(*entropy).standard_normal(1000))
 
     def test_seeds_of_mixed_widths_in_one_call(self):
         seeds = self.SEEDS + [2**70, 3, 2**96 + 7]
         keys = [(1, j) for j in range(5)] + [(2, 0), (2**32 - 1, 9)]
-        for seed, got in zip(seeds, seeded_stream_keys(seeds, keys)):
+        for seed, got in zip(seeds, stream_keys(seeds, keys)):
             want = [np.random.SeedSequence((seed, *key)).generate_state(2, np.uint64)
                     for key in keys]
             assert np.array_equal(got, want), seed
@@ -312,16 +323,16 @@ class TestPhiloxKeys:
     def test_out_of_range_entries_raise(self, seed, keys):
         # SeedSequence splits an entry >= 2**32 into more words; keys take one word each
         with pytest.raises(ValueError):
-            stream_keys(seed, keys)
+            stream_keys([seed], keys)
 
 
 class TestSaddleInit:
     def test_polished_saddle_is_frozen_on_complete_graph(self, paper_problem, complete5):
         theta = resolve_at_saddle_init(paper_problem, complete5, PAPER_SCHEDULE)
         # one noise-free step reproduces the state bitwise
-        state = AgentState(x=np.tile(theta, (5, 1)), k=0)
-        out = step(state, complete5, paper_problem, PAPER_SCHEDULE, NoiseSpec(0.0, seed=0))
-        assert np.array_equal(out.x, state.x)
+        x = np.tile(theta, (5, 1))
+        lam = stepsize(PAPER_SCHEDULE, 1)
+        assert np.array_equal(_one_step(paper_problem, complete5, x, lam), x)
         # still a refined stationary point
         assert np.linalg.norm(paper_problem.aggregated_gradient(theta)) <= 1e-10
 
@@ -376,12 +387,12 @@ class TestLockstep:
         self._assert_slices_match_single_runs(configs)
 
     def test_block_size_does_not_change_trajectories(self, paper_problem, rpc5, monkeypatch):
-        x0 = np.stack([paper_problem.sample_init(init_rng(s)) for s in (1, 2, 3)])
+        x0 = np.stack([paper_problem.sample_init(_seed_sequence_stream(s, 2)) for s in (1, 2, 3)])
 
         def final(block):
             monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
             out = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 200,
-                           [noise_streams(s, 5) for s in (1, 2, 3)], [0.5, 1.0, 0.25],
+                           [_agent_streams(s, 5) for s in (1, 2, 3)], [0.5, 1.0, 0.25],
                            record_every=9)
             return out.x, [[(r.k, r.noise_norm, r.opt_error_mean) for r in recs]
                            for recs in out.records]
@@ -394,7 +405,7 @@ class TestLockstep:
 
     def test_stopped_runs_leave_the_others_unchanged(self, paper_problem, rpc5, monkeypatch):
         seeds = (1, 2, 3, 4)
-        x0 = np.stack([paper_problem.sample_init(init_rng(s)) for s in seeds])
+        x0 = np.stack([paper_problem.sample_init(_seed_sequence_stream(s, 2)) for s in seeds])
 
         # lambda_k changes at every step past k = 20, so a step misaligned
         # with its noise block's stepsizes shows
@@ -402,7 +413,7 @@ class TestLockstep:
 
         def advance(iterations, **kwargs):
             return lockstep(paper_problem, rpc5.w, x0, schedule, iterations,
-                            [noise_streams(s, 5) for s in seeds], [0.5] * 4, **kwargs)
+                            [_agent_streams(s, 5) for s in seeds], [0.5] * 4, **kwargs)
 
         # runs 1 and 0 stop at k = 50 and 80, inside a block at each size; the
         # survivors then cross later block boundaries (300 > the default block)
@@ -422,11 +433,11 @@ class TestLockstep:
                              noise_variance=v, iterations=30, seed=s)
                    for s, v in zip(seeds, variances)]
         for config, trace in zip(configs, run_batch(configs)):
-            x0 = paper_problem.sample_init(init_rng(config.seed))
-            streams = noise_streams(config.seed, 5) if config.noise_variance else None
+            x0 = paper_problem.sample_init(_seed_sequence_stream(config.seed, 2))
+            streams = _agent_streams(config.seed, 5) if config.noise_variance else None
             want = lockstep(paper_problem, rpc5.w, x0[None], PAPER_SCHEDULE, 30, [streams],
                             [np.sqrt(config.noise_variance)])
-            assert np.array_equal(trace.final_state.x, want.x[0]), config.seed
+            assert np.array_equal(trace.final_state, want.x[0]), config.seed
 
     def test_run_batch_rejects_mixed_configs(self, paper_problem, rpc5):
         a = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
@@ -453,7 +464,7 @@ def _restated_row(problem, x, k, lam, noise_norm, gn_norm, keep_state, mean_gn):
 
 def _restated_run(problem, w, x, schedule, iterations, seed, variance, keep_state, stop_k=None):
     """One run's rows (record_every 1), one iteration and one row at a time."""
-    rngs = noise_streams(seed, problem.m)
+    rngs = _agent_streams(seed, problem.m)
     rows = [_restated_row(problem, x, 0, stepsize(schedule, 1), 0.0, 0.0, keep_state, None)]
     for k in range(1, iterations + 1):
         lam = stepsize(schedule, k)
@@ -525,8 +536,8 @@ class TestDeferredRows:
                                                keep_state):
         # record_every 1 gives iterations + 1 rows: 2, chunk - 1, chunk and chunk + 1
         problem, schedule = problems[name]
-        x0 = problem.sample_init(init_rng(3))
-        out = lockstep(problem, rpc5.w, x0[None], schedule, iterations, [noise_streams(8, 5)],
+        x0 = problem.sample_init(_seed_sequence_stream(3, 2))
+        out = lockstep(problem, rpc5.w, x0[None], schedule, iterations, [_agent_streams(8, 5)],
                        [np.sqrt(0.3)], record_every=1, keep_state=keep_state)
         want = _restated_run(problem, rpc5.w, x0, schedule, iterations, 8, 0.3, keep_state)
         _same_rows(out.records[0], want)
@@ -537,9 +548,9 @@ class TestDeferredRows:
         # 3 runs, 2 of them stopping early: 21 + 6 + 41 rows cross two chunk boundaries
         problem, schedule = problems[name]
         seeds = (21, 22, 23)
-        x0 = np.stack([problem.sample_init(init_rng(s)) for s in seeds])
+        x0 = np.stack([problem.sample_init(_seed_sequence_stream(s, 2)) for s in seeds])
         when = {5: [False, True, False], 20: [True, False]}
-        out = lockstep(problem, rpc5.w, x0, schedule, 40, [noise_streams(s, 5) for s in seeds],
+        out = lockstep(problem, rpc5.w, x0, schedule, 40, [_agent_streams(s, 5) for s in seeds],
                        [np.sqrt(0.5)] * 3, record_every=1, keep_state=keep_state,
                        stop=lambda x, k: when.get(k, [False] * len(x)))
         assert out.stopped_at == [20, 5, None]
@@ -551,9 +562,9 @@ class TestDeferredRows:
     def test_sparse_rows_are_the_dense_rows(self, problems, rpc5):
         # record_every 7 over 40 iterations keeps k = 0, 7, ..., 35 and the last step
         problem, schedule = problems["estimation"]
-        x0 = problem.sample_init(init_rng(4))[None]
+        x0 = problem.sample_init(_seed_sequence_stream(4, 2))[None]
         dense, sparse = (
-            lockstep(problem, rpc5.w, x0, schedule, 40, [noise_streams(4, 5)], [0.7],
+            lockstep(problem, rpc5.w, x0, schedule, 40, [_agent_streams(4, 5)], [0.7],
                      record_every=every).records[0]
             for every in (1, 7)
         )

@@ -24,6 +24,9 @@ class TestSensitivity:
     def test_sample_formula(self):
         s = sensitivity("sample", SensitivityInputs(nu=1.0, lambda_k=0.02, n_i=160))
         assert s == pytest.approx(0.000125, rel=1e-12)
+        # (nu * lambda) / n_i, in that order: nu * (lambda / n_i) differs in the last bit here
+        assert sensitivity("sample", SensitivityInputs(nu=8.37, lambda_k=0.001, n_i=160)) == (
+            8.37 * 0.001 / 160)
 
     def test_gradient_is_stepsize(self):
         assert sensitivity("gradient", SensitivityInputs(nu=3.0, lambda_k=0.02, n_i=7)) == 0.02
