@@ -18,14 +18,12 @@ from . import optimizer
 from .problems import classify_stationary_point
 from .topology import WeightMatrix
 
-_COUPLING_STREAM = 3
-
 
 class AnalysisError(ValueError):
     pass
 
 
-class MissingPerAgentData(AnalysisError):
+class NoConsecutiveRows(AnalysisError):
     pass
 
 
@@ -57,7 +55,7 @@ def assert_contraction(trace: optimizer.RunTrace, w: WeightMatrix, tol=1e-9) -> 
     over every adjacent recorded pair.
 
     Reads each row's recorded consensus_error; needs a trace with consecutive
-    rows (record_every=1), and raises MissingPerAgentData otherwise.
+    rows (record_every=1), and raises NoConsecutiveRows otherwise.
     """
     eta = w.eta
     recs = trace.records
@@ -65,7 +63,7 @@ def assert_contraction(trace: optimizer.RunTrace, w: WeightMatrix, tol=1e-9) -> 
         (a, b) for a, b in zip(recs[:-1], recs[1:]) if b.k == a.k + 1
     ]
     if not pairs:
-        raise MissingPerAgentData("contraction check needs consecutive iterations in the trace")
+        raise NoConsecutiveRows("contraction check needs consecutive iterations in the trace")
     violations = []
     for a, b in pairs:
         lhs = b.consensus_error
@@ -130,7 +128,7 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
     m = problem.m
     streams = [None] * runs
     if variance > 0:
-        keys = optimizer.stream_keys([seed], [(_COUPLING_STREAM, r, j)
+        keys = optimizer.stream_keys([seed], [(optimizer._COUPLING_STREAM, r, j)
                                               for r in range(runs) for j in range(m)])
         streams = [[optimizer.philox(key) for key in pair] for pair in keys.reshape(runs, m, 2)]
 

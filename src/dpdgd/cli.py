@@ -26,6 +26,7 @@ import numpy as np
 
 from . import analysis, privacy
 from .optimizer import (
+    _TABLE1_STREAM,
     InvalidConfig,
     NonFiniteState,
     RunConfig,
@@ -54,8 +55,6 @@ ENV_OUT_DIR = "DPDGD_OUT"
 TRACE_HEADER = "k,lambda,consensus_error,opt_error_mean,opt_error_max,noise_norm"
 TABLE1_HEADER = "sigma,mean_final_error,std_final_error,runs"
 PRIVACY_HEADER = "k,lambda,eps_sample,eps_gradient,eps_variable,delta,variance"
-
-_TABLE1_STREAM = 10
 
 # -- config schema: a table maps each key of a JSON object to a Field; an object
 # with variants (problem `name`, schedule `kind`, init `mode`, topology form) has
@@ -368,16 +367,13 @@ def _table1_finals(payload):
     return [trace.records[-1].opt_error_mean for trace in traces]
 
 
-def _cell_stats(finals):
-    finals = np.array(finals)
-    return float(finals.mean()), float(finals.std()), len(finals)
-
-
 def cmd_table1(args) -> int:
     cfg = load_config(args.config)
+    if isinstance(cfg, dict) and "base" in cfg:  # --seed stands in for base.seed, as in `run`
+        cfg = {**cfg, "base": _with_flags(cfg["base"], seed=args.seed)}
     checked = _walk(cfg, _TABLE1, "sweep config")
     # builds the base run once up front, so that the library's checks fail early
-    _, base = build_run_config(cfg["base"], seed_override=args.seed)
+    _, base = build_run_config(cfg["base"])
     jobs = _flag(args.jobs, "--jobs")
     if jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
@@ -399,8 +395,8 @@ def cmd_table1(args) -> int:
     path, = output_paths(args.out, checked["output"])
     lines = [TABLE1_HEADER]
     for i, v in enumerate(variances):
-        mean, std, n = _cell_stats(finals[i * runs_per_cell:(i + 1) * runs_per_cell])
-        lines.append("%.17g,%.17g,%.17g,%d" % (v, mean, std, n))
+        cell = np.array(finals[i * runs_per_cell:(i + 1) * runs_per_cell])
+        lines.append("%.17g,%.17g,%.17g,%d" % (v, cell.mean(), cell.std(), len(cell)))
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
     return 0

@@ -23,7 +23,6 @@ a run's numbers do not depend on the batch it shares.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,12 @@ from .topology import WeightMatrix
 
 SCHEDULE_KINDS = ("constant", "harmonic", "piecewise_paper")
 
-_NOISE_STREAM = 1
-_INIT_STREAM = 2
+# The stream ids: the word after the seed in the entropy (seed, id, ...) of
+# every Philox stream, one id to each use, so that no two uses share a stream
+_NOISE_STREAM = 1  # (seed, 1, agent): a run's noise, in run_batch
+_INIT_STREAM = 2  # (seed, 2): a run's random_box initial state, in run_batch
+_COUPLING_STREAM = 3  # (seed, 3, pair, agent): analysis.run_coupling_experiment's noise
+_TABLE1_STREAM = 10  # (seed, 10, cell, run): the run seeds of the `table1` command
 
 NOISE_BLOCK = 64  # iterations of noise drawn from a stream at a time
 _NOISE_BUFFER = 2**16  # cap on the doubles buffered across all streams (512 KB)
@@ -174,72 +177,49 @@ class RunConfig:
             self.init_coords = np.broadcast_to(coords, (m, d))
 
 
-# numpy's SeedSequence: a 4-word uint32 pool mixed from the entropy words by
-# multiply-xorshift hashes whose constants follow a fixed chain
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a 4-word uint32 pool
+# mixed from the entropy words by hashes whose multiplier advances every hash
 _POOL = 4
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _hash_chain(init, mult, n):
-    """(xor, multiplier) constants of n successive SeedSequence hashes."""
-    h = [init]
-    for _ in range(n):
-        h.append(h[-1] * mult & 0xFFFFFFFF)
-    return h[:-1], h[1:]
-
-
-def _column(values):
-    return np.array(values, dtype=np.uint32)[:, None]
-
-
-@functools.lru_cache
-def _mixing_constants(length):
-    """Hash constants of each pool update for `length` entropy words: the
-    initial fill, one update per source slot, one per word past the pool."""
-    xor, mul = _hash_chain(0x43B0D7E5, 0x931E8875, _POOL * _POOL + _POOL * max(0, length - _POOL))
-    steps = [(_column(xor[:_POOL]), _column(mul[:_POOL]))]
-    t = _POOL
-    for src in range(_POOL):
-        # pool[src] hashes into every other slot in turn; slot src keeps its
-        # value, so its constant (a placeholder) goes unused
-        idx = [t + dst - (dst > src) if dst != src else t for dst in range(_POOL)]
-        steps.append((_column([xor[i] for i in idx]), _column([mul[i] for i in idx])))
-        t += _POOL - 1
-    return steps + [(_column(xor[i:i + _POOL]), _column(mul[i:i + _POOL]))
-                    for i in range(t, len(xor), _POOL)]
-
-
-_STATE_CONSTANTS = tuple(_column(c) for c in _hash_chain(0x8B51F9DD, 0x58F38DED, _POOL))
-
-
-def _hash(v, xor, mul):
-    v = (v ^ xor) * mul
-    return v ^ (v >> 16)
+def _hashmix(const, mult):
+    """numpy's hashmix from the constant `const` on: xor the value with the
+    constant, advance the constant by `mult`, multiply by it, xorshift."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
+    return hashmix
 
 
 def _mix(a, b):
-    r = a * _MIX_L - b * _MIX_R
-    return r ^ (r >> 16)
+    r = a * 0xCA01F9DD - b * 0x4973F715  # MIX_MULT_L, MIX_MULT_R
+    return r ^ r >> 16
 
 
 def _seed_sequence_keys(words) -> np.ndarray:
     """`SeedSequence(entropy).generate_state(2, np.uint64)` for every row of
-    `words`, an (n, L) array of the entropies' uint32 words, in one pass."""
-    words = words.T
-    length, n = words.shape
-    first, *steps = _mixing_constants(length)
-    pool = np.zeros((_POOL, n), np.uint32)
-    pool[:length] = words[:_POOL]
-    pool = _hash(pool, *first)
-    for src, consts in enumerate(steps[:_POOL]):
-        mixed = _mix(pool, _hash(pool[src], *consts))
-        mixed[src] = pool[src]
-        pool = mixed
-    for word, consts in zip(words[_POOL:], steps[_POOL:]):
-        pool = _mix(pool, _hash(word, *consts))
-    state = _hash(pool, *_STATE_CONSTANTS).astype(np.uint64)
-    # the four words read as two little-endian uint64s
-    return (state[0::2] | state[1::2] << np.uint64(32)).T
+    `words`, an (n, L) array of the entropies' uint32 words: SeedSequence's
+    mix_entropy and generate_state step for step, each step on all n rows."""
+    words = list(np.ascontiguousarray(words.T))
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
+    # the entropy up to the pool size, zero words where it is shorter
+    pool = [hashmix(word) for word in (words + [np.zeros_like(words[0])] * _POOL)[:_POOL]]
+    # every slot into every other, so that late words reach early ones
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # each word past the pool into every slot
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)  # generate_state's INIT_B, MULT_B
+    lo0, hi0, lo1, hi1 = (hashmix(word).astype(np.uint64) for word in pool)
+    # the four state words read as two little-endian uint64s
+    return np.stack([lo0 | hi0 << np.uint64(32), lo1 | hi1 << np.uint64(32)], axis=1)
 
 
 def stream_keys(seeds, keys) -> np.ndarray:

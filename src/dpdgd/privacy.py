@@ -54,6 +54,12 @@ class PrivacyBudget:
             raise PrivacyError(f"target must be one of {TARGETS}, got {self.target!r}")
 
 
+def _check_inputs(nu, lam, n_i):
+    """PrivacyError unless nu and lam (a stepsize or a column) are finite, > 0 and n_i >= 1."""
+    if not (0 < nu < math.inf and n_i >= 1 and np.all((lam > 0) & (lam < math.inf))):
+        raise PrivacyError("sensitivity inputs require finite nu, lambda_k > 0 and n_i >= 1")
+
+
 @dataclass(frozen=True)
 class SensitivityInputs:
     """nu: gradient Lipschitz constant; lambda_k: stepsize at the iteration in
@@ -64,8 +70,7 @@ class SensitivityInputs:
     n_i: int = 1
 
     def __post_init__(self):
-        if self.nu <= 0 or self.lambda_k <= 0 or self.n_i < 1:
-            raise PrivacyError("sensitivity inputs require nu, lambda_k > 0 and n_i >= 1")
+        _check_inputs(self.nu, self.lambda_k, self.n_i)
 
 
 def _sensitivity(target: str, nu, lam, n_i):
@@ -180,8 +185,7 @@ def per_iteration_report(schedule: StepsizeSchedule, variance: float, nu: float,
     _check_noise(variance, delta)
     k = np.arange(1, horizon + 1)
     lam = stepsizes(schedule, k)
-    if not 0 < nu < math.inf or n_i < 1 or not (lam > 0).all():
-        raise PrivacyError("sensitivity inputs require finite nu > 0, lambda_k > 0 and n_i >= 1")
+    _check_inputs(nu, lam, n_i)
     eps = {}
     for target in TARGETS:
         s, power = _sensitivity(target, nu, lam, n_i)

@@ -41,7 +41,7 @@ class EstimationProblem(Problem):
     name = "estimation"
 
     def __init__(self, measurement, observations, kappa, region_lo, region_hi,
-                 ramp_radius=0.5):
+                 ramp_radius=0.5, known_points=()):
         self.M = np.array(measurement, dtype=float)
         self.Y = np.array(observations, dtype=float)  # (m, s)
         if self.M.shape[1:] != (2,):
@@ -65,6 +65,7 @@ class EstimationProblem(Problem):
         self._shaped = (None,)
         self.wall_slope = WALL_SLOPE_FACTOR * self._boundary_gradient_bound()
         self.constants = self._estimate_constants()
+        self.known_points = tuple(known_points)  # Newton's starting points, by kind
         self._refined = {}
 
     # -- construction-time constants ----------------------------------------
@@ -214,21 +215,22 @@ class EstimationProblem(Problem):
             x = nxt
         return x
 
-    def refined_minimum(self):
-        if "min" not in self._refined:
-            self._refined["min"] = self._newton_refine(self._seed_minimum)
-        return self._refined["min"].copy()
-
-    def refined_saddle(self):
-        if "saddle" not in self._refined:
-            self._refined["saddle"] = self._newton_refine(self._seed_saddle)
-        return self._refined["saddle"].copy()
-
-    def known_saddle(self):
-        return self.refined_saddle()
+    def _newton_root(self, kind):
+        """Newton's root from the known point of `kind` (a copy), or None without one."""
+        if kind not in self._refined:
+            start = [pt.coords for pt in self.known_points if pt.kind == kind]
+            self._refined[kind] = self._newton_refine(start[0]) if start else None
+        root = self._refined[kind]
+        return None if root is None else root.copy()
 
     def reference_minimum(self):
-        return self.refined_minimum()
+        return self._newton_root("minimum")
+
+    def known_saddle(self):
+        root = self._newton_root("strict_saddle")
+        return super().known_saddle() if root is None else root  # ProblemError without one
+
+    refined_minimum, refined_saddle = reference_minimum, known_saddle
 
 
 def make_paper_estimation_problem() -> EstimationProblem:
@@ -248,12 +250,8 @@ def make_paper_estimation_problem() -> EstimationProblem:
         region_lo=[-8.0, -3.0],
         region_hi=[4.0, 3.0],
         ramp_radius=0.5,
+        known_points=(KnownPoint(coords=(1.3478, 1.0690), kind="minimum"),
+                      KnownPoint(coords=(-7.4336, 1.3959), kind="strict_saddle")),
     )
     p.name = "estimation_paper"
-    p._seed_minimum = np.array([1.3478, 1.0690])
-    p._seed_saddle = np.array([-7.4336, 1.3959])
-    p.known_points = (
-        KnownPoint(coords=(1.3478, 1.0690), kind="minimum"),
-        KnownPoint(coords=(-7.4336, 1.3959), kind="strict_saddle"),
-    )
     return p

@@ -7,7 +7,7 @@ import pytest
 
 from dpdgd.analysis import (
     AnalysisError,
-    MissingPerAgentData,
+    NoConsecutiveRows,
     NotAStrictSaddle,
     assert_contraction,
     min_eigvec,
@@ -76,7 +76,7 @@ class TestContraction:
         assert report.violations[0].k == trace.records[5].k
 
     def test_requires_dense_recording(self, paper_problem, rpc5):
-        with pytest.raises(MissingPerAgentData):
+        with pytest.raises(NoConsecutiveRows):
             assert_contraction(self._trace(paper_problem, rpc5, record_every=2), rpc5)
         # the recorded consensus errors suffice: no per-agent states needed
         cfg = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,

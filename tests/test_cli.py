@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dpdgd import cli, privacy
+from dpdgd import cli, optimizer, privacy
 from dpdgd.optimizer import run, stepsize
 
 BASE_RUN_CFG = {
@@ -200,6 +200,20 @@ class TestTable1Command:
             tmp_path / "b" / "table1.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("given", [{}, {"seed": "x"}, {"seed": 9}])
+    def test_seed_flag_stands_in_for_base_seed(self, tmp_path, given):
+        # as with `run --seed`, the flag replaces base.seed, given or not, valid or not
+        cfg = self._sweep_cfg()
+        want = dict(cfg, base=dict(cfg["base"], seed=5))
+        got = dict(cfg, base={**{k: v for k, v in cfg["base"].items() if k != "seed"}, **given})
+        runs = (("base", cfg, []), ("want", want, []), ("got", got, ["--seed", "5"]))
+        for name, c, flags in runs:
+            path = write_cfg(tmp_path, c, name=f"{name}.json")
+            out = str(tmp_path / name)
+            assert cli.main(["table1", "--config", path, "--out", out, *flags]) == 0
+        csv = {name: (tmp_path / name / "table1.csv").read_bytes() for name, _, _ in runs}
+        assert csv["got"] == csv["want"] != csv["base"]
+
     def test_jobs_split_inside_a_cell(self, tmp_path):
         # 3 chunks over 2 cells x 2 runs: one chunk crosses the cell boundary
         path = write_cfg(tmp_path, self._sweep_cfg(runs_per_cell=2))
@@ -233,7 +247,7 @@ class TestTable1Command:
         cfg = json.loads(cli.bundled_config_path("estimation_table1.json").read_text())
         master = cfg["base"]["seed"] if master_seed is None else master_seed
         cells, runs = len(cfg["variances"]), cfg["runs_per_cell"]
-        want = [int(np.random.SeedSequence((master, cli._TABLE1_STREAM, i, r))
+        want = [int(np.random.SeedSequence((master, optimizer._TABLE1_STREAM, i, r))
                     .generate_state(1, np.uint64)[0])
                 for i in range(cells) for r in range(runs)]
         assert cli._table1_seeds(master, range(cells), runs) == want

@@ -297,6 +297,18 @@ class TestPhiloxKeys:
                 checked += len(keys)
         assert checked >= 10_000
 
+    @pytest.mark.parametrize("length", range(1, 10))
+    @pytest.mark.parametrize("n", [1, 256])
+    def test_key_pass_matches_seed_sequence_at_every_entropy_length(self, length, n):
+        # lengths below the 4-word pool are zero-padded; words past it are
+        # mixed into every pool slot
+        rng = np.random.default_rng(length * 1000 + n)
+        words = rng.integers(0, 2**32, (n, length), dtype=np.uint32)
+        words[0] = 2**32 - 1 if n == 1 else 0
+        want = [np.random.SeedSequence(row.tolist()).generate_state(2, np.uint64) for row in words]
+        got = optimizer._seed_sequence_keys(words)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
     @pytest.mark.parametrize("seed", [2024, 2**64 - 1])
     def test_streams_draw_what_seed_sequence_streams_draw(self, seed):
         coupling_keys = [(3, r, j) for r in range(40) for j in range(5)]  # (stream, pair, agent)

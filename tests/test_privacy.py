@@ -39,6 +39,9 @@ class TestSensitivity:
             SensitivityInputs(nu=0.0, lambda_k=0.1)
         with pytest.raises(PrivacyError):
             SensitivityInputs(nu=1.0, lambda_k=0.1, n_i=0)
+        for nu, lam in [(math.nan, 0.02), (math.inf, 0.02), (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(PrivacyError):
+                SensitivityInputs(nu=nu, lambda_k=lam)
         with pytest.raises(PrivacyError):
             sensitivity("weights", SensitivityInputs(nu=1.0, lambda_k=0.1))
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from dpdgd import numdiff
+from dpdgd.optimizer import RunConfig, StepsizeSchedule, run
 from dpdgd.problems import (
     DimensionMismatch,
     EstimationProblem,
     IcaProblem,
     NotUnitNorm,
+    ProblemError,
     QuadraticProblem,
     SingularPoint,
     classify_stationary_point,
@@ -322,6 +324,26 @@ class TestRefinedPoints:
         assert [v.hex() for v in ica4.known_saddle()] == [
             "0x1.3b4ad36f56951p-2", "-0x1.64a817452b474p-2",
             "0x1.08f815c386f8cp-2", "0x1.b184d089e4035p-1"]
+
+    def test_constructor_built_problem_runs(self, paper_problem, rpc5):
+        p = paper_problem
+        cfg = dict(weights=rpc5, schedule=StepsizeSchedule.constant(0.01), noise_variance=0.1,
+                   iterations=10, seed=3)
+        bare = EstimationProblem(p.M, p.Y, p.kappa, p.lo, p.hi)
+        trace = run(RunConfig(problem=bare, **cfg))
+        # without a known minimum the errors read NaN, without a saddle there is none
+        assert [r.k for r in trace.records] == list(range(11))
+        assert all(np.isnan(r.opt_error_mean) for r in trace.records)
+        with pytest.raises(ProblemError):
+            bare.known_saddle()
+        # given the factory's points, it refines to the factory's bits and runs as it does
+        known = EstimationProblem(p.M, p.Y, p.kappa, p.lo, p.hi, known_points=p.known_points)
+        assert np.array_equal(known.refined_minimum(), p.refined_minimum())
+        assert np.array_equal(known.known_saddle(), p.known_saddle())
+        want = run(RunConfig(problem=p, **cfg))
+        got = run(RunConfig(problem=known, **cfg))
+        assert np.array_equal(got.final_state, trace.final_state)
+        assert [r.opt_error_mean for r in got.records] == [r.opt_error_mean for r in want.records]
 
 
 class TestOneGradientFormula:
