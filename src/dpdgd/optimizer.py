@@ -240,6 +240,8 @@ def stream_keys(seeds, keys) -> np.ndarray:
     if keys.size and not (keys.dtype.kind in "iu" and keys.min() >= 0 and keys.max() < 2**32):
         raise ValueError("stream key entries must be integers in [0, 2**32)")
     out = np.empty((len(seed_words), len(keys), 2), dtype=np.uint64)
+    if not len(keys):
+        return out  # no key to read a width from
     for width in set(map(len, seed_words)):
         group = [s for s, words in enumerate(seed_words) if len(words) == width]
         words = np.empty((len(group), len(keys), width + keys.shape[1]), dtype=np.uint32)
@@ -287,12 +289,13 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
 
     Run r's noise for agent j is drawn from streams[r][j], in blocks of up to
     NOISE_BLOCK iterations, and scaled by scales[r]; a run with streams[r] None
-    draws nothing and gets zero noise. `noise_map` maps the (R, m, d) noise
-    onto x's shape. The update is x <- W (x - lam (g + N)). Any non-finite
-    state raises NonFiniteState. With record_every > 0 each run records rows
-    at k = 0, at every multiple of record_every and at the last iteration.
-    `stop(x, k)` returns a mask over the runs still advancing; a run whose
-    mask is set stops there and draws no further noise.
+    draws nothing and gets zero noise. `noise_map` maps a (K, R, m, d) block,
+    once per block, onto (K, *x.shape). The update is x <- W (x - lam (g + N)).
+    Any non-finite state raises NonFiniteState. With record_every > 0 each run
+    records rows at k = 0, at every multiple of record_every and at the last
+    iteration; noise_norm is that of the mapped noise. `stop(x, k)` returns a
+    mask over the runs still advancing; a run whose mask is set stops there
+    and draws no further noise.
     """
     x = np.array(x, dtype=float)
     runs = x.shape[0]
@@ -300,7 +303,7 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
     final = x.copy()
     active = np.arange(runs)
     fills = [None if rngs is None else [rng.standard_normal for rng in rngs] for rngs in streams]
-    scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1, 1)
+    scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1)
     agent_gradients, retract = problem.agent_gradients, problem.retract
     isfinite, count_nonzero = np.isfinite, np.count_nonzero
     block = max(1, min(NOISE_BLOCK, _NOISE_BUFFER // max(1, runs * m * d)))
@@ -309,27 +312,32 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
     if record_every:
         lam = stepsize(schedule, 1)
         rows += [(r, 0, lam, x[r].copy(), 0.0, 0.0, None) for r in range(runs)]
-    buf, pos = None, 0
+    buf, blk, pos = None, None, 0
     for k in range(1, iterations + 1):
-        if buf is None or pos == buf.shape[2]:
+        if blk is None or pos == len(blk):
             # (run, agent, iteration, coordinate): each stream fills a
             # contiguous (K, d) slab, the same numbers as K draws of d;
             # rows of runs without streams stay zero
             size = min(block, iterations - k + 1)
             if buf is None or buf.shape[2] != size:
-                buf = None  # release the old block before allocating
+                buf = blk = noise = None  # release the old block before allocating
                 buf = np.zeros((len(active), m, size, d))
+                blk = np.empty((size, len(active), m, d))
             for i, fill in enumerate(fills):
                 if fill is not None:
                     for j in range(m):
                         fill[j](out=buf[i, j])
-            buf *= scales  # the same product as scaling each step's slice
+            # scaled into the iteration-major block, so that each step's
+            # (R, m, d) slice is contiguous; the same product per step
+            np.multiply(buf.transpose(2, 0, 1, 3), scales, out=blk)
+            noise = blk if noise_map is None else noise_map(blk)
             lams = stepsizes(schedule, np.arange(k, k + size)).tolist()
-            pos = 0
-        n = buf[:, :, pos]
+            pos, survivors = 0, None
+        n = noise[pos] if survivors is None else noise[pos, survivors]
         lam = lams[pos]
         pos += 1
-        gn = agent_gradients(x) + (n if noise_map is None else noise_map(n))
+        gn = agent_gradients(x)
+        gn += n
         x = retract(mixing_update(w_arr, x, gn, lam))
         if count_nonzero(isfinite(x)) != x.size:
             raise NonFiniteState(k)
@@ -346,10 +354,12 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
                 for r in active[done]:
                     stopped_at[r] = k
                 keep = ~done
-                # only the block's remaining steps are copied
                 active, x, scales = active[keep], x[keep], scales[keep]
-                buf, lams, pos = buf[keep, :, pos:], lams[pos:], 0
                 fills = [fill for fill, kept in zip(fills, keep) if kept]
+                # the block stays whole: later steps gather the survivors'
+                # rows, and the next block is drawn for the survivors only
+                survivors = np.flatnonzero(keep) if survivors is None else survivors[keep]
+                buf = None
                 if not active.size:
                     break
     final[active] = x

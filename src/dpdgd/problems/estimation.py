@@ -60,7 +60,9 @@ class EstimationProblem(Problem):
         if not (self.lo < self.hi).all():
             raise ValueError("region must be nonempty (lo < hi componentwise)")
         self.ramp_radius = float(ramp_radius)
-        self._MtM = self.M.T @ self.M
+        # the factor 2 folded in once: x @ 2A is 2 (x @ A) bit for bit unless a
+        # product x_i A_ij is subnormal, and always for the paper's diag(1, 4)
+        self._2MtM = 2.0 * (self.M.T @ self.M)
         self._MtY = self.Y @ self.M  # row i = (M^T Y_i)
         self._shaped = (None,)
         self.wall_slope = WALL_SLOPE_FACTOR * self._boundary_gradient_bound()
@@ -103,9 +105,10 @@ class EstimationProblem(Problem):
         return float(r @ r + self.kappa * nt**3)
 
     def _inside_gradients(self, x, nt, data):
-        """Closed-form gradients at rows x (..., d) with norms nt (..., 1) and
-        data terms -2 M^T Y_i."""
-        return data + 2.0 * (x @ self._MtM) + 3.0 * self.kappa * nt * x
+        """Closed-form gradients at rows x (..., d) with data terms -2 M^T Y_i
+        and the rows' norms nt, at x's shape (each norm repeated along the row)
+        or broadcasting to it."""
+        return data + x @ self._2MtM + 3.0 * self.kappa * nt * x
 
     def _inside_hessian(self, theta):
         """Hessian at theta (d,), or one per row of theta (..., d)."""
@@ -113,7 +116,7 @@ class EstimationProblem(Problem):
         if (nt == 0.0).any():
             raise SingularPoint("analytic Hessian undefined at theta = 0 (cubic term)")
         outer = theta[..., :, None] * theta[..., None, :]
-        return 2.0 * self._MtM + 3.0 * self.kappa * (nt * np.eye(self.d) + outer / nt)
+        return self._2MtM + 3.0 * self.kappa * (nt * np.eye(self.d) + outer / nt)
 
     # -- extension ------------------------------------------------------------
 
@@ -132,7 +135,7 @@ class EstimationProblem(Problem):
         sp = np.where(ramp, -6.0 * t * (1.0 - t) / self.ramp_radius, 0.0)
         unclamped = (dvec == 0.0).astype(float)
         grad = unclamped * g + self.wall_slope * nhat
-        hd = 2.0 * (dvec @ self._MtM)
+        hd = dvec @ self._2MtM
         curved = ntc > 0
         if curved.any():
             hd[curved] = (self._inside_hessian(tc[curved]) @ dvec[curved, :, None])[:, :, 0]
@@ -145,9 +148,10 @@ class EstimationProblem(Problem):
         terms -2 M^T Y_i of x's shape: the wall extension for agents outside
         the box, the closed form for the rest. The ufuncs are those that
         np.linalg.norm and np.clip run, without their Python wrappers; for
-        d = 2 the norm's reduction is one sum of the two squares."""
+        d = 2 the norm's reduction is one sum of the two squares, formed at x's
+        shape (a + b == b + a), so that no ufunc broadcasts."""
         sq = x * x
-        nt = np.sqrt(sq[..., :1] + sq[..., 1:])
+        nt = np.sqrt(sq + sq[..., ::-1])
         g = self._inside_gradients(x, nt, data)
         outside = np.minimum(np.maximum(x, lo), hi) != x
         if np.count_nonzero(outside):

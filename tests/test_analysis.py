@@ -110,6 +110,18 @@ class TestMirrorNoise:
         # the aggregate flips too
         assert np.abs(m.mean(0) @ e1 + n.mean(0) @ e1) <= 1e-12
 
+    def test_block_call_equals_per_step_calls(self, paper_problem, rng):
+        # the kernel mirrors a whole (K, R, m, d) noise block at once; each
+        # step's slice must carry the bytes of a call on that step alone, in
+        # the block's layout and in the streams' (R, m, K, d) layout
+        e1 = min_eigvec(paper_problem.aggregated_hessian(paper_problem.refined_saddle()))
+        fill = rng.standard_normal((6, 5, 7, 2))
+        block = np.ascontiguousarray(fill.transpose(2, 0, 1, 3))
+        mirrored = mirror_noise(block, e1)
+        for k in range(7):
+            assert mirrored[k].tobytes() == mirror_noise(block[k], e1).tobytes()
+            assert mirrored[k].tobytes() == mirror_noise(fill[:, :, k], e1).tobytes()
+
     def test_one_step_difference_is_mixed_mirrored_noise(self, paper_problem, complete5, rng):
         # first-step hand expansion: x'1 - x''1 = -lam * W (N' - N'')
         saddle = paper_problem.refined_saddle()

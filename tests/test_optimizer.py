@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dpdgd import optimizer
+from dpdgd.analysis import min_eigvec, mirror_noise
 from dpdgd.optimizer import (
     InvalidConfig,
     NonFiniteState,
@@ -337,6 +338,12 @@ class TestPhiloxKeys:
         with pytest.raises(ValueError):
             stream_keys([seed], keys)
 
+    def test_no_keys_give_an_empty_array(self):
+        got = stream_keys([1, 2**40, 2**64 - 1], [])
+        assert got.shape == (3, 0, 2) and got.dtype == np.uint64
+        with pytest.raises(ValueError):
+            stream_keys([1, -1], [])
+
 
 class TestSaddleInit:
     def test_polished_saddle_is_frozen_on_complete_graph(self, paper_problem, complete5):
@@ -418,25 +425,33 @@ class TestLockstep:
     def test_stopped_runs_leave_the_others_unchanged(self, paper_problem, rpc5, monkeypatch):
         seeds = (1, 2, 3, 4)
         x0 = np.stack([paper_problem.sample_init(_seed_sequence_stream(s, 2)) for s in seeds])
+        # coupling's pairs: each run's noise and its mirror along e1, on an
+        # (R, 2, m, d) state
+        e1 = min_eigvec(paper_problem.aggregated_hessian(paper_problem.refined_saddle()))
+        mirrored = (np.stack([x0, x0], axis=1),
+                    lambda n: np.stack([n, mirror_noise(n, e1)], axis=-3))
 
         # lambda_k changes at every step past k = 20, so a step misaligned
         # with its noise block's stepsizes shows
         schedule = StepsizeSchedule.piecewise_paper(0.02, 20, 0.4)
 
-        def advance(iterations, **kwargs):
-            return lockstep(paper_problem, rpc5.w, x0, schedule, iterations,
-                            [_agent_streams(s, 5) for s in seeds], [0.5] * 4, **kwargs)
+        # runs 1, 3 and 0 stop at k = 50, 55 and 80, inside a block at sizes 64
+        # and 7, the first two inside the same one; the survivors then cross
+        # later block boundaries (300 > the default block)
+        when = {50: [False, True, False, False], 55: [False, False, True], 80: [True, False]}
+        for start, noise_map in ((x0, None), mirrored):
+            def advance(iterations, **kwargs):
+                return lockstep(paper_problem, rpc5.w, start, schedule, iterations,
+                                [_agent_streams(s, 5) for s in seeds], [0.5] * 4,
+                                noise_map=noise_map, **kwargs)
 
-        # runs 1 and 0 stop at k = 50 and 80, inside a block at each size; the
-        # survivors then cross later block boundaries (300 > the default block)
-        when = {50: [False, True, False, False], 80: [True, False, False]}
-        for block in (optimizer.NOISE_BLOCK, 1, 7):
-            monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
-            stopped = advance(300, stop=lambda x, k: when.get(k, [False] * len(x)))
-            assert stopped.stopped_at == [80, 50, None, None]
-            assert np.array_equal(stopped.x[2:], advance(300).x[2:]), block
-            assert np.array_equal(stopped.x[0], advance(80).x[0]), block
-            assert np.array_equal(stopped.x[1], advance(50).x[1]), block
+            for block in (optimizer.NOISE_BLOCK, 1, 7):
+                monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
+                stopped = advance(300, stop=lambda x, k: when.get(k, [False] * len(x)))
+                assert stopped.stopped_at == [80, 50, None, 55]
+                assert np.array_equal(stopped.x[2], advance(300).x[2]), block
+                for r, k in ((0, 80), (1, 50), (3, 55)):
+                    assert np.array_equal(stopped.x[r], advance(k).x[r]), (block, r)
 
     def test_run_batch_draws_init_rng_and_noise_streams(self, paper_problem, rpc5):
         # seeds of one and two 32-bit words share a batch; one run draws no noise

@@ -54,7 +54,7 @@ def _norm_and_clip_gradients(p, x, mty):
     mty = M^T Y_i (m, d), restated with np.linalg.norm and np.clip, whose
     ufuncs agent_gradients runs without their wrappers."""
     nt = np.linalg.norm(x, axis=-1, keepdims=True)
-    g = -2.0 * mty + 2.0 * (x @ p._MtM) + 3.0 * p.kappa * nt * x
+    g = -2.0 * mty + 2.0 * (x @ (p.M.T @ p.M)) + 3.0 * p.kappa * nt * x
     outside = np.clip(x, p.lo, p.hi) != x
     if outside.any():
         rows = outside.any(axis=-1)
@@ -294,6 +294,23 @@ class TestBatchedGradients:
             mty[agent] = p.M.T @ y
             want = _norm_and_clip_gradients(p, np.tile(theta, (p.m, 1)), mty)[agent]
             assert p.agent_gradient_for_observation(agent, theta, y).tobytes() == want.tobytes()
+
+    def test_folded_factor_on_a_non_diagonal_measurement(self, rng):
+        # the factor 2 of 2 M^T M is folded in at construction; for normal-range
+        # states that gives the bits of 2 (x @ M^T M), here for a random
+        # non-diagonal M, whose products are inexact
+        p = EstimationProblem(rng.standard_normal((3, 2)), rng.standard_normal((5, 3)), -0.1,
+                              [-8.0, -3.0], [4.0, 3.0])
+        assert (p.M.T @ p.M)[0, 1] != 0.0
+        # agents inside the box, in the ramp and beyond it, and rows scaled
+        # to magnitudes from 1e-5 to 1e5
+        rows = np.concatenate(self._points(p, rng, 24)).reshape(-1, p.d)
+        rows = np.concatenate([rows, rows * 10.0 ** rng.uniform(-5.0, 5.0, (len(rows), 1))])
+        for shape in ((p.m, p.d), (6, p.m, p.d), (2, 3, p.m, p.d)):
+            for _ in range(20):
+                x = rng.permutation(rows)[:np.prod(shape[:-1])].reshape(shape)
+                want = _norm_and_clip_gradients(p, x, p._MtY)
+                assert p.agent_gradients(x).tobytes() == want.tobytes()
 
     def test_quadratic_and_ica_accept_batches(self, ica4, rng):
         q = QuadraticProblem(diag=[1.0, -2.0], m=3, offsets=rng.standard_normal((3, 2)))
