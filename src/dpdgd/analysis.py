@@ -95,6 +95,27 @@ def mirror_noise(n, e1) -> np.ndarray:
     return n - 2.0 * (n @ e1)[..., None] * e1
 
 
+def agent_mean(x) -> np.ndarray:
+    """The agents' mean of x (..., m, d): the agent slices added one at a
+    time, then divided by m. That order does not depend on the leading axes,
+    so a run's mean does not depend on its batch. x.mean(axis=-2) gives the
+    same bits on the states the tests pin, in about twice the time on a
+    200-pair coupling batch."""
+    v = x[..., 0, :].copy()
+    for j in range(1, x.shape[-2]):
+        v += x[..., j, :]
+    v /= x.shape[-2]
+    return v
+
+
+def escape_distances(x, saddle) -> np.ndarray:
+    """Distance from saddle of each agents' mean in x (..., m, d), by
+    np.linalg.norm's formula without its wrapper."""
+    v = agent_mean(x)
+    v -= saddle
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
 @dataclass
 class CouplingResult:
     total_runs: int
@@ -116,9 +137,9 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
     """
     if not variance >= 0:
         raise AnalysisError(f"variance must be >= 0, got {variance}")
-    if runs < 1 or not 0 < escape_radius < np.inf or not 0 <= seed < 2**64:
-        raise AnalysisError(f"need runs >= 1, a finite escape_radius > 0 and a seed in [0, 2**64), "
-                            f"got {runs}, {escape_radius} and {seed}")
+    if runs < 1 or horizon < 1 or not 0 < escape_radius < np.inf or not 0 <= seed < 2**64:
+        raise AnalysisError(f"need runs >= 1, horizon >= 1, a finite escape_radius > 0 and a seed "
+                            f"in [0, 2**64), got {runs}, {horizon}, {escape_radius} and {seed}")
     saddle = np.asarray(saddle, dtype=float)
     kind = classify_stationary_point(problem, saddle, grad_tol=1e-6, eig_tol=1e-6)
     if kind != "strict_saddle":
@@ -134,7 +155,7 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
 
     def escaped(x, k):
         # x is (pairs, 2, m, d); a pair escapes when either mean leaves the ball
-        dist = np.linalg.norm(x.mean(axis=-2) - saddle, axis=-1)
+        dist = escape_distances(x, saddle)
         if not np.isfinite(dist).all():
             raise optimizer.NonFiniteState(k, "escape distance")
         return (dist > escape_radius).any(axis=-1)

@@ -411,7 +411,7 @@ def cmd_coupling(args) -> int:
         build_schedule(cfg["schedule"]), variance=checked["variance"], runs=checked["runs"],
         horizon=checked["horizon"], escape_radius=checked["escape_radius"], seed=checked["seed"],
     )
-    payload = dict(dataclasses.asdict(result), e1=result.e1.tolist(),
+    payload = dict(vars(result), e1=result.e1.tolist(),
                    config_fingerprint=fingerprint(dict(cfg, seed=checked["seed"])))
     path, = output_paths(args.out, checked["output"])
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")

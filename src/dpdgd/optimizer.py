@@ -261,10 +261,14 @@ class _PhiloxKey(numpy.random.bit_generator.ISeedSequence):
         return self.key
 
 
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox copies it into its state
+
+
 def philox(key):
     """The stream with Philox key `key` (a row of `stream_keys`), drawing what
-    `Generator(Philox(SeedSequence((seed, *key))))` draws."""
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    `Generator(Philox(SeedSequence((seed, *key))))` draws. The counter is
+    given as an array, Philox's default 0 in the form it converts it to."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
 
 
 def mixing_update(w_arr, x, gn, lam):
@@ -422,15 +426,28 @@ def polish_fixed_point(problem, w: WeightMatrix, lam: float, theta) -> np.ndarra
     if not np.abs(center_drift).max() <= 1e-8:
         return theta  # structural motion or a blow-up; no bitwise fixed point exists
     ulp = np.spacing(np.abs(theta))
-    offsets = np.arange(-64, 65)
-    grids = np.meshgrid(*([offsets] * d), indexing="ij")
-    cand = np.stack([g_.ravel() for g_ in grids], axis=1)
-    order = np.argsort((cand.astype(float) ** 2).sum(axis=1), kind="stable")
-    for idx in order:
-        th = theta + cand[idx] * ulp
+    for offset in _ulp_offsets(d):
+        th = theta + offset * ulp
         if not drift(th).any():
             return th
     return theta
+
+
+def _ulp_offsets(d):
+    """The integer offsets in [-64, 64]^d, nearest first and, at equal
+    distance, in lexicographic order. Those within a distance of 4 lead that
+    order, so the 129**d-point grid is built only when a caller reads past them."""
+    near = _cube_by_distance(4, d)
+    near = near[(near * near).sum(axis=1) <= 16]
+    yield from near
+    yield from _cube_by_distance(64, d)[len(near):]
+
+
+def _cube_by_distance(half, d):
+    """The integer offsets in [-half, half]^d, nearest first, ties in lexicographic order."""
+    grids = np.meshgrid(*([np.arange(-half, half + 1)] * d), indexing="ij")
+    cand = np.stack([g.ravel() for g in grids], axis=1)
+    return cand[np.argsort((cand.astype(float) ** 2).sum(axis=1), kind="stable")]
 
 
 def resolve_at_saddle_init(problem, w: WeightMatrix, schedule: StepsizeSchedule) -> np.ndarray:

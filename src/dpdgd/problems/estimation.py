@@ -64,7 +64,7 @@ class EstimationProblem(Problem):
         # product x_i A_ij is subnormal, and always for the paper's diag(1, 4)
         self._2MtM = 2.0 * (self.M.T @ self.M)
         self._MtY = self.Y @ self.M  # row i = (M^T Y_i)
-        self._shaped = (None,)
+        self._shaped = ((),)  # (shape, lo, hi, data); see _at_shape
         self.wall_slope = WALL_SLOPE_FACTOR * self._boundary_gradient_bound()
         self.constants = self._estimate_constants()
         self.known_points = tuple(known_points)  # Newton's starting points, by kind
@@ -107,8 +107,10 @@ class EstimationProblem(Problem):
     def _inside_gradients(self, x, nt, data):
         """Closed-form gradients at rows x (..., d) with data terms -2 M^T Y_i
         and the rows' norms nt, at x's shape (each norm repeated along the row)
-        or broadcasting to it."""
-        return data + x @ self._2MtM + 3.0 * self.kappa * nt * x
+        or broadcasting to it. The linear term is one 2-D product over all
+        rows, not one per (m, d) block; each row's numbers are the same."""
+        linear = (x.reshape(-1, self.d) @ self._2MtM).reshape(x.shape)
+        return data + linear + 3.0 * self.kappa * nt * x
 
     def _inside_hessian(self, theta):
         """Hessian at theta (d,), or one per row of theta (..., d)."""
@@ -161,10 +163,16 @@ class EstimationProblem(Problem):
 
     def _at_shape(self, shape):
         """lo, hi and -2 M^T Y laid out at a state's shape, so that no ufunc
-        broadcasts; one entry, since a run keeps its state's shape."""
-        if self._shaped[0] != shape:
-            self._shaped = (shape, *(np.ascontiguousarray(np.broadcast_to(a, shape))
-                                     for a in (self.lo, self.hi, -2.0 * self._MtY)))
+        broadcasts; one entry, since a run keeps its state's shape. When a
+        batch shrinks along its leading axis, the entry becomes leading slices
+        of itself instead of being rebuilt."""
+        cached = self._shaped[0]
+        if cached != shape:
+            if cached[1:] == shape[1:] and shape[0] <= cached[0]:
+                self._shaped = (shape, *(a[:shape[0]] for a in self._shaped[1:]))
+            else:
+                self._shaped = (shape, *(np.ascontiguousarray(np.broadcast_to(a, shape))
+                                         for a in (self.lo, self.hi, -2.0 * self._MtY)))
         return self._shaped[1:]
 
     # -- Problem interface ------------------------------------------------------

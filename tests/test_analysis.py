@@ -9,7 +9,9 @@ from dpdgd.analysis import (
     AnalysisError,
     NoConsecutiveRows,
     NotAStrictSaddle,
+    agent_mean,
     assert_contraction,
+    escape_distances,
     min_eigvec,
     mirror_noise,
     run_coupling_experiment,
@@ -24,6 +26,7 @@ from dpdgd.optimizer import (
     stepsize,
 )
 from dpdgd.problems import QuadraticProblem
+from dpdgd.topology import build_metropolis_weights, builtin_topology
 
 PAPER_SCHEDULE = StepsizeSchedule.piecewise_paper(0.02, 500, 1.0)
 
@@ -170,6 +173,15 @@ class TestCouplingExperiment:
                 variance=0.5, runs=runs, horizon=100, escape_radius=radius, seed=1,
             )
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_rejects_horizon_below_one(self, paper_problem, complete5, horizon):
+        # no step would run, and every pair would read as censored
+        with pytest.raises(AnalysisError):
+            run_coupling_experiment(
+                paper_problem, complete5, paper_problem.refined_saddle(), PAPER_SCHEDULE,
+                variance=0.5, runs=2, horizon=horizon, escape_radius=0.5, seed=1,
+            )
+
     def test_deterministic(self, paper_problem, complete5):
         kw = dict(variance=0.5, runs=4, horizon=600, escape_radius=0.5, seed=9)
         a = run_coupling_experiment(paper_problem, complete5,
@@ -209,6 +221,64 @@ class TestCouplingExperiment:
                                       escape_radius=radius, seed=seed)
         assert res.iterations_to_escape == one_at_a_time
         assert None not in one_at_a_time
+
+
+class TestEscapeTest:
+    LEADING = [(), (1,), (3,), (1, 2), (7, 2), (200, 2)]
+
+    def _states(self, rng, lead, m, d):
+        """Standard normal states scaled entry by entry to magnitudes from 1e-8 to 1e8."""
+        shape = lead + (m, d)
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+    @pytest.mark.parametrize("m", [2, 5, 16, 50])
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_agent_mean_is_numpy_mean(self, rng, m, d):
+        for lead in self.LEADING:
+            for _ in range(3):
+                x = self._states(rng, lead, m, d)
+                assert agent_mean(x).tobytes() == x.mean(axis=-2).tobytes(), lead
+
+    @pytest.mark.parametrize("m, d", [(5, 2), (20, 2), (50, 10)])
+    def test_escape_distances_are_the_old_formula(self, rng, m, d):
+        # the escape test before it was unwrapped, restated
+        for lead in self.LEADING:
+            x, saddle = self._states(rng, lead, m, d), rng.standard_normal(d)
+            want = np.linalg.norm(x.mean(axis=-2) - saddle, axis=-1)
+            assert escape_distances(x, saddle).tobytes() == want.tobytes(), lead
+
+    def test_agent_mean_leaves_the_state_alone(self, rng):
+        x = self._states(rng, (4, 2), 5, 2)
+        before = x.copy()
+        agent_mean(x)
+        assert x.tobytes() == before.tobytes()
+
+
+class TestCouplingBatchInvariance:
+    """A pair's escape iteration does not depend on how many pairs share its
+    lockstep batch, at the sizes the commands run. This guards every stacked
+    product of the step, the per-run mixing W @ x among them: a single
+    (m, m) @ (m, R d) product is not batch-invariant at m >= 16."""
+
+    @pytest.mark.parametrize("case", ["estimation_complete5", "quadratic_ring20"])
+    def test_pair_escapes_where_it_escapes_alone(self, paper_problem, complete5, case):
+        if case == "estimation_complete5":
+            problem, w = paper_problem, complete5
+        else:
+            problem = QuadraticProblem(diag=[1.0, -0.5], m=20)
+            w = build_metropolis_weights(builtin_topology("ring", 20))
+        hits = {
+            runs: run_coupling_experiment(problem, w, problem.known_saddle(), PAPER_SCHEDULE,
+                                          variance=0.5, runs=runs, horizon=3000,
+                                          escape_radius=0.5, seed=2024).iterations_to_escape
+            for runs in (1, 7, 200)
+        }
+        assert hits[200][:7] == hits[7]
+        assert hits[200][:1] == hits[1]
+        # every pair escapes, at many different iterations, so that the batch
+        # shrinks through many stops
+        assert None not in hits[200]
+        assert len(set(hits[200])) >= 40
 
 
 class TestEscapeGrid:

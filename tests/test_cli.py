@@ -345,7 +345,8 @@ class TestCouplingCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("runs", 0), ("escape_radius", -1.0),
-                                            ("escape_radius", float("nan")), ("seed", -1)])
+                                            ("escape_radius", float("nan")), ("seed", -1),
+                                            ("horizon", 0), ("horizon", -3)])
     def test_bad_bounds_exit_one(self, tmp_path, capsys, key, value):
         path = write_cfg(tmp_path, dict(self._cfg(), **{key: value}))
         assert cli.main(["coupling", "--config", path, "--out", str(tmp_path)]) == 1

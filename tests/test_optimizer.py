@@ -345,6 +345,93 @@ class TestPhiloxKeys:
             stream_keys([1, -1], [])
 
 
+def _polish_oracle(problem, w, lam, theta):
+    """polish_fixed_point's search over the whole grid, restated: every
+    offset in [-64, 64]^d ULP, nearest first and ties in lexicographic order;
+    the first fixed point of the noise-free update wins."""
+    theta = np.asarray(theta, dtype=float)
+    m, d = problem.m, problem.d
+
+    def drift(th):
+        x = np.tile(th, (m, 1))
+        g = problem.agent_gradients(x)
+        return optimizer.mixing_update(w.w, x, g + np.zeros((m, d)), lam) - x
+
+    center = drift(theta)
+    if not center.any() or not np.abs(center).max() <= 1e-8:
+        return theta
+    ulp = np.spacing(np.abs(theta))
+    grids = np.meshgrid(*([np.arange(-64, 65)] * d), indexing="ij")
+    cand = np.stack([g.ravel() for g in grids], axis=1)
+    for idx in np.argsort((cand.astype(float) ** 2).sum(axis=1), kind="stable"):
+        th = theta + cand[idx] * ulp
+        if not drift(th).any():
+            return th
+    return theta
+
+
+def _fixed_only_at(monkeypatch, theta, offsets):
+    """Make the noise-free update move every state by 1e-12 except those at
+    theta + offset ULP, for each offset given; it returns those unchanged."""
+    ulp = np.spacing(np.abs(theta))
+    fixed = [theta + np.asarray(offset) * ulp for offset in offsets]
+
+    def update(w_arr, x, gn, lam):
+        if any(np.array_equal(x[0], th) for th in fixed):
+            return x.copy()
+        return x + 1e-12
+
+    monkeypatch.setattr(optimizer, "mixing_update", update)
+    return fixed
+
+
+class TestPolishSearch:
+    """The search tries the offsets within a distance of 4 ULP first and
+    builds the (129**d)-point grid only when none is a fixed point; it must
+    return what the search over the whole grid returns."""
+
+    def test_coupling_saddle(self, paper_problem, complete5):
+        saddle = paper_problem.refined_saddle()
+        got = polish_fixed_point(paper_problem, complete5, 0.02, saddle)
+        assert got.tobytes() == _polish_oracle(paper_problem, complete5, 0.02, saddle).tobytes()
+        assert not np.array_equal(got, saddle)  # the search ran and moved it
+
+    @pytest.mark.parametrize("offsets, want", [
+        ([(7, -3)], 0),  # beyond the first 4 ULP
+        ([(3, 3), (4, 0), (-4, 0)], 2),  # at distance 4 ties go lexicographically
+        ([(5, 0), (3, 4)], 1),  # a tie beyond the first 4 ULP
+        ([(-4, -1)], 0),  # the first offset beyond the first 4 ULP
+        ([(-5, 0)], 0),  # the first at its distance, in the cube [-5, 5]^2 but not [-4, 4]^2
+        ([(64, -64)], 0),  # the grid's corner
+    ])
+    def test_patched_fixed_points(self, paper_problem, complete5, monkeypatch, offsets, want):
+        saddle = paper_problem.refined_saddle()
+        fixed = _fixed_only_at(monkeypatch, saddle, offsets)
+        got = polish_fixed_point(paper_problem, complete5, 0.02, saddle)
+        assert got.tobytes() == fixed[want].tobytes()
+        assert got.tobytes() == _polish_oracle(paper_problem, complete5, 0.02, saddle).tobytes()
+
+    def test_no_fixed_point(self, paper_problem, complete5, monkeypatch):
+        saddle = paper_problem.refined_saddle()
+        _fixed_only_at(monkeypatch, saddle, [])
+        got = polish_fixed_point(paper_problem, complete5, 0.02, saddle)
+        assert got.tobytes() == saddle.tobytes()
+        assert got.tobytes() == _polish_oracle(paper_problem, complete5, 0.02, saddle).tobytes()
+
+    def test_three_dimensions_without_the_whole_grid(self, monkeypatch):
+        q = QuadraticProblem(diag=[1.0, -0.5, 2.0], m=3)
+        w = build_metropolis_weights(builtin_topology("complete", 3))
+        theta = np.array([0.3, -1.2, 2.5])
+        halves = []
+        cube = optimizer._cube_by_distance
+        monkeypatch.setattr(optimizer, "_cube_by_distance",
+                            lambda half, d: halves.append(half) or cube(half, d))
+        fixed = _fixed_only_at(monkeypatch, theta, [(0, -4, 0), (1, 4, 1)])
+        got = polish_fixed_point(q, w, 0.02, theta)
+        assert got.tobytes() == fixed[0].tobytes()
+        assert halves == [4]
+
+
 class TestSaddleInit:
     def test_polished_saddle_is_frozen_on_complete_graph(self, paper_problem, complete5):
         theta = resolve_at_saddle_init(paper_problem, complete5, PAPER_SCHEDULE)
@@ -403,6 +490,19 @@ class TestLockstep:
         w = build_metropolis_weights(builtin_topology("ring", 4))
         configs = self._configs(q, w, StepsizeSchedule.constant(0.05), [1, 2, 3, 4, 5],
                                 [0.3, 0.3, 0.0, 1.0, 0.7], record_state=True, record_every=7)
+        self._assert_slices_match_single_runs(configs)
+
+    @pytest.mark.parametrize("m", [16, 50])
+    def test_many_runs_of_many_agents_match_single_runs(self, m):
+        # 200 runs at the agent counts where one (m, m) @ (m, R d) mixing
+        # product would not be batch-invariant; the kernel mixes each run alone
+        q = QuadraticProblem(diag=[0.5, 1.5], m=m,
+                             offsets=np.random.default_rng(m).standard_normal((m, 2)))
+        w = build_metropolis_weights(builtin_topology("ring", m))
+        seeds = range(1000, 1200)
+        configs = self._configs(q, w, StepsizeSchedule.constant(0.05), seeds,
+                                [0.5 if s % 3 else 0.0 for s in seeds],
+                                iterations=30, record_every=10)
         self._assert_slices_match_single_runs(configs)
 
     def test_block_size_does_not_change_trajectories(self, paper_problem, rpc5, monkeypatch):

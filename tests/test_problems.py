@@ -15,6 +15,7 @@ from dpdgd.problems import (
     SingularPoint,
     classify_stationary_point,
     make_ica_problem,
+    make_paper_estimation_problem,
 )
 
 PRINTED_MIN = np.array([1.3478, 1.0690])
@@ -311,6 +312,44 @@ class TestBatchedGradients:
                 x = rng.permutation(rows)[:np.prod(shape[:-1])].reshape(shape)
                 want = _norm_and_clip_gradients(p, x, p._MtY)
                 assert p.agent_gradients(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (3,), (7, 2), (2, 3, 4)])
+    def test_linear_term_is_the_stacked_product(self, paper_problem, rng, lead):
+        # the inside gradient's linear term is one 2-D product over all rows;
+        # each row carries the bits of the stacked x @ 2 M^T M, here for the
+        # paper's M and a random non-diagonal one, whose products are inexact
+        other = EstimationProblem(rng.standard_normal((3, 2)), rng.standard_normal((5, 3)), -0.1,
+                                  [-8.0, -3.0], [4.0, 3.0])
+        for p in (paper_problem, other):
+            shape = lead + (p.m, p.d)
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+            nt, data = np.linalg.norm(x, axis=-1, keepdims=True), -2.0 * p._MtY
+            want = data + x @ p._2MtM + 3.0 * p.kappa * nt * x
+            assert p._inside_gradients(x, nt, data).tobytes() == want.tobytes()
+            # agent_objective's path: one (d,) row, its scalar norm, one data term
+            theta, row = x.reshape(-1, p.d)[-1], data[-1]
+            nt = np.linalg.norm(theta)
+            want = row + theta @ p._2MtM + 3.0 * p.kappa * nt * theta
+            assert p._inside_gradients(theta, nt, row).tobytes() == want.tobytes()
+
+    def test_shrunk_batch_equals_a_fresh_problem(self, rng):
+        # a batch that loses runs along its leading axis reads leading slices
+        # of the bounds and data terms laid out for the larger batch; its
+        # gradients are those of a problem that never saw the larger batch
+        p = make_paper_estimation_problem()
+        rows = np.concatenate(self._points(p, rng, 400)).reshape(-1, p.d)
+        x = rng.permutation(rows)[:200 * 2 * p.m].reshape(200, 2, p.m, p.d)
+        assert p.agent_gradients(x).tobytes() == \
+            make_paper_estimation_problem().agent_gradients(x).tobytes()
+        laid_out = p._shaped[1:]
+        for n in (199, 137, 137, 50, 7, 1):
+            got = p.agent_gradients(x[:n])
+            assert got.tobytes() == make_paper_estimation_problem().agent_gradients(x[:n]).tobytes()
+            assert all(np.shares_memory(a, b) for a, b in zip(p._shaped[1:], laid_out)), n
+        # a batch that grows again, or changes its trailing shape, is laid out anew
+        for y in (x[:60], x[:, 0], x[:3, 0]):
+            got = p.agent_gradients(y)
+            assert got.tobytes() == make_paper_estimation_problem().agent_gradients(y).tobytes()
 
     def test_quadratic_and_ica_accept_batches(self, ica4, rng):
         q = QuadraticProblem(diag=[1.0, -2.0], m=3, offsets=rng.standard_normal((3, 2)))
