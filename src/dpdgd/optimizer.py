@@ -175,6 +175,9 @@ class RunConfig:
             if coords.shape not in ((d,), (m, d)) or not np.isfinite(coords).all():
                 raise InvalidConfig(f"init coords must be finite, of shape ({m}, {d}) or ({d},)")
             self.init_coords = np.broadcast_to(coords, (m, d))
+            # the problem's own check of a state (ICA's unit norm), here rather
+            # than first on the k = 0 row's metrics after the whole run
+            self.problem.optimization_errors(self.init_coords)
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): a 4-word uint32 pool
@@ -272,8 +275,11 @@ def philox(key):
 
 
 def mixing_update(w_arr, x, gn, lam):
-    """One stacked update W (x - lam * gn); gn is the (..., m, d) array g + N."""
-    return w_arr @ (x - lam * gn)
+    """One stacked update W (x - lam * gn); gn is the (..., m, d) array g + N,
+    which is left as it is (the trace records its norm after the update)."""
+    y = lam * gn
+    np.subtract(x, y, out=y)
+    return w_arr @ y
 
 
 @dataclass

@@ -31,10 +31,14 @@ class IcaProblem(Problem):
         if self.samples.ndim != 3 or self.samples.shape[2] != self.A.shape[0]:
             raise ValueError("samples must be (agents, per-agent count, d)")
         self._samples_t = np.ascontiguousarray(self.samples.transpose(0, 2, 1))  # (m, d, n)
+        self._signed_columns = np.concatenate((self.A.T, -self.A.T))  # rows a_1..a_d, -a_1..-a_d
         self.d = self.A.shape[0]
         self.m = self.samples.shape[0]
         self.n_per_agent = self.samples.shape[1]
         self.sign_factor = float(sign_factor)
+        # the back product's samples carry the gradient's factor 4 sign_factor / n,
+        # so that no pass over the gradient divides by it
+        self._back = self._samples_t / (self.sign_factor * self.n_per_agent / 4)
         ortho_err = np.abs(self.A.T @ self.A - np.eye(self.d)).max()
         if ortho_err > 1e-10:
             raise ValueError(f"mixing matrix not orthonormal (error {ortho_err:.2e})")
@@ -68,13 +72,17 @@ class IcaProblem(Problem):
         return float(self.sign_factor * np.mean(sq * sq))
 
     def agent_gradients(self, x):
-        """Tangent-space projections of the sample-average gradients, per agent
-        as stacked (1, d) row matmuls: proj = x Y^T, g = proj^3 Y."""
+        """Tangent-space projections of the sample-average gradients, one
+        product per (run, agent) for each of: proj = x Y^T as a (1, d) row,
+        g = (4 sign_factor / n) Y^T proj^3 as a (d, 1) column, and the
+        tangent dot x g."""
         x = self._check_state(x)[..., None, :]
         proj = x @ self._samples_t
-        g = (proj * proj * proj) @ self.samples
-        g /= self.sign_factor * self.n_per_agent / 4  # n/4 is exact: same bits as 4 g / n
-        return (g - (g @ x.swapaxes(-1, -2)) * x)[..., 0, :]
+        cube = proj * proj
+        cube *= proj
+        g = self._back @ cube.swapaxes(-1, -2)  # (..., m, d, 1)
+        g -= (x @ g) * x.swapaxes(-1, -2)
+        return g[..., 0]
 
     def aggregated_euclidean_gradient(self, u):
         u = self._check_theta(u)
@@ -86,7 +94,8 @@ class IcaProblem(Problem):
 
     def retract(self, x):
         # np.linalg.norm(x, axis=-1, keepdims=True) without its wrapper
-        return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+        norm = np.add.reduce(x * x, axis=-1, keepdims=True)
+        return x / np.sqrt(norm, out=norm)
 
     def sample_init(self, rng):
         x = rng.standard_normal((self.m, self.d))
@@ -124,14 +133,19 @@ class IcaProblem(Problem):
 
     def _sphere_errors(self, u):
         """min over columns a_j of A and signs of ||u -+ a_j||, for each row
-        of u (..., d); raises NotUnitNorm if any row is off the sphere."""
+        of u (..., d); raises NotUnitNorm if any row is off the sphere.
+
+        On the sphere ||u - s a_j||^2 = 2 - 2 s u^T a_j, so the nearest signed
+        column s a_j is the one of largest s u^T a_j, i.e. the argmax of
+        |u^T a_j| with its sign; one u [A, -A] product finds it. The distance
+        to it is then formed from u - s a_j, never as 2 - 2 s u^T a_j, which
+        loses a small distance to cancellation."""
         norms = np.asarray(np.linalg.norm(u, axis=-1))
         off = np.abs(norms - 1.0) > UNIT_NORM_TOL
         if off.any():
             raise NotUnitNorm(f"||u|| = {norms[off][0]:.10f} is not 1 within {UNIT_NORM_TOL:.0e}")
-        dminus = np.linalg.norm(u[..., :, None] - self.A, axis=-2).min(axis=-1)
-        dplus = np.linalg.norm(u[..., :, None] + self.A, axis=-2).min(axis=-1)
-        return np.minimum(dminus, dplus)
+        nearest = (u @ self._signed_columns.T).argmax(axis=-1)
+        return np.linalg.norm(u - self._signed_columns[nearest], axis=-1)
 
     def reconstruction_error(self, u):
         """min over columns a_j of A and signs of ||u -+ a_j||."""

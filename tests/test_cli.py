@@ -641,6 +641,19 @@ class TestSchema:
         _assert_one_line_exit_one(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)],
                                   out, capsys, "config error: [ProblemError]", "saddle refinement")
 
+    def test_ica_explicit_init_off_the_sphere_exit_one(self, tmp_path, capsys, monkeypatch):
+        # the initial state is checked once, before iteration 1, not first
+        # on the k = 0 row's metrics after the whole run
+        def never(*args, **kwargs):
+            raise AssertionError("lockstep entered")
+
+        monkeypatch.setattr(optimizer, "lockstep", never)
+        cfg = json.loads(cli.bundled_config_path("ica_desk.json").read_text())
+        cfg["init"] = {"mode": "explicit", "coords": [1.0, 1.0, 0.0, 0.0]}
+        out = tmp_path / "out"
+        _assert_one_line_exit_one(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)],
+                                  out, capsys, "config error: [NotUnitNorm]", "1.4142135624")
+
     @pytest.mark.parametrize("problem", [
         {"name": "custom_quadratic", "diag": [1.0, -1.0], "m": 5, "init_half_width": 1e308},
         {"name": "custom_quadratic", "diag": [1.0, -1.0], "m": 5, "init_half_width": float("inf")},

@@ -49,14 +49,15 @@ def _one_step(problem, w, x, lam):
 
 
 def _records_equal(a, b):
-    if len(a.records) != len(b.records):
-        return False
-    for ra, rb in zip(a.records, b.records):
-        for f in ("k", "lam", "consensus_error", "opt_error_mean", "opt_error_max",
-                  "noise_norm", "gn_norm"):
-            if getattr(ra, f) != getattr(rb, f):
-                return False
-    return np.array_equal(a.final_state, b.final_state)
+    """Byte for byte, so that a NaN field (the opt_error columns of a problem
+    without a reference minimum) equals itself."""
+    def table(trace):
+        fields = ("k", "lam", "consensus_error", "opt_error_mean", "opt_error_max",
+                  "noise_norm", "gn_norm")
+        return np.array([[getattr(r, f) for f in fields] for r in trace.records]).tobytes()
+
+    return (table(a) == table(b) and a.final_state.shape == b.final_state.shape
+            and a.final_state.tobytes() == b.final_state.tobytes())
 
 
 class TestStepsize:
@@ -504,6 +505,21 @@ class TestLockstep:
                                 [0.5 if s % 3 else 0.0 for s in seeds],
                                 iterations=30, record_every=10)
         self._assert_slices_match_single_runs(configs)
+
+    def test_saddle_quadratic_batch_slices_match_single_runs(self):
+        # a mixed-sign quadratic has no reference minimum, so its opt_error
+        # columns are NaN on every row and must still compare equal
+        q = QuadraticProblem(diag=[0.5, -0.25], m=16,
+                             offsets=np.random.default_rng(16).standard_normal((16, 2)))
+        w = build_metropolis_weights(builtin_topology("ring", 16))
+        seeds = range(2000, 2040)
+        configs = self._configs(q, w, StepsizeSchedule.constant(0.05), seeds,
+                                [0.5 if s % 3 else 0.0 for s in seeds],
+                                iterations=30, record_every=10)
+        batch = run_batch(configs)
+        assert np.isnan(batch[0].records[0].opt_error_mean)
+        for config, trace in zip(configs, batch):
+            assert _records_equal(trace, run(config))
 
     def test_block_size_does_not_change_trajectories(self, paper_problem, rpc5, monkeypatch):
         x0 = np.stack([paper_problem.sample_init(_seed_sequence_stream(s, 2)) for s in (1, 2, 3)])

@@ -471,6 +471,32 @@ class TestIca:
         want = [ica4.reconstruction_error(row) for row in x]
         assert ica4.optimization_errors(x).tolist() == want
 
+    @pytest.mark.parametrize("d", [4, 10])
+    def test_sphere_errors_equal_the_all_columns_minimum(self, d, rng):
+        # the one-product error pass against every signed column's exact
+        # distance: near a column (where 2 - 2 u^T a loses the distance to
+        # cancellation), near a two-column tie, and at the d-column tie of the
+        # nominal saddle; each on both signs
+        p = make_ica_problem(d=d, m=5, samples_per_agent=16, seed=d)
+        a = p.A.T  # rows are the columns a_j
+
+        def on_sphere(v):
+            return v / np.linalg.norm(v)
+
+        def tangent(u):
+            t = rng.standard_normal(d)
+            return on_sphere(t - (t @ u) * u)
+
+        points = [on_sphere(a[j] + 1e-6 * tangent(a[j])) for j in range(d)]
+        points += [on_sphere(a[0] + a[1] + 1e-9 * tangent(on_sphere(a[0] + a[1]))),
+                   on_sphere(a[d - 1] - a[0] + 1e-12 * tangent(on_sphere(a[d - 1] - a[0]))),
+                   p.nominal_saddle()]
+        points = np.array(points + [-u for u in points])
+        want = [min(np.linalg.norm(u - s * col) for col in a for s in (1.0, -1.0)) for u in points]
+        got = p.optimization_errors(np.broadcast_to(points[:, None], (len(points), p.m, d)))
+        assert np.allclose(got, np.array(want)[:, None], rtol=1e-12, atol=0.0)
+        assert 9e-7 <= min(want) <= 1.1e-6
+
     def test_optimization_errors_reject_any_row_off_sphere(self, ica4, rng):
         x = ica4.retract(rng.standard_normal((5, 4)))
         x[3] *= 1.0 + 1e-6
@@ -509,6 +535,17 @@ class TestIca:
         assert np.linalg.norm(ica4.aggregated_gradient(u)) <= 1e-10
         # close to, but not exactly, the population saddle direction
         assert np.linalg.norm(u - ica4.nominal_saddle()) <= 0.15
+
+    @pytest.mark.parametrize("m", [5, 16])
+    @pytest.mark.parametrize("runs", [1, 7, 200])
+    def test_gradient_rows_of_a_batch_equal_single_runs(self, runs, m, rng):
+        # every product keeps its per-(run, agent) shape, so a run's gradient
+        # does not depend on the batch it is stacked in
+        p = make_ica_problem(d=10, m=m, samples_per_agent=160, seed=m)
+        x = p.retract(rng.standard_normal((runs, m, 10)))
+        got = p.agent_gradients(x)
+        assert got.shape == x.shape
+        assert all(got[r].tobytes() == p.agent_gradients(x[r]).tobytes() for r in range(runs))
 
     def test_retraction_normalizes(self, ica4, rng):
         x = rng.standard_normal((5, 4)) * 3
