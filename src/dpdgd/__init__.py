@@ -6,7 +6,7 @@ the Gaussian noise n_j is calibrated against (epsilon, delta) targets, and the
 same noise provides escape from non-minimum stationary points.
 """
 
-from . import analysis, numdiff, optimizer, privacy, problems, topology
+from . import analysis, optimizer, privacy, problems, topology
 from .analysis import (
     CouplingResult,
     assert_contraction,

@@ -79,8 +79,8 @@ class _Variants(dict):
         self.key = key
 
 
-_WHAT = {"int": "a 64-bit integer", "real": "a number", "bool": "true or false",
-         "choice": "one of {}", "path": "a printable string", "edges": "a list of [i, j] pairs",
+_WHAT = {"int": "a 64-bit integer", "real": "a number", "choice": "one of {}",
+         "path": "a printable string", "edges": "a list of [i, j] pairs",
          "array": "a list of numbers (a list of lists for a matrix)"}
 
 
@@ -101,7 +101,7 @@ def _convert(value, field, name):
             return int(value)
         if kind == "real" and _is_number(value):
             return float(value)  # OverflowError beyond the float range
-        if (kind == "bool" and isinstance(value, bool) or kind == "choice" and value in field.sub
+        if (kind == "choice" and value in field.sub
                 or kind == "path" and isinstance(value, str) and value.isprintable()):
             return value
         if kind == "array" and isinstance(value, list) and _numbers_only(value):
@@ -199,7 +199,6 @@ _BASE = {  # a run without its output files: `table1.base`
     "init": Field("object", default={"mode": "random_box"}, sub=_INIT),
     "iterations": _INT,
     "record_every": Field("int", default=1),
-    "record_state": Field("bool", default=False),
     "seed": _INT,
 }
 _RUN = {**_BASE, "output": _output(trace_csv="trace.csv", summary_json="summary.json")}
@@ -299,7 +298,6 @@ def build_run_config(cfg, seed_override=None, record_every_override=None):
         init_mode=init["mode"],
         init_coords=init.get("coords"),
         record_every=checked["record_every"],
-        record_state=checked["record_state"],
         fingerprint=fingerprint(resolved),
     )
     return config, checked
@@ -320,11 +318,11 @@ def write_trace_csv(path, trace):
     Path(path).write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
 
 
-def write_summary_json(path, trace):
+def write_summary_json(path, trace, config):
     final = trace.records[-1]
     payload = {
-        "config_fingerprint": trace.config_fingerprint,
-        "seed": trace.seed,
+        "config_fingerprint": config.fingerprint,
+        "seed": config.seed,
         "final_metrics": {
             "k": final.k,
             "consensus_error": final.consensus_error,
@@ -343,7 +341,7 @@ def cmd_run(args) -> int:
     trace = run(config)
     trace_path, summary_path = output_paths(args.out, checked["output"])
     write_trace_csv(trace_path, trace)
-    write_summary_json(summary_path, trace)
+    write_summary_json(summary_path, trace, config)
     print(f"wrote {trace_path} and {summary_path}")
     return 0
 
@@ -437,7 +435,6 @@ def cmd_privacy_report(args) -> int:
 
 def _verify_checks():
     """Fast property suite; yields (name, ok, detail)."""
-    from . import numdiff
     from .topology import spectral_gap
 
     # weight-matrix invariants on built-in graphs
@@ -470,7 +467,9 @@ def _verify_checks():
         theta = rng.uniform(p.lo - 1.0, p.hi + 1.0)
         agent = int(rng.integers(p.m))
         g = p.agent_gradient(agent, theta)
-        fd = numdiff.gradient(lambda t: p.agent_objective(agent, t), theta, step=1e-6)
+        step = 1e-6  # central differences
+        fd = np.array([(p.agent_objective(agent, theta + e) - p.agent_objective(agent, theta - e))
+                       / (2 * step) for e in np.eye(p.d) * step])
         worst = max(worst, float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1.0)))
     ok = worst <= 1e-5
     yield "gradient_finite_difference", ok, f"worst rel err {worst:.2e}"
@@ -479,7 +478,7 @@ def _verify_checks():
     weights = build_metropolis_weights(builtin_topology("ring_plus_chord", 5))
     config = RunConfig(
         problem=p, weights=weights,
-        schedule=StepsizeSchedule.piecewise_paper(0.02, 500, 1.0),
+        schedule=StepsizeSchedule("piecewise_paper", lambda0=0.02, switch_k=500, scale=1.0),
         noise_variance=0.5, iterations=120, seed=11, init_mode="random_box", record_every=1,
     )
     report = analysis.assert_contraction(run(config), weights)
@@ -594,6 +593,9 @@ def main(argv=None) -> int:
     except (InvalidConfig, TopologyError, ProblemError, analysis.AnalysisError,
             privacy.PrivacyError) as exc:  # inputs the method does not take
         print(f"config error: [{type(exc).__name__}] {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size that the inputs ask for and memory cannot hold
+        print(f"config error: [MemoryError] {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except NonFiniteState as exc:
         print(f"divergence: {exc}", file=sys.stderr)

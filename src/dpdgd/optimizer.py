@@ -89,18 +89,6 @@ class StepsizeSchedule:
                     f"> lambda0 = {self.lambda0:.3g})"
                 )
 
-    @classmethod
-    def constant(cls, lambda0):
-        return cls(kind="constant", lambda0=lambda0)
-
-    @classmethod
-    def harmonic(cls, scale):
-        return cls(kind="harmonic", scale=scale)
-
-    @classmethod
-    def piecewise_paper(cls, lambda0, switch_k, scale):
-        return cls(kind="piecewise_paper", lambda0=lambda0, switch_k=switch_k, scale=scale)
-
 
 def stepsize(schedule: StepsizeSchedule, k: int) -> float:
     """lambda_k for the step producing state k (iterations are 1-indexed;
@@ -135,9 +123,6 @@ class TraceRecord:
 class RunTrace:
     records: list
     final_state: np.ndarray  # (m, d)
-    seed: int
-    eta: float
-    config_fingerprint: str = ""
 
 
 @dataclass
@@ -456,18 +441,15 @@ def _cube_by_distance(half, d):
     return cand[np.argsort((cand.astype(float) ** 2).sum(axis=1), kind="stable")]
 
 
-def resolve_at_saddle_init(problem, w: WeightMatrix, schedule: StepsizeSchedule) -> np.ndarray:
-    """Initial point for at_saddle runs: the problem's refined saddle, polished
-    to a numerical fixed point of this run's first-step update when possible."""
-    return polish_fixed_point(problem, w, stepsize(schedule, 1), problem.known_saddle())
-
-
 def _initial_state(config: RunConfig, init_key) -> np.ndarray:
     p = config.problem
     if config.init_mode == "explicit":
         return np.array(config.init_coords)
     if config.init_mode == "at_saddle":
-        theta = resolve_at_saddle_init(p, config.weights, config.schedule)
+        # the problem's refined saddle, polished to a numerical fixed point of
+        # this run's first-step update when possible
+        theta = polish_fixed_point(p, config.weights, stepsize(config.schedule, 1),
+                                   p.known_saddle())
         return np.tile(theta, (p.m, 1))
     return p.sample_init(philox(init_key))
 
@@ -498,10 +480,7 @@ def run_batch(configs) -> list:
         [np.sqrt(c.noise_variance) for c in configs],
         record_every=c0.record_every, keep_state=c0.record_state,
     )
-    return [
-        RunTrace(records, x, c.seed, c.weights.eta, c.fingerprint)
-        for c, records, x in zip(configs, out.records, out.x)
-    ]
+    return [RunTrace(records, x) for records, x in zip(out.records, out.x)]
 
 
 def run(config: RunConfig) -> RunTrace:

@@ -183,7 +183,10 @@ def per_iteration_report(schedule: StepsizeSchedule, variance: float, nu: float,
     if horizon < 1:
         raise PrivacyError(f"horizon must be >= 1, got {horizon}")
     _check_noise(variance, delta)
-    k = np.arange(1, horizon + 1)
+    try:
+        k = np.arange(1, horizon + 1)
+    except ValueError:  # numpy refuses, before allocating, a size past its address range
+        raise PrivacyError(f"horizon {horizon} is too large to hold in memory") from None
     lam = stepsizes(schedule, k)
     _check_inputs(nu, lam, n_i)
     eps = {}

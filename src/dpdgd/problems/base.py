@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import numdiff
-
 CLASSIFICATIONS = ("minimum", "maximum", "strict_saddle", "degenerate", "not_stationary")
 
 
@@ -101,10 +99,14 @@ class Problem:
         return self.agent_gradients(np.tile(self._check_theta(theta), (self.m, 1))).mean(axis=0)
 
     def aggregated_hessian(self, theta) -> np.ndarray:
-        """Mean per-agent Hessian; the default falls back to central finite
-        differences of the aggregated gradient."""
+        """Mean per-agent Hessian; the default falls back to the symmetrized
+        central-difference Jacobian of the aggregated gradient, step 1e-6."""
         theta = self._check_theta(theta)
-        return numdiff.hessian_from_gradient(self.aggregated_gradient, theta)
+        step = 1e-6
+        grad = self.aggregated_gradient
+        j = np.stack([(grad(theta + e) - grad(theta - e)) / (2 * step)
+                      for e in np.eye(self.d) * step], axis=1)
+        return 0.5 * (j + j.T)
 
     # -- hooks used by the optimizer ----------------------------------------
 

@@ -22,6 +22,8 @@ from .base import DimensionMismatch, KnownPoint, Problem, ProblemConstants, Sing
 # on the box boundary; > 1 keeps the radial derivative strictly positive
 # outside, so the extension adds no stationary points.
 WALL_SLOPE_FACTOR = 1.25
+# The distance past the box over which the extension's first-order term fades out.
+RAMP_RADIUS = 0.5
 
 
 def _smoothstep(t):
@@ -40,8 +42,7 @@ class EstimationProblem(Problem):
 
     name = "estimation"
 
-    def __init__(self, measurement, observations, kappa, region_lo, region_hi,
-                 ramp_radius=0.5, known_points=()):
+    def __init__(self, measurement, observations, kappa, region_lo, region_hi, known_points=()):
         self.M = np.array(measurement, dtype=float)
         self.Y = np.array(observations, dtype=float)  # (m, s)
         if self.M.shape[1:] != (2,):
@@ -59,7 +60,6 @@ class EstimationProblem(Problem):
             raise DimensionMismatch("region bounds must have length d")
         if not (self.lo < self.hi).all():
             raise ValueError("region must be nonempty (lo < hi componentwise)")
-        self.ramp_radius = float(ramp_radius)
         # the factor 2 folded in once: x @ 2A is 2 (x @ A) bit for bit unless a
         # product x_i A_ij is subnormal, and always for the paper's diag(1, 4)
         self._2MtM = 2.0 * (self.M.T @ self.M)
@@ -131,10 +131,10 @@ class EstimationProblem(Problem):
         nhat = dvec / r
         ntc = _dot_norm(tc)
         g = self._inside_gradients(tc, ntc[:, None], data)
-        t = r / self.ramp_radius
+        t = r / RAMP_RADIUS
         ramp = t < 1.0
         s = np.where(ramp, 1.0 - _smoothstep(t), 0.0)
-        sp = np.where(ramp, -6.0 * t * (1.0 - t) / self.ramp_radius, 0.0)
+        sp = np.where(ramp, -6.0 * t * (1.0 - t) / RAMP_RADIUS, 0.0)
         unclamped = (dvec == 0.0).astype(float)
         grad = unclamped * g + self.wall_slope * nhat
         hd = dvec @ self._2MtM
@@ -180,7 +180,7 @@ class EstimationProblem(Problem):
     def agent_objective(self, agent, theta):
         """f_i inside the box; outside it f_i(tc) + s grad f_i(tc).dvec + wall_slope r,
         with tc theta clipped to the box, dvec = theta - tc, r = |dvec| and s
-        falling from 1 to 0 by a smoothstep over the ramp."""
+        falling from 1 to 0 by a smoothstep as r goes from 0 to RAMP_RADIUS."""
         self._check_agent(agent)
         theta = self._check_theta(theta)
         tc = np.clip(theta, self.lo, self.hi)
@@ -189,7 +189,7 @@ class EstimationProblem(Problem):
         if r == 0.0:
             return self._inside_objective(agent, theta)
         g = self._inside_gradients(tc, np.linalg.norm(tc), -2.0 * self._MtY[agent])
-        s = 1.0 - _smoothstep(min(r / self.ramp_radius, 1.0))
+        s = 1.0 - _smoothstep(min(r / RAMP_RADIUS, 1.0))
         return self._inside_objective(agent, tc) + s * float(g @ dvec) + self.wall_slope * r
 
     def agent_gradients(self, x):
@@ -242,8 +242,6 @@ class EstimationProblem(Problem):
         root = self._newton_root("strict_saddle")
         return super().known_saddle() if root is None else root  # ProblemError without one
 
-    refined_minimum, refined_saddle = reference_minimum, known_saddle
-
 
 def make_paper_estimation_problem() -> EstimationProblem:
     """The reference 5-agent, d = 2 instance.
@@ -261,7 +259,6 @@ def make_paper_estimation_problem() -> EstimationProblem:
         kappa=-0.1,
         region_lo=[-8.0, -3.0],
         region_hi=[4.0, 3.0],
-        ramp_radius=0.5,
         known_points=(KnownPoint(coords=(1.3478, 1.0690), kind="minimum"),
                       KnownPoint(coords=(-7.4336, 1.3959), kind="strict_saddle")),
     )

@@ -25,7 +25,7 @@ UNIT_NORM_TOL = 1e-8
 class IcaProblem(Problem):
     name = "ica"
 
-    def __init__(self, mixing, samples, sign_factor=1.0):
+    def __init__(self, mixing, samples):
         self.A = np.array(mixing, dtype=float)
         self.samples = np.array(samples, dtype=float)  # (m, n, d)
         if self.samples.ndim != 3 or self.samples.shape[2] != self.A.shape[0]:
@@ -35,10 +35,9 @@ class IcaProblem(Problem):
         self.d = self.A.shape[0]
         self.m = self.samples.shape[0]
         self.n_per_agent = self.samples.shape[1]
-        self.sign_factor = float(sign_factor)
-        # the back product's samples carry the gradient's factor 4 sign_factor / n,
-        # so that no pass over the gradient divides by it
-        self._back = self._samples_t / (self.sign_factor * self.n_per_agent / 4)
+        # the back product's samples carry the gradient's factor 4 / n, so that
+        # no pass over the gradient divides by it
+        self._back = self._samples_t / (self.n_per_agent / 4)
         ortho_err = np.abs(self.A.T @ self.A - np.eye(self.d)).max()
         if ortho_err > 1e-10:
             raise ValueError(f"mixing matrix not orthonormal (error {ortho_err:.2e})")
@@ -69,13 +68,12 @@ class IcaProblem(Problem):
         u = self._check_theta(u)
         proj = self.samples[agent] @ u
         sq = proj * proj  # explicit squaring keeps f(u) == f(-u) bitwise
-        return float(self.sign_factor * np.mean(sq * sq))
+        return float(np.mean(sq * sq))
 
     def agent_gradients(self, x):
         """Tangent-space projections of the sample-average gradients, one
         product per (run, agent) for each of: proj = x Y^T as a (1, d) row,
-        g = (4 sign_factor / n) Y^T proj^3 as a (d, 1) column, and the
-        tangent dot x g."""
+        g = (4 / n) Y^T proj^3 as a (d, 1) column, and the tangent dot x g."""
         x = self._check_state(x)[..., None, :]
         proj = x @ self._samples_t
         cube = proj * proj
@@ -88,7 +86,7 @@ class IcaProblem(Problem):
         u = self._check_theta(u)
         flat = self.samples.reshape(-1, self.d)
         proj = flat @ u
-        return self.sign_factor * 4.0 * (proj * proj * proj) @ flat / flat.shape[0]
+        return 4.0 * (proj * proj * proj) @ flat / flat.shape[0]
 
     # -- optimizer hooks ----------------------------------------------------------
 
@@ -141,7 +139,7 @@ class IcaProblem(Problem):
         to it is then formed from u - s a_j, never as 2 - 2 s u^T a_j, which
         loses a small distance to cancellation."""
         norms = np.asarray(np.linalg.norm(u, axis=-1))
-        off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+        off = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # a nan norm is off too
         if off.any():
             raise NotUnitNorm(f"||u|| = {norms[off][0]:.10f} is not 1 within {UNIT_NORM_TOL:.0e}")
         nearest = (u @ self._signed_columns.T).argmax(axis=-1)
@@ -171,6 +169,6 @@ def make_ica_problem(d, m, samples_per_agent, seed) -> IcaProblem:
     a = q * signs[None, :]
     z = rng.choice(np.array([-1.0, 1.0]), size=(m, samples_per_agent, d))
     y = z @ a.T
-    p = IcaProblem(mixing=a, samples=y, sign_factor=1.0)
+    p = IcaProblem(mixing=a, samples=y)
     p.Z = z
     return p

@@ -1,4 +1,5 @@
-"""Central finite differences for gradient and Hessian checks."""
+"""Central finite differences: the oracles that gradient and Hessian tests
+compare against."""
 
 from __future__ import annotations
 

@@ -25,8 +25,8 @@ from dpdgd.privacy import (
 from dpdgd.problems import QuadraticProblem, make_ica_problem
 from dpdgd.topology import Graph, build_metropolis_weights
 
-PAPER_SCHEDULE = StepsizeSchedule.piecewise_paper(0.02, 500, 1.0)
-ICA_SCHEDULE = StepsizeSchedule.piecewise_paper(0.003, 100, 0.3)
+PAPER_SCHEDULE = StepsizeSchedule("piecewise_paper", lambda0=0.02, switch_k=500, scale=1.0)
+ICA_SCHEDULE = StepsizeSchedule("piecewise_paper", lambda0=0.003, switch_k=100, scale=0.3)
 TABLE1_REFERENCE = {0.1: 0.048, 0.2: 0.058, 0.3: 0.064, 0.4: 0.070, 0.5: 0.078, 0.6: 0.091}
 MASTER_SEED = 20240801
 
@@ -147,11 +147,10 @@ def test_criterion_4_contraction_inequality():
             diag=rng.uniform(0.2, 1.5, size=d), m=m, offsets=rng.standard_normal((m, d))
         )
         schedule = (
-            StepsizeSchedule.constant(float(rng.uniform(0.01, 0.2)))
+            StepsizeSchedule("constant", lambda0=float(rng.uniform(0.01, 0.2)))
             if rng.random() < 0.5
-            else StepsizeSchedule.piecewise_paper(
-                float(rng.uniform(0.05, 0.2)), int(rng.integers(20, 120)), 1.0
-            )
+            else StepsizeSchedule("piecewise_paper", lambda0=float(rng.uniform(0.05, 0.2)),
+                                  switch_k=int(rng.integers(20, 120)), scale=1.0)
         )
         cfg = RunConfig(
             problem=problem, weights=w, schedule=schedule,
@@ -175,10 +174,10 @@ def test_criterion_5_stationary_point_fidelity(paper_problem):
         np.linalg.norm(p.aggregated_gradient(np.array(pt.coords))) <= 1e-2
         for pt in p.known_points
     )
-    gmin = np.linalg.norm(p.aggregated_gradient(p.refined_minimum()))
-    gsad = np.linalg.norm(p.aggregated_gradient(p.refined_saddle()))
-    eig_min = np.linalg.eigvalsh(p.aggregated_hessian(p.refined_minimum()))
-    eig_sad = np.linalg.eigvalsh(p.aggregated_hessian(p.refined_saddle()))
+    gmin = np.linalg.norm(p.aggregated_gradient(p.reference_minimum()))
+    gsad = np.linalg.norm(p.aggregated_gradient(p.known_saddle()))
+    eig_min = np.linalg.eigvalsh(p.aggregated_hessian(p.reference_minimum()))
+    eig_sad = np.linalg.eigvalsh(p.aggregated_hessian(p.known_saddle()))
     ok = (
         printed_ok
         and gmin <= 1e-10

@@ -28,7 +28,7 @@ from dpdgd.optimizer import (
 from dpdgd.problems import QuadraticProblem
 from dpdgd.topology import build_metropolis_weights, builtin_topology
 
-PAPER_SCHEDULE = StepsizeSchedule.piecewise_paper(0.02, 500, 1.0)
+PAPER_SCHEDULE = StepsizeSchedule("piecewise_paper", lambda0=0.02, switch_k=500, scale=1.0)
 
 
 def consensus_error(x):
@@ -117,7 +117,7 @@ class TestMirrorNoise:
         # the kernel mirrors a whole (K, R, m, d) noise block at once; each
         # step's slice must carry the bytes of a call on that step alone, in
         # the block's layout and in the streams' (R, m, K, d) layout
-        e1 = min_eigvec(paper_problem.aggregated_hessian(paper_problem.refined_saddle()))
+        e1 = min_eigvec(paper_problem.aggregated_hessian(paper_problem.known_saddle()))
         fill = rng.standard_normal((6, 5, 7, 2))
         block = np.ascontiguousarray(fill.transpose(2, 0, 1, 3))
         mirrored = mirror_noise(block, e1)
@@ -127,7 +127,7 @@ class TestMirrorNoise:
 
     def test_one_step_difference_is_mixed_mirrored_noise(self, paper_problem, complete5, rng):
         # first-step hand expansion: x'1 - x''1 = -lam * W (N' - N'')
-        saddle = paper_problem.refined_saddle()
+        saddle = paper_problem.known_saddle()
         x0 = np.tile(saddle, (5, 1))
         e1 = min_eigvec(paper_problem.aggregated_hessian(saddle))
         n = rng.standard_normal((5, 2)) * 0.7
@@ -142,7 +142,7 @@ class TestMirrorNoise:
 class TestCouplingExperiment:
     def test_zero_variance_never_escapes(self, paper_problem, complete5):
         res = run_coupling_experiment(
-            paper_problem, complete5, paper_problem.refined_saddle(), PAPER_SCHEDULE,
+            paper_problem, complete5, paper_problem.known_saddle(), PAPER_SCHEDULE,
             variance=0.0, runs=3, horizon=400, escape_radius=0.5, seed=77,
         )
         assert res.escape_count == 0
@@ -150,7 +150,7 @@ class TestCouplingExperiment:
 
     def test_noise_escapes_quickly(self, paper_problem, complete5):
         res = run_coupling_experiment(
-            paper_problem, complete5, paper_problem.refined_saddle(), PAPER_SCHEDULE,
+            paper_problem, complete5, paper_problem.known_saddle(), PAPER_SCHEDULE,
             variance=0.5, runs=10, horizon=1000, escape_radius=0.5, seed=42,
         )
         assert res.escape_count == 10
@@ -160,7 +160,7 @@ class TestCouplingExperiment:
     def test_rejects_non_saddle_start(self, paper_problem, complete5):
         with pytest.raises(NotAStrictSaddle):
             run_coupling_experiment(
-                paper_problem, complete5, paper_problem.refined_minimum(), PAPER_SCHEDULE,
+                paper_problem, complete5, paper_problem.reference_minimum(), PAPER_SCHEDULE,
                 variance=0.5, runs=2, horizon=100, escape_radius=0.5, seed=1,
             )
 
@@ -169,7 +169,7 @@ class TestCouplingExperiment:
     def test_rejects_bad_bounds(self, paper_problem, complete5, runs, radius):
         with pytest.raises(AnalysisError):
             run_coupling_experiment(
-                paper_problem, complete5, paper_problem.refined_saddle(), PAPER_SCHEDULE,
+                paper_problem, complete5, paper_problem.known_saddle(), PAPER_SCHEDULE,
                 variance=0.5, runs=runs, horizon=100, escape_radius=radius, seed=1,
             )
 
@@ -178,23 +178,23 @@ class TestCouplingExperiment:
         # no step would run, and every pair would read as censored
         with pytest.raises(AnalysisError):
             run_coupling_experiment(
-                paper_problem, complete5, paper_problem.refined_saddle(), PAPER_SCHEDULE,
+                paper_problem, complete5, paper_problem.known_saddle(), PAPER_SCHEDULE,
                 variance=0.5, runs=2, horizon=horizon, escape_radius=0.5, seed=1,
             )
 
     def test_deterministic(self, paper_problem, complete5):
         kw = dict(variance=0.5, runs=4, horizon=600, escape_radius=0.5, seed=9)
         a = run_coupling_experiment(paper_problem, complete5,
-                                    paper_problem.refined_saddle(), PAPER_SCHEDULE, **kw)
+                                    paper_problem.known_saddle(), PAPER_SCHEDULE, **kw)
         b = run_coupling_experiment(paper_problem, complete5,
-                                    paper_problem.refined_saddle(), PAPER_SCHEDULE, **kw)
+                                    paper_problem.known_saddle(), PAPER_SCHEDULE, **kw)
         assert a.iterations_to_escape == b.iterations_to_escape
 
 
     def test_batch_matches_pairs_one_at_a_time(self, paper_problem, complete5):
         # the per-pair loop restated: pair r draws from streams keyed
         # (seed, 3, r, j) and escapes when either mean leaves the ball
-        saddle = paper_problem.refined_saddle()
+        saddle = paper_problem.known_saddle()
         seed, horizon, radius, sig = 17, 600, 0.5, np.sqrt(0.5)
         e1 = min_eigvec(paper_problem.aggregated_hessian(saddle))
         start = polish_fixed_point(paper_problem, complete5, 0.02, saddle)
@@ -285,13 +285,13 @@ class TestEscapeGrid:
     def test_larger_stepsize_escapes_no_slower(self, paper_problem, complete5):
         # the escape time scales like 1/lambda up to logs; stepsize index si
         # runs on the seed derived from (5, 4, 0, si)
-        saddle = paper_problem.refined_saddle()
+        saddle = paper_problem.known_saddle()
         med = {}
         for si, lam in enumerate([0.01, 0.02]):
             seed = int(np.random.SeedSequence((5, 4, 0, si)).generate_state(1)[0])
             res = run_coupling_experiment(
-                paper_problem, complete5, saddle, StepsizeSchedule.constant(lam), variance=0.5,
-                runs=10, horizon=1500, escape_radius=0.5, seed=seed,
+                paper_problem, complete5, saddle, StepsizeSchedule("constant", lambda0=lam),
+                variance=0.5, runs=10, horizon=1500, escape_radius=0.5, seed=seed,
             )
             med[lam] = np.median([np.inf if it is None else it for it in res.iterations_to_escape])
         assert np.isfinite(med[0.01]) and np.isfinite(med[0.02])

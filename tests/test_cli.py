@@ -454,6 +454,13 @@ class TestPrivacyReportCommand:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not (tmp_path / "out").exists()
 
+    def test_unaddressable_horizon_exit_one(self, tmp_path, capsys):
+        # numpy refuses a 2**62-entry column before it allocates anything
+        path = write_cfg(tmp_path, self._cfg(horizon=2**62))
+        out = tmp_path / "out"
+        _assert_one_line_exit_one(["privacy-report", "--config", path, "--out", str(out)], out,
+                                  capsys, "config error: [PrivacyError]", str(2**62))
+
     def test_integral_float_horizon_accepted(self, tmp_path):
         path = write_cfg(tmp_path, self._cfg(horizon=50.0, n_i=2.0))
         assert cli.main(["privacy-report", "--config", path, "--out", str(tmp_path)]) == 0
@@ -541,7 +548,6 @@ class TestNumericTypes:
         ({"problem": {"name": "custom_quadratic", "diag": [1.0, 2.0], "m": 5,
                       "offsets": [["0.0", 0.0]] * 5}}, "offsets"),
         ({"topology": {"matrix": [["0.2"] * 5] * 5}}, "matrix"),
-        ({"record_state": "false"}, "record_state"),
         ({"problem": {"name": "custom_quadratic", "diag": [], "m": 5}}, "diag"),
     ])
     def test_run_fields(self, tmp_path, capsys, edit, field):
@@ -607,6 +613,34 @@ class TestSchema:
         out = tmp_path / "out"
         _assert_one_line_exit_one([command, "--config", path, "--out", str(out)], out, capsys,
                                   "config error:", "output")
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_record_state_is_not_a_key(self, tmp_path, capsys, value):
+        path = write_cfg(tmp_path, dict(BASE_RUN_CFG, record_state=value))
+        out = tmp_path / "out"
+        _assert_one_line_exit_one(["run", "--config", path, "--out", str(out)], out, capsys,
+                                  "config error:", "unknown key 'record_state'")
+
+    @pytest.mark.parametrize("command, cfg, module, name", [
+        ("run", BASE_RUN_CFG, cli, "run"),
+        ("table1", TestTable1Command()._sweep_cfg(), cli, "run_batch"),
+        ("coupling", TestCouplingCommand()._cfg(), cli.analysis, "run_coupling_experiment"),
+        ("privacy-report", TestPrivacyReportCommand()._cfg(), cli.privacy, "per_iteration_report"),
+    ])
+    @pytest.mark.parametrize("error, words", [
+        (MemoryError("Unable to allocate 80.0 TiB for an array"), "80.0 TiB"),
+        (MemoryError(), "out of memory"),  # a Python allocation failure carries no message
+    ])
+    def test_memory_error_exit_one(self, tmp_path, capsys, monkeypatch, command, cfg, module,
+                                   name, error, words):
+        def too_big(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(module, name, too_big)
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, cfg)
+        _assert_one_line_exit_one([command, "--config", path, "--out", str(out)], out, capsys,
+                                  "config error: [MemoryError]", words)
 
     def test_output_names_and_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

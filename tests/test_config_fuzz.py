@@ -49,8 +49,6 @@ def typed(field, key):
         return SMALL if key in BOUNDED else st.integers() | SMALL | st.floats()
     if kind == "real":
         return st.floats() | NUMBERS | st.integers()
-    if kind == "bool":
-        return st.booleans()
     if kind == "choice":
         return st.sampled_from(list(field.sub))
     if kind == "path":
@@ -133,7 +131,7 @@ def valid(draw, command):
                                  {"mode": "explicit", "coords": [1.0] + [0.0] * (d - 1)}]))
     base = {"problem": problem, "topology": topology, "schedule": schedule,
             "noise": {"variance": 0.5}, "init": init, "iterations": 5, "record_every": 2,
-            "record_state": False, "seed": 7}
+            "seed": 7}
     return {
         "run": dict(base, output={"dir": "d", "trace_csv": "t.csv", "summary_json": "s.json"}),
         "table1": {"base": base, "variances": [0.1, 0.5], "runs_per_cell": 2,

@@ -18,7 +18,6 @@ from dpdgd.optimizer import (
     lockstep,
     philox,
     polish_fixed_point,
-    resolve_at_saddle_init,
     row_metrics,
     run,
     run_batch,
@@ -29,7 +28,7 @@ from dpdgd.optimizer import (
 from dpdgd.problems import QuadraticProblem
 from dpdgd.topology import build_metropolis_weights, builtin_topology, validate_weight_matrix
 
-PAPER_SCHEDULE = StepsizeSchedule.piecewise_paper(0.02, 500, 1.0)
+PAPER_SCHEDULE = StepsizeSchedule("piecewise_paper", lambda0=0.02, switch_k=500, scale=1.0)
 
 
 def _seed_sequence_stream(*key):
@@ -45,7 +44,14 @@ def _agent_streams(seed, m):
 def _one_step(problem, w, x, lam):
     """x after one noise-free lockstep iteration at stepsize lam."""
     return lockstep(problem, w.w, np.asarray(x, dtype=float)[None],
-                    StepsizeSchedule.constant(lam), 1, [None], [0.0]).x[0]
+                    StepsizeSchedule("constant", lambda0=lam), 1, [None], [0.0]).x[0]
+
+
+def _saddle_init(problem, w):
+    """Agent 0's initial point of an at_saddle run on the paper schedule."""
+    config = RunConfig(problem=problem, weights=w, schedule=PAPER_SCHEDULE, noise_variance=0.0,
+                       iterations=1, seed=0, init_mode="at_saddle")
+    return optimizer._initial_state(config, None)[0]
 
 
 def _records_equal(a, b):
@@ -67,17 +73,17 @@ class TestStepsize:
         assert stepsize(PAPER_SCHEDULE, 1000) == 0.001
 
     def test_constant(self):
-        s = StepsizeSchedule.constant(0.003)
+        s = StepsizeSchedule("constant", lambda0=0.003)
         assert all(stepsize(s, k) == 0.003 for k in (0, 1, 7, 10**6))
 
     def test_harmonic_clamps_zero(self):
-        s = StepsizeSchedule.harmonic(0.5)
+        s = StepsizeSchedule("harmonic", scale=0.5)
         assert stepsize(s, 0) == 0.5
         assert stepsize(s, 10) == 0.05
 
     def test_non_increasing_over_horizon(self):
-        for s in (PAPER_SCHEDULE, StepsizeSchedule.harmonic(2.0),
-                  StepsizeSchedule.piecewise_paper(0.003, 100, 0.3)):
+        for s in (PAPER_SCHEDULE, StepsizeSchedule("harmonic", scale=2.0),
+                  StepsizeSchedule("piecewise_paper", lambda0=0.003, switch_k=100, scale=0.3)):
             lams = [stepsize(s, k) for k in range(1, 2000)]
             assert all(a >= b for a, b in zip(lams[:-1], lams[1:]))
 
@@ -89,8 +95,9 @@ class TestStepsize:
             return s.scale / k
 
         ks = np.r_[0:1100, 2940:2960, 10**6]
-        for s in (StepsizeSchedule.constant(0.003), StepsizeSchedule.harmonic(0.7),
-                  PAPER_SCHEDULE, StepsizeSchedule.piecewise_paper(0.003, 100, 0.3)):
+        for s in (StepsizeSchedule("constant", lambda0=0.003),
+                  StepsizeSchedule("harmonic", scale=0.7), PAPER_SCHEDULE,
+                  StepsizeSchedule("piecewise_paper", lambda0=0.003, switch_k=100, scale=0.3)):
             lams = stepsizes(s, ks)
             assert lams.dtype == np.float64
             assert lams.tolist() == [restated(s, int(k)) for k in ks]
@@ -98,22 +105,22 @@ class TestStepsize:
 
     def test_rejects_increasing_switch(self):
         with pytest.raises(InvalidConfig):
-            StepsizeSchedule.piecewise_paper(0.001, 100, 1.0)
+            StepsizeSchedule("piecewise_paper", lambda0=0.001, switch_k=100, scale=1.0)
 
     def test_rejects_bad_kind_and_params(self):
         with pytest.raises(InvalidConfig):
             StepsizeSchedule(kind="geometric", lambda0=0.1)
         with pytest.raises(InvalidConfig):
-            StepsizeSchedule.constant(0.0)
+            StepsizeSchedule("constant", lambda0=0.0)
         with pytest.raises(InvalidConfig):
             stepsize(PAPER_SCHEDULE, -1)
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidConfig):
-                StepsizeSchedule.constant(bad)
+                StepsizeSchedule("constant", lambda0=bad)
             with pytest.raises(InvalidConfig):
-                StepsizeSchedule.harmonic(bad)
+                StepsizeSchedule("harmonic", scale=bad)
             with pytest.raises(InvalidConfig):
-                StepsizeSchedule.piecewise_paper(0.02, 500, bad)
+                StepsizeSchedule("piecewise_paper", lambda0=0.02, switch_k=500, scale=bad)
 
 
 class TestStep:
@@ -122,7 +129,7 @@ class TestStep:
     def test_fixed_point_at_optimum(self):
         q = QuadraticProblem(diag=[1.0, 1.0], m=2)
         w = validate_weight_matrix([[0.5, 0.5], [0.5, 0.5]])
-        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule.constant(0.05),
+        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule("constant", lambda0=0.05),
                         noise_variance=0.0, iterations=1, seed=1, init_mode="explicit",
                         init_coords=np.zeros((2, 2)))
         trace = run(cfg)
@@ -132,7 +139,7 @@ class TestStep:
     def test_single_agent_is_gradient_descent(self):
         q = QuadraticProblem(diag=[1.0, 2.0], m=1, offsets=[[1.0, -1.0]])
         w = validate_weight_matrix([[1.0]])
-        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule.constant(0.1),
+        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule("constant", lambda0=0.1),
                         noise_variance=0.0, iterations=50, seed=3,
                         init_mode="explicit", init_coords=np.array([[2.0, 2.0]]))
         trace = run(cfg)
@@ -157,7 +164,7 @@ class TestStep:
         # iteration k draws the k-th value of agent j's stream (seed, 1, j)
         q = QuadraticProblem(diag=[1.0], m=3)
         w = build_metropolis_weights(builtin_topology("complete", 3))
-        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule.constant(0.1),
+        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule("constant", lambda0=0.1),
                         noise_variance=0.25, iterations=2, seed=77, init_mode="explicit",
                         init_coords=np.ones((3, 1)))
         x = np.ones((3, 1))
@@ -228,7 +235,7 @@ class TestRun:
     def test_divergence_raises_with_iteration(self):
         q = QuadraticProblem(diag=[8.0], m=2)
         w = build_metropolis_weights(builtin_topology("complete", 2))
-        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule.constant(0.9),
+        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule("constant", lambda0=0.9),
                         noise_variance=0.0, iterations=5000, seed=0,
                         init_mode="explicit", init_coords=np.array([1.0]))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -243,7 +250,7 @@ class TestRun:
     def test_single_agent_harmonic_converges(self):
         q = QuadraticProblem(diag=[1.0, 1.0], m=1)
         w = validate_weight_matrix([[1.0]])
-        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule.harmonic(0.45),
+        cfg = RunConfig(problem=q, weights=w, schedule=StepsizeSchedule("harmonic", scale=0.45),
                         noise_variance=0.0, iterations=10_000, seed=0,
                         init_mode="explicit", init_coords=np.array([1.0, 1.0]),
                         record_every=10_000)
@@ -392,7 +399,7 @@ class TestPolishSearch:
     return what the search over the whole grid returns."""
 
     def test_coupling_saddle(self, paper_problem, complete5):
-        saddle = paper_problem.refined_saddle()
+        saddle = paper_problem.known_saddle()
         got = polish_fixed_point(paper_problem, complete5, 0.02, saddle)
         assert got.tobytes() == _polish_oracle(paper_problem, complete5, 0.02, saddle).tobytes()
         assert not np.array_equal(got, saddle)  # the search ran and moved it
@@ -406,14 +413,14 @@ class TestPolishSearch:
         ([(64, -64)], 0),  # the grid's corner
     ])
     def test_patched_fixed_points(self, paper_problem, complete5, monkeypatch, offsets, want):
-        saddle = paper_problem.refined_saddle()
+        saddle = paper_problem.known_saddle()
         fixed = _fixed_only_at(monkeypatch, saddle, offsets)
         got = polish_fixed_point(paper_problem, complete5, 0.02, saddle)
         assert got.tobytes() == fixed[want].tobytes()
         assert got.tobytes() == _polish_oracle(paper_problem, complete5, 0.02, saddle).tobytes()
 
     def test_no_fixed_point(self, paper_problem, complete5, monkeypatch):
-        saddle = paper_problem.refined_saddle()
+        saddle = paper_problem.known_saddle()
         _fixed_only_at(monkeypatch, saddle, [])
         got = polish_fixed_point(paper_problem, complete5, 0.02, saddle)
         assert got.tobytes() == saddle.tobytes()
@@ -435,7 +442,7 @@ class TestPolishSearch:
 
 class TestSaddleInit:
     def test_polished_saddle_is_frozen_on_complete_graph(self, paper_problem, complete5):
-        theta = resolve_at_saddle_init(paper_problem, complete5, PAPER_SCHEDULE)
+        theta = _saddle_init(paper_problem, complete5)
         # one noise-free step reproduces the state bitwise
         x = np.tile(theta, (5, 1))
         lam = stepsize(PAPER_SCHEDULE, 1)
@@ -444,11 +451,11 @@ class TestSaddleInit:
         assert np.linalg.norm(paper_problem.aggregated_gradient(theta)) <= 1e-10
 
     def test_heterogeneous_topology_returns_newton_point(self, paper_problem, rpc5):
-        theta = resolve_at_saddle_init(paper_problem, rpc5, PAPER_SCHEDULE)
-        assert np.array_equal(theta, paper_problem.refined_saddle())
+        theta = _saddle_init(paper_problem, rpc5)
+        assert np.array_equal(theta, paper_problem.known_saddle())
 
     def test_polish_noop_when_already_fixed(self, complete5, paper_problem):
-        theta = paper_problem.refined_saddle()
+        theta = paper_problem.known_saddle()
         polished = polish_fixed_point(paper_problem, complete5, 0.02, theta)
         assert np.linalg.norm(polished - theta) <= 1e-12
 
@@ -482,14 +489,15 @@ class TestLockstep:
 
     def test_ica_batch_slices_match_single_runs(self, ica4, rpc5):
         self._assert_slices_match_single_runs(
-            self._configs(ica4, rpc5, StepsizeSchedule.piecewise_paper(0.003, 100, 0.3),
+            self._configs(ica4, rpc5,
+                          StepsizeSchedule("piecewise_paper", lambda0=0.003, switch_k=100, scale=0.3),
                           [11, 12, 13], [1.0, 0.5, 1.0], record_every=30)
         )
 
     def test_quadratic_batch_slices_match_single_runs(self, rng):
         q = QuadraticProblem(diag=[0.5, 1.0, 1.5], m=4, offsets=rng.standard_normal((4, 3)))
         w = build_metropolis_weights(builtin_topology("ring", 4))
-        configs = self._configs(q, w, StepsizeSchedule.constant(0.05), [1, 2, 3, 4, 5],
+        configs = self._configs(q, w, StepsizeSchedule("constant", lambda0=0.05), [1, 2, 3, 4, 5],
                                 [0.3, 0.3, 0.0, 1.0, 0.7], record_state=True, record_every=7)
         self._assert_slices_match_single_runs(configs)
 
@@ -501,7 +509,7 @@ class TestLockstep:
                              offsets=np.random.default_rng(m).standard_normal((m, 2)))
         w = build_metropolis_weights(builtin_topology("ring", m))
         seeds = range(1000, 1200)
-        configs = self._configs(q, w, StepsizeSchedule.constant(0.05), seeds,
+        configs = self._configs(q, w, StepsizeSchedule("constant", lambda0=0.05), seeds,
                                 [0.5 if s % 3 else 0.0 for s in seeds],
                                 iterations=30, record_every=10)
         self._assert_slices_match_single_runs(configs)
@@ -513,7 +521,7 @@ class TestLockstep:
                              offsets=np.random.default_rng(16).standard_normal((16, 2)))
         w = build_metropolis_weights(builtin_topology("ring", 16))
         seeds = range(2000, 2040)
-        configs = self._configs(q, w, StepsizeSchedule.constant(0.05), seeds,
+        configs = self._configs(q, w, StepsizeSchedule("constant", lambda0=0.05), seeds,
                                 [0.5 if s % 3 else 0.0 for s in seeds],
                                 iterations=30, record_every=10)
         batch = run_batch(configs)
@@ -543,13 +551,13 @@ class TestLockstep:
         x0 = np.stack([paper_problem.sample_init(_seed_sequence_stream(s, 2)) for s in seeds])
         # coupling's pairs: each run's noise and its mirror along e1, on an
         # (R, 2, m, d) state
-        e1 = min_eigvec(paper_problem.aggregated_hessian(paper_problem.refined_saddle()))
+        e1 = min_eigvec(paper_problem.aggregated_hessian(paper_problem.known_saddle()))
         mirrored = (np.stack([x0, x0], axis=1),
                     lambda n: np.stack([n, mirror_noise(n, e1)], axis=-3))
 
         # lambda_k changes at every step past k = 20, so a step misaligned
         # with its noise block's stepsizes shows
-        schedule = StepsizeSchedule.piecewise_paper(0.02, 20, 0.4)
+        schedule = StepsizeSchedule("piecewise_paper", lambda0=0.02, switch_k=20, scale=0.4)
 
         # runs 1, 3 and 0 stop at k = 50, 55 and 80, inside a block at sizes 64
         # and 7, the first two inside the same one; the survivors then cross
@@ -640,12 +648,12 @@ def _row_problems():
     ica = make_ica_problem(d=4, m=5, samples_per_agent=40, seed=5)
     offsets = np.arange(10.0).reshape(5, 2) / 7
     return {
-        "estimation": (make_paper_estimation_problem(), StepsizeSchedule.constant(0.02)),
+        "estimation": (make_paper_estimation_problem(), StepsizeSchedule("constant", lambda0=0.02)),
         "quadratic": (QuadraticProblem([0.5, 1.5], m=5, offsets=offsets),
-                      StepsizeSchedule.constant(0.05)),
+                      StepsizeSchedule("constant", lambda0=0.05)),
         "saddle_quadratic": (QuadraticProblem([0.5, -1.5], m=5),  # no minimum: NaN errors
-                             StepsizeSchedule.constant(0.05)),
-        "ica": (ica, StepsizeSchedule.constant(0.01)),
+                             StepsizeSchedule("constant", lambda0=0.05)),
+        "ica": (ica, StepsizeSchedule("constant", lambda0=0.01)),
     }
 
 

@@ -17,7 +17,7 @@ from dpdgd.privacy import (
     variance_for_budget,
 )
 
-PAPER_SCHEDULE = StepsizeSchedule.piecewise_paper(0.02, 500, 1.0)
+PAPER_SCHEDULE = StepsizeSchedule("piecewise_paper", lambda0=0.02, switch_k=500, scale=1.0)
 
 
 class TestSensitivity:
@@ -182,7 +182,7 @@ class TestMonotonicity:
 
 class TestPerIterationReport:
     def test_constant_schedule_constant_rows(self):
-        report = per_iteration_report(StepsizeSchedule.constant(0.01), variance=0.5,
+        report = per_iteration_report(StepsizeSchedule("constant", lambda0=0.01), variance=0.5,
                                       nu=2.0, n_i=3, delta=0.05, horizon=50)
         assert len(report.k) == 50
         triples = zip(report.eps_sample, report.eps_gradient, report.eps_variable)

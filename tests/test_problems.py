@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dpdgd import numdiff
 from dpdgd.optimizer import RunConfig, StepsizeSchedule, run
 from dpdgd.problems import (
     DimensionMismatch,
@@ -17,6 +16,9 @@ from dpdgd.problems import (
     make_ica_problem,
     make_paper_estimation_problem,
 )
+from dpdgd.problems.estimation import RAMP_RADIUS
+
+import numdiff
 
 PRINTED_MIN = np.array([1.3478, 1.0690])
 PRINTED_SADDLE = np.array([-7.4336, 1.3959])
@@ -27,7 +29,7 @@ def _extension_gradient(p, agent, theta):
     from the closed forms: f_i(theta) inside the box, and outside it the
     gradient of f_i(tc) + s(r) grad f_i(tc).dvec + wall_slope r, where tc is
     theta clipped to the box, dvec = theta - tc, r = |dvec| and s falls from
-    1 to 0 by a smoothstep over the ramp."""
+    1 to 0 by a smoothstep as r goes from 0 to RAMP_RADIUS."""
     def inside(t):
         return (-2.0 * p.M.T @ p.Y[agent] + 2.0 * p.M.T @ p.M @ t
                 + 3.0 * p.kappa * np.linalg.norm(t) * t)
@@ -37,10 +39,10 @@ def _extension_gradient(p, agent, theta):
     r = np.linalg.norm(dvec)
     if r == 0.0:
         return inside(theta)
-    nhat, g, t = dvec / r, inside(tc), r / p.ramp_radius
+    nhat, g, t = dvec / r, inside(tc), r / RAMP_RADIUS
     s, sp = 0.0, 0.0
     if t < 1.0:
-        s, sp = 1.0 - t * t * (3.0 - 2.0 * t), -6.0 * t * (1.0 - t) / p.ramp_radius
+        s, sp = 1.0 - t * t * (3.0 - 2.0 * t), -6.0 * t * (1.0 - t) / RAMP_RADIUS
     nt = np.linalg.norm(tc)
     hess = 2.0 * p.M.T @ p.M
     if nt > 0:
@@ -65,10 +67,10 @@ def _norm_and_clip_gradients(p, x, mty):
 
 def _ica_gradient(p, agent, u):
     """Reference for the ICA gradient, one agent at one point: the tangent
-    projection of sign_factor * 4 mean((u^T y)^3 y) over the agent's samples."""
+    projection of 4 mean((u^T y)^3 y) over the agent's samples."""
     ys = p.samples[agent]
     proj = ys @ u
-    g = p.sign_factor * 4.0 * (proj * proj * proj) @ ys / ys.shape[0]
+    g = 4.0 * (proj * proj * proj) @ ys / ys.shape[0]
     return g - (u @ g) * u
 
 
@@ -154,14 +156,27 @@ class TestHessian:
         fd = numdiff.hessian(lambda t: paper_problem.objective(t), theta, step=1e-4)
         assert np.abs(analytic - fd).max() <= 1e-4
 
+    def test_fallback_equals_the_finite_difference_oracle(self, paper_problem, rng):
+        # the fallback is numdiff.hessian_from_gradient folded into Problem,
+        # with the same steps: ICA everywhere, estimation outside the box
+        cases = [(paper_problem, paper_problem.hi + [0.3, 0.2]),
+                 (paper_problem, paper_problem.lo - [0.7, 0.0]),
+                 (paper_problem, paper_problem.hi + [2.0, -4.5])]
+        for d in (4, 10):
+            p = make_ica_problem(d=d, m=5, samples_per_agent=160, seed=99)
+            cases += [(p, p.nominal_saddle()), (p, p.retract(rng.standard_normal(d)))]
+        for p, theta in cases:
+            want = numdiff.hessian_from_gradient(p.aggregated_gradient, theta)
+            assert p.aggregated_hessian(theta).tobytes() == want.tobytes()
+
     def test_singular_at_origin(self, paper_problem):
         with pytest.raises(SingularPoint):
             paper_problem.aggregated_hessian(np.zeros(2))
 
     def test_eigenvalue_signs_at_refined_points(self, paper_problem):
-        h_min = paper_problem.aggregated_hessian(paper_problem.refined_minimum())
+        h_min = paper_problem.aggregated_hessian(paper_problem.reference_minimum())
         assert (np.linalg.eigvalsh(h_min) > 0).all()
-        h_sad = paper_problem.aggregated_hessian(paper_problem.refined_saddle())
+        h_sad = paper_problem.aggregated_hessian(paper_problem.known_saddle())
         eig = np.linalg.eigvalsh(h_sad)
         assert eig[0] < -1e-3 and eig[-1] > 1e-3
 
@@ -255,7 +270,7 @@ class TestBatchedGradients:
         inside the ramp, and n with every agent beyond it."""
         pts = rng.uniform(p.lo - 3.0, p.hi + 3.0, size=(40 * n * p.m, p.d))
         r = np.linalg.norm(pts - np.clip(pts, p.lo, p.hi), axis=1)
-        groups = (r == 0.0, (r > 0.0) & (r < p.ramp_radius), r >= p.ramp_radius)
+        groups = (r == 0.0, (r > 0.0) & (r < RAMP_RADIUS), r >= RAMP_RADIUS)
         return [pts[g][: n * p.m].reshape(n, p.m, p.d) for g in groups]
 
     def test_wall_gradient_matches_per_agent_formula(self, paper_problem, rng):
@@ -363,19 +378,19 @@ class TestBatchedGradients:
 
 class TestRefinedPoints:
     def test_refined_gradients_vanish(self, paper_problem):
-        for pt in (paper_problem.refined_minimum(), paper_problem.refined_saddle()):
+        for pt in (paper_problem.reference_minimum(), paper_problem.known_saddle()):
             assert np.linalg.norm(paper_problem.aggregated_gradient(pt)) <= 1e-10
 
     def test_refined_close_to_printed(self, paper_problem):
-        assert np.linalg.norm(paper_problem.refined_minimum() - PRINTED_MIN) <= 5e-4
-        assert np.linalg.norm(paper_problem.refined_saddle() - PRINTED_SADDLE) <= 5e-4
+        assert np.linalg.norm(paper_problem.reference_minimum() - PRINTED_MIN) <= 5e-4
+        assert np.linalg.norm(paper_problem.known_saddle() - PRINTED_SADDLE) <= 5e-4
 
     def test_refined_points_pinned(self, paper_problem, ica4):
         # Newton refinement and the saddle polish read these bits; a gradient
         # rewrite that moves them moves every at_saddle output
-        assert [v.hex() for v in paper_problem.refined_minimum()] == [
+        assert [v.hex() for v in paper_problem.reference_minimum()] == [
             "0x1.590752ebb4cd6p+0", "0x1.11a72022a5114p+0"]
-        assert [v.hex() for v in paper_problem.refined_saddle()] == [
+        assert [v.hex() for v in paper_problem.known_saddle()] == [
             "-0x1.dbbf8cb88b630p+2", "0x1.655b9bd7fa64bp+0"]
         assert [v.hex() for v in ica4.known_saddle()] == [
             "0x1.3b4ad36f56951p-2", "-0x1.64a817452b474p-2",
@@ -383,8 +398,8 @@ class TestRefinedPoints:
 
     def test_constructor_built_problem_runs(self, paper_problem, rpc5):
         p = paper_problem
-        cfg = dict(weights=rpc5, schedule=StepsizeSchedule.constant(0.01), noise_variance=0.1,
-                   iterations=10, seed=3)
+        cfg = dict(weights=rpc5, schedule=StepsizeSchedule("constant", lambda0=0.01),
+                   noise_variance=0.1, iterations=10, seed=3)
         bare = EstimationProblem(p.M, p.Y, p.kappa, p.lo, p.hi)
         trace = run(RunConfig(problem=bare, **cfg))
         # without a known minimum the errors read NaN, without a saddle there is none
@@ -394,7 +409,7 @@ class TestRefinedPoints:
             bare.known_saddle()
         # given the factory's points, it refines to the factory's bits and runs as it does
         known = EstimationProblem(p.M, p.Y, p.kappa, p.lo, p.hi, known_points=p.known_points)
-        assert np.array_equal(known.refined_minimum(), p.refined_minimum())
+        assert np.array_equal(known.reference_minimum(), p.reference_minimum())
         assert np.array_equal(known.known_saddle(), p.known_saddle())
         want = run(RunConfig(problem=p, **cfg))
         got = run(RunConfig(problem=known, **cfg))
@@ -458,13 +473,21 @@ class TestIca:
     def test_reconstruction_error_uniform_direction_identity_mixing(self):
         rng = np.random.default_rng(5)
         z = rng.choice([-1.0, 1.0], size=(2, 40, 4))
-        p = IcaProblem(mixing=np.eye(4), samples=z, sign_factor=1.0)
+        p = IcaProblem(mixing=np.eye(4), samples=z)
         u = np.full(4, 0.5)
         assert abs(p.reconstruction_error(u) - 1.0) <= 1e-12
 
     def test_not_unit_norm(self, ica4):
         with pytest.raises(NotUnitNorm):
             ica4.reconstruction_error(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_nan_is_not_unit_norm(self, ica4, rng):
+        with pytest.raises(NotUnitNorm):
+            ica4.reconstruction_error(np.array([np.nan, 0.0, 0.0, 0.0]))
+        x = ica4.retract(rng.standard_normal((5, 4)))
+        x[2, 1] = np.nan
+        with pytest.raises(NotUnitNorm):
+            ica4.optimization_errors(x)
 
     def test_optimization_errors_match_rows(self, ica4, rng):
         x = ica4.retract(rng.standard_normal((5, 4)))
@@ -558,10 +581,8 @@ class TestIca:
             assert ica4.retract(x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", [2, 4, 10])
-    @pytest.mark.parametrize("sign_factor", [1.0, -1.0])
-    def test_stacked_gradients_match_agent_gradient(self, d, sign_factor, rng):
-        base = make_ica_problem(d=d, m=5, samples_per_agent=48, seed=d)
-        p = IcaProblem(mixing=base.A, samples=base.samples, sign_factor=sign_factor)
+    def test_stacked_gradients_match_agent_gradient(self, d, rng):
+        p = make_ica_problem(d=d, m=5, samples_per_agent=48, seed=d)
         x = p.retract(rng.standard_normal((3, p.m, d)))
         got = p.agent_gradients(x)
         want = np.array([[_ica_gradient(p, j, row[j]) for j in range(p.m)] for row in x])
