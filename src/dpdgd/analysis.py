@@ -140,13 +140,17 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
     if runs < 1 or horizon < 1 or not 0 < escape_radius < np.inf or not 0 <= seed < 2**64:
         raise AnalysisError(f"need runs >= 1, horizon >= 1, a finite escape_radius > 0 and a seed "
                             f"in [0, 2**64), got {runs}, {horizon}, {escape_radius} and {seed}")
+    if runs > 2**32:
+        raise AnalysisError(f"runs must be at most 2**32, so that a pair index fits its stream "
+                            f"key's 32-bit word, got {runs}")
+    m, d = problem.m, problem.d
+    optimizer.check_batch_memory(runs * 2 * m * d, runs * m if variance > 0 else 0)
     saddle = np.asarray(saddle, dtype=float)
     kind = classify_stationary_point(problem, saddle, grad_tol=1e-6, eig_tol=1e-6)
     if kind != "strict_saddle":
         raise NotAStrictSaddle(f"initial point classifies as {kind!r}")
     e1 = min_eigvec(problem.aggregated_hessian(saddle))
     start = optimizer.polish_fixed_point(problem, w, optimizer.stepsize(schedule, 1), saddle)
-    m = problem.m
     streams = [None] * runs
     if variance > 0:
         keys = optimizer.stream_keys([seed], [(optimizer._COUPLING_STREAM, r, j)

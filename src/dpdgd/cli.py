@@ -31,6 +31,7 @@ from .optimizer import (
     NonFiniteState,
     RunConfig,
     StepsizeSchedule,
+    check_batch_memory,
     run,
     run_batch,
     stream_keys,
@@ -206,7 +207,11 @@ _TABLE1 = {
     "base": Field("object", True, sub=_BASE),
     "variances": Field("array", True, checks=((lambda v: v.ndim == 1 and v.size and (v >= 0).all(),
                                                ">= 0, in a non-empty list"),)),
-    "runs_per_cell": Field("int", True, checks=((lambda n: n >= 1, ">= 1"),)),
+    "runs_per_cell": Field("int", True, checks=(
+        (lambda n: n >= 1, ">= 1"),
+        (lambda n: n <= 2**32,
+         "at most 2**32, so that a run index fits its stream key's 32-bit word"),
+    )),
     "output": _output(csv="table1.csv"),
 }
 _COUPLING = {**_SHARED, "variance": _REAL, "runs": _INT, "horizon": _INT, "escape_radius": _REAL,
@@ -371,11 +376,14 @@ def cmd_table1(args) -> int:
         cfg = {**cfg, "base": _with_flags(cfg["base"], seed=args.seed)}
     checked = _walk(cfg, _TABLE1, "sweep config")
     # builds the base run once up front, so that the library's checks fail early
-    _, base = build_run_config(cfg["base"])
+    config, base = build_run_config(cfg["base"])
     jobs = _flag(args.jobs, "--jobs")
     if jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
     variances, runs_per_cell = checked["variances"].tolist(), checked["runs_per_cell"]
+    agents = config.problem.m
+    check_batch_memory(len(variances) * runs_per_cell * agents * config.problem.d,
+                       sum(v > 0 for v in variances) * runs_per_cell * agents)
     # every (cell, run) pair in one lockstep batch, or in one contiguous chunk
     # per worker; a run's numbers do not depend on the batch it is in
     seeds = _table1_seeds(base["seed"], range(len(variances)), runs_per_cell)
@@ -545,11 +553,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def main(argv=None) -> int:
+def _build_parser():
     parser = _Parser(
         prog="dpdgd",
         description="Differentially private decentralized nonconvex optimization runner",
     )
+    # the chosen command's name; main calls the cmd_* function of that name
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, jobs=False):
@@ -562,34 +571,34 @@ def main(argv=None) -> int:
     sp_run = sub.add_parser("run", help="single seeded run; writes trace CSV + summary JSON")
     add_common(sp_run)
     sp_run.add_argument("--record-every", default=None, help="trace row spacing (an integer)")
-    sp_run.set_defaults(func=cmd_run)
 
-    sp_t1 = sub.add_parser("table1", help="final-error sweep over noise variances")
-    add_common(sp_t1, jobs=True)
-    sp_t1.set_defaults(func=cmd_table1)
-
-    sp_cp = sub.add_parser("coupling", help="paired saddle-escape experiment")
-    add_common(sp_cp)
-    sp_cp.set_defaults(func=cmd_coupling)
+    add_common(sub.add_parser("table1", help="final-error sweep over noise variances"), jobs=True)
+    add_common(sub.add_parser("coupling", help="paired saddle-escape experiment"))
 
     sp_pr = sub.add_parser("privacy-report", help="per-iteration epsilon report CSV")
     sp_pr.add_argument("--config", required=True)
     sp_pr.add_argument("--out", default=None)
-    sp_pr.set_defaults(func=cmd_privacy_report)
 
-    sp_vf = sub.add_parser("verify", help="run the built-in fast property suite")
-    sp_vf.set_defaults(func=cmd_verify)
+    sub.add_parser("verify", help="run the built-in fast property suite")
+    sub.add_parser("list-configs", help="list bundled experiment configs")
+    return parser
 
-    sp_lc = sub.add_parser("list-configs", help="list bundled experiment configs")
-    sp_lc.set_defaults(func=cmd_list_configs)
 
+_PARSER = None  # built by the first main call, not at import, and kept for later calls
+
+
+def main(argv=None) -> int:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        # looked up at each call, so that a command replaced after the first call runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (InvalidConfig, TopologyError, ProblemError, analysis.AnalysisError,
             privacy.PrivacyError) as exc:  # inputs the method does not take
         print(f"config error: [{type(exc).__name__}] {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ a run's numbers do not depend on the batch it shares.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ _TABLE1_STREAM = 10  # (seed, 10, cell, run): the run seeds of the `table1` comm
 NOISE_BLOCK = 64  # iterations of noise drawn from a stream at a time
 _NOISE_BUFFER = 2**16  # cap on the doubles buffered across all streams (512 KB)
 RECORD_CHUNK = 32  # recorded states whose metrics are computed in one stacked call
+_STREAM_BYTES = 512  # less than one Philox generator holds (about 730 bytes measured)
 
 
 class InvalidConfig(ValueError):
@@ -237,6 +239,17 @@ def stream_keys(seeds, keys) -> np.ndarray:
         words[..., width:] = keys
         out[group] = _seed_sequence_keys(words.reshape(-1, words.shape[-1])).reshape(-1, len(keys), 2)
     return out
+
+
+def check_batch_memory(states, streams):
+    """InvalidConfig when a lockstep batch of `states` float64 state entries
+    and `streams` noise streams cannot fit in physical memory, by a lower bound:
+    16 bytes per entry (the running and the final state), _STREAM_BYTES per stream."""
+    need = 16 * states + _STREAM_BYTES * streams
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise InvalidConfig(f"the batch's states and noise streams need at least {need / 2**30:.4g} "
+                            f"GiB, more than the {have / 2**30:.4g} GiB of physical memory")
 
 
 class _PhiloxKey(numpy.random.bit_generator.ISeedSequence):

@@ -91,9 +91,6 @@ class Problem:
 
     # -- aggregated surface ------------------------------------------------
 
-    def objective(self, theta) -> float:
-        return float(np.mean([self.agent_objective(i, theta) for i in range(self.m)]))
-
     def aggregated_gradient(self, theta) -> np.ndarray:
         """Mean of the agent_gradients rows with every agent at theta."""
         return self.agent_gradients(np.tile(self._check_theta(theta), (self.m, 1))).mean(axis=0)

@@ -129,28 +129,23 @@ class IcaProblem(Problem):
 
     # -- metrics ---------------------------------------------------------------------
 
-    def _sphere_errors(self, u):
-        """min over columns a_j of A and signs of ||u -+ a_j||, for each row
-        of u (..., d); raises NotUnitNorm if any row is off the sphere.
+    def optimization_errors(self, x):
+        """min over columns a_j of A and signs of ||u -+ a_j||, for each
+        agent's row u of x (..., m, d); raises NotUnitNorm if any row is off
+        the sphere.
 
         On the sphere ||u - s a_j||^2 = 2 - 2 s u^T a_j, so the nearest signed
         column s a_j is the one of largest s u^T a_j, i.e. the argmax of
         |u^T a_j| with its sign; one u [A, -A] product finds it. The distance
         to it is then formed from u - s a_j, never as 2 - 2 s u^T a_j, which
         loses a small distance to cancellation."""
-        norms = np.asarray(np.linalg.norm(u, axis=-1))
+        u = self._check_state(x)
+        norms = np.linalg.norm(u, axis=-1)
         off = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # a nan norm is off too
         if off.any():
             raise NotUnitNorm(f"||u|| = {norms[off][0]:.10f} is not 1 within {UNIT_NORM_TOL:.0e}")
         nearest = (u @ self._signed_columns.T).argmax(axis=-1)
         return np.linalg.norm(u - self._signed_columns[nearest], axis=-1)
-
-    def reconstruction_error(self, u):
-        """min over columns a_j of A and signs of ||u -+ a_j||."""
-        return float(self._sphere_errors(self._check_theta(u)))
-
-    def optimization_errors(self, x):
-        return self._sphere_errors(self._check_state(x))
 
 
 def make_ica_problem(d, m, samples_per_agent, seed) -> IcaProblem:
@@ -168,7 +163,4 @@ def make_ica_problem(d, m, samples_per_agent, seed) -> IcaProblem:
     signs[signs == 0] = 1.0
     a = q * signs[None, :]
     z = rng.choice(np.array([-1.0, 1.0]), size=(m, samples_per_agent, d))
-    y = z @ a.T
-    p = IcaProblem(mixing=a, samples=y)
-    p.Z = z
-    return p
+    return IcaProblem(mixing=a, samples=z @ a.T)

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -718,3 +723,190 @@ class TestSchema:
                                                                "diag": diag, "m": 5}))
         _assert_one_line_exit_one(["run", "--config", path, "--out", str(out)], out, capsys,
                                   "config error:", "problem diag must be finite with a nonzero entry")
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _fresh(args, cwd, limit=None, script=None):
+    """A fresh interpreter running `dpdgd` with args (or `script`), under an
+    address-space limit of `limit` bytes when given."""
+    code = script or "import sys\nfrom dpdgd.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    if limit:
+        code = ("import resource\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n" + code)
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    env.pop("DPDGD_OUT", None)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+class TestSharedParser:
+    """main builds its parser on the first call and parses every later call
+    with it; what a call prints, writes and returns is what a fresh process's
+    first call gives."""
+
+    def _argvs(self, tmp_path):
+        cfgs = {"run": BASE_RUN_CFG, "privacy-report": TestPrivacyReportCommand()._cfg(),
+                "table1": TestTable1Command()._sweep_cfg(runs_per_cell=2),
+                "coupling": TestCouplingCommand()._cfg()}
+        paths = {cmd: write_cfg(tmp_path, cfg, cmd + ".json") for cmd, cfg in cfgs.items()}
+        return [["run", "--config", paths["run"], "--seed", "7"], ["run", "--config"],
+                ["privacy-report", "--config", paths["privacy-report"]],
+                ["table1", "--config", paths["table1"]],
+                ["coupling", "--config", paths["coupling"]]]
+
+    def test_back_to_back_commands_equal_fresh_processes(self, tmp_path, capsys):
+        argvs = self._argvs(tmp_path)
+        shared = []
+        for i, argv in enumerate(argvs):
+            code = cli.main([*argv, "--out", str(tmp_path / "shared" / str(i))])
+            captured = capsys.readouterr()
+            shared.append((code, captured.out.replace(str(tmp_path / "shared"), "OUT"),
+                           captured.err))
+        for i, argv in enumerate(argvs):
+            fresh = _fresh([*argv, "--out", str(tmp_path / "fresh" / str(i))], tmp_path)
+            assert shared[i] == (fresh.returncode,
+                                 fresh.stdout.replace(str(tmp_path / "fresh"), "OUT"), fresh.stderr)
+        assert [c for c, _, _ in shared] == [0, 1, 0, 0, 0]
+        assert shared[1][2].startswith("usage error: dpdgd run:")
+
+        def files(root):
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        assert files(tmp_path / "shared") == files(tmp_path / "fresh")
+        assert len(files(tmp_path / "shared")) == 5
+
+    @pytest.mark.parametrize("command", ["run", "table1", "coupling", "privacy-report", "verify",
+                                         "list-configs"])
+    def test_command_replaced_after_first_call_runs(self, monkeypatch, command):
+        assert cli.main(["run"]) == 1  # the parser exists from here on
+        seen = []
+
+        def replaced(args):
+            seen.append(args)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), replaced)
+        flags = ["--config", "a.json"] if command not in ("verify", "list-configs") else []
+        assert cli.main([command, *flags]) == 7
+        assert cli.main([command, *flags]) == 7
+        assert len(seen) == 2 and seen[0] is not seen[1] and seen[0].command == command
+
+    def test_each_call_parses_into_a_fresh_namespace(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(args) or 0)
+        assert cli.main(["run", "--config", "a.json", "--seed", "5", "--record-every", "2"]) == 0
+        assert cli.main(["run", "--config", "b.json"]) == 0
+        assert [(a.config, a.seed, a.record_every) for a in seen] == [("a.json", "5", "2"),
+                                                                        ("b.json", None, None)]
+
+    def test_out_dir_from_the_environment_at_each_call(self, tmp_path, monkeypatch):
+        path = write_cfg(tmp_path, TestPrivacyReportCommand()._cfg(horizon=20))
+        for name in ("a", "b"):
+            monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / name))
+            assert cli.main(["privacy-report", "--config", path]) == 0
+            assert (tmp_path / name / "privacy_report.csv").is_file()
+        assert (tmp_path / "a" / "privacy_report.csv").read_bytes() == (
+            tmp_path / "b" / "privacy_report.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", [[], ["run"], ["table1"], ["coupling"], ["privacy-report"],
+                                         ["verify"], ["list-configs"]])
+    def test_help_equals_a_new_parser(self, capsys, monkeypatch, command):
+        # the width is read when the help is printed, not when the parser is built
+        assert cli.main(["run"]) == 1
+        monkeypatch.setenv("COLUMNS", "60")
+        capsys.readouterr()
+        helps = []
+        for parse in (cli.main, cli._build_parser().parse_args):
+            with pytest.raises(SystemExit) as exit_:
+                parse([*command, "--help"])
+            assert exit_.value.code == 0
+            helps.append(capsys.readouterr())
+        assert helps[0] == helps[1] and helps[0].err == ""
+        assert helps[0].out.startswith("usage: dpdgd")
+
+    def test_built_once_by_the_first_call_not_at_import(self, tmp_path):
+        # counts the argparse parsers made: none at import, and the first
+        # call's (dpdgd and its six commands) for any number of calls
+        script = textwrap.dedent("""
+            import argparse
+            made = []
+            init = argparse.ArgumentParser.__init__
+            def counting(self, *args, **kwargs):
+                made.append(kwargs.get("prog"))
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting
+            import dpdgd.cli as cli
+            counts = [len(made)]
+            for argv in (["run"], ["list-configs"], ["bogus"], ["verify", "--x"], ["list-configs"]):
+                cli.main(argv)
+                counts.append(len(made))
+            print(*counts)
+        """)
+        out = _fresh([], tmp_path, script=script)
+        assert out.returncode == 0, out.stderr
+        counts = [int(c) for c in out.stdout.split()[-6:]]
+        assert counts == [0, 7, 7, 7, 7, 7]
+
+
+class TestSizeBounds:
+    """A sweep or coupling too large for its stream keys or for memory exits 1
+    before anything per run is built. The cases run in one fresh interpreter
+    whose address space is capped at 1 GB, so that a size that got past the
+    check would fail fast instead of filling the machine."""
+
+    CASES = {  # name: (command, config edit, words of the one stderr line)
+        "table1-key": ("table1", {"runs_per_cell": 2**32 + 1},
+                       "runs_per_cell must be at most 2**32"),
+        "table1-memory": ("table1", {"runs_per_cell": 2**32}, "physical memory"),
+        "table1-memory-noiseless": ("table1", {"runs_per_cell": 2**32, "variances": [0.0]},
+                                    "physical memory"),
+        "coupling-key": ("coupling", {"runs": 2**40}, "runs must be at most 2**32"),
+        "coupling-key-edge": ("coupling", {"runs": 2**32 + 1}, "runs must be at most 2**32"),
+        "coupling-memory-noiseless": ("coupling", {"runs": 2**32, "variance": 0.0},
+                                      "physical memory"),
+        "coupling-memory": ("coupling", {"runs": 2**30}, "physical memory"),
+    }
+
+    @pytest.fixture(scope="class")
+    def results(self, tmp_path_factory):
+        """(the cases' directory, {name: [exit code, stderr]}) from one capped interpreter."""
+        tmp = tmp_path_factory.mktemp("sizes")
+        argvs = {}
+        for name, (command, edit, _) in self.CASES.items():
+            cfg = (TestTable1Command()._sweep_cfg() if command == "table1"
+                   else TestCouplingCommand()._cfg())
+            path = write_cfg(tmp, dict(cfg, **edit), name + ".json")
+            argvs[name] = [command, "--config", path, "--out", str(tmp / name)]
+        script = textwrap.dedent("""
+            import contextlib, io, json, sys
+            from dpdgd.cli import main
+            out = {}
+            for name, argv in json.loads(sys.argv[1]).items():
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    out[name] = [main(argv), err.getvalue()]
+            print(json.dumps(out))
+        """)
+        run = _fresh([json.dumps(argvs)], tmp, limit=2**30, script=script)
+        assert run.returncode == 0, run.stderr
+        return tmp, json.loads(run.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_rejected_before_allocation(self, results, name):
+        tmp, codes = results
+        code, stderr = codes[name]
+        err = stderr.strip().splitlines()
+        assert code == 1 and len(err) == 1, stderr
+        assert err[0].startswith("config error:") and self.CASES[name][2] in err[0], err
+        assert not (tmp / name).exists()
+
+    def test_memory_bound_is_the_physical_memory(self):
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        optimizer.check_batch_memory(have // 16, 0)
+        optimizer.check_batch_memory(0, have // optimizer._STREAM_BYTES)
+        for states, streams in ((have // 16 + 1, 0), (0, have // optimizer._STREAM_BYTES + 1)):
+            with pytest.raises(optimizer.InvalidConfig, match="physical memory"):
+                optimizer.check_batch_memory(states, streams)
