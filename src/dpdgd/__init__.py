@@ -7,41 +7,5 @@ same noise provides escape from non-minimum stationary points.
 """
 
 from . import analysis, optimizer, privacy, problems, topology
-from .analysis import (
-    CouplingResult,
-    assert_contraction,
-    run_coupling_experiment,
-)
-from .optimizer import (
-    RunConfig,
-    RunTrace,
-    StepsizeSchedule,
-    run,
-    stepsize,
-)
-from .privacy import (
-    PrivacyBudget,
-    SensitivityInputs,
-    budget_for_variance,
-    per_iteration_report,
-    sensitivity,
-    variance_for_budget,
-)
-from .problems import (
-    EstimationProblem,
-    IcaProblem,
-    QuadraticProblem,
-    classify_stationary_point,
-    make_ica_problem,
-    make_paper_estimation_problem,
-)
-from .topology import (
-    Graph,
-    WeightMatrix,
-    build_metropolis_weights,
-    builtin_topology,
-    spectral_gap,
-    validate_weight_matrix,
-)
 
 __version__ = "0.1.0"

@@ -23,14 +23,6 @@ class AnalysisError(ValueError):
     pass
 
 
-class NoConsecutiveRows(AnalysisError):
-    pass
-
-
-class NotAStrictSaddle(AnalysisError):
-    pass
-
-
 @dataclass(frozen=True)
 class ContractionViolation:
     k: int
@@ -55,7 +47,7 @@ def assert_contraction(trace: optimizer.RunTrace, w: WeightMatrix, tol=1e-9) -> 
     over every adjacent recorded pair.
 
     Reads each row's recorded consensus_error; needs a trace with consecutive
-    rows (record_every=1), and raises NoConsecutiveRows otherwise.
+    rows (record_every=1), and raises AnalysisError otherwise.
     """
     eta = w.eta
     recs = trace.records
@@ -63,7 +55,7 @@ def assert_contraction(trace: optimizer.RunTrace, w: WeightMatrix, tol=1e-9) -> 
         (a, b) for a, b in zip(recs[:-1], recs[1:]) if b.k == a.k + 1
     ]
     if not pairs:
-        raise NoConsecutiveRows("contraction check needs consecutive iterations in the trace")
+        raise AnalysisError("contraction check needs consecutive iterations in the trace")
     violations = []
     for a, b in pairs:
         lhs = b.consensus_error
@@ -148,7 +140,7 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
     saddle = np.asarray(saddle, dtype=float)
     kind = classify_stationary_point(problem, saddle, grad_tol=1e-6, eig_tol=1e-6)
     if kind != "strict_saddle":
-        raise NotAStrictSaddle(f"initial point classifies as {kind!r}")
+        raise AnalysisError(f"the coupling start is not a strict saddle: it classifies as {kind!r}")
     e1 = min_eigvec(problem.aggregated_hessian(saddle))
     start = optimizer.polish_fixed_point(problem, w, optimizer.stepsize(schedule, 1), saddle)
     streams = [None] * runs

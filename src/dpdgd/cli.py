@@ -361,9 +361,8 @@ def _table1_seeds(master_seed, cells, runs_per_cell):
 
 def _table1_finals(payload):
     """Final mean optimization errors of sweep runs, given as (variance,
-    seed) pairs over one base config, advanced as one lockstep batch."""
-    base_cfg, runs = payload
-    config, _ = build_run_config(base_cfg, seed_override=runs[0][1])
+    seed) pairs over one base RunConfig, advanced as one lockstep batch."""
+    config, runs = payload
     traces = run_batch(
         [dataclasses.replace(config, noise_variance=v, seed=s) for v, s in runs]
     )
@@ -390,7 +389,7 @@ def cmd_table1(args) -> int:
     runs = list(zip([v for v in variances for _ in range(runs_per_cell)], seeds))
     jobs = min(jobs, len(runs))
     bounds = [len(runs) * c // jobs for c in range(jobs + 1)]
-    chunks = [(cfg["base"], runs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    chunks = [(config, runs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -561,10 +560,11 @@ def _build_parser():
     # the chosen command's name; main calls the cmd_* function of that name
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, jobs=False):
+    def add_common(sp, seed=True, jobs=False):
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=None, help=f"output directory (or ${ENV_OUT_DIR})")
-        sp.add_argument("--seed", default=None, help="override the config seed (an integer)")
+        if seed:
+            sp.add_argument("--seed", default=None, help="override the config seed (an integer)")
         if jobs:
             sp.add_argument("--jobs", default=1, help="parallel sweep workers (an integer >= 1)")
 
@@ -574,10 +574,8 @@ def _build_parser():
 
     add_common(sub.add_parser("table1", help="final-error sweep over noise variances"), jobs=True)
     add_common(sub.add_parser("coupling", help="paired saddle-escape experiment"))
-
-    sp_pr = sub.add_parser("privacy-report", help="per-iteration epsilon report CSV")
-    sp_pr.add_argument("--config", required=True)
-    sp_pr.add_argument("--out", default=None)
+    add_common(sub.add_parser("privacy-report", help="per-iteration epsilon report CSV"),
+               seed=False)
 
     sub.add_parser("verify", help="run the built-in fast property suite")
     sub.add_parser("list-configs", help="list bundled experiment configs")
@@ -593,12 +591,16 @@ def main(argv=None) -> int:
         _PARSER = _build_parser()
     try:
         args = _PARSER.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         # looked up at each call, so that a command replaced after the first call runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except _UsageError as exc:
+        first = (sys.argv[1:] if argv is None else argv)[:1]
+        # argparse misreads an option given before the command (or its value) as the command
+        if first and first[0].startswith("-") and first[0] != "-":
+            exc = (f"dpdgd: the command comes first, before its options; "
+                   f"got {first[0].split('=')[0]!r} first")
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except (InvalidConfig, TopologyError, ProblemError, analysis.AnalysisError,
             privacy.PrivacyError) as exc:  # inputs the method does not take
         print(f"config error: [{type(exc).__name__}] {exc}", file=sys.stderr)

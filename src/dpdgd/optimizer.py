@@ -221,14 +221,14 @@ def stream_keys(seeds, keys) -> np.ndarray:
     seed_words = []
     for seed in map(int, seeds):
         if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+            raise InvalidConfig(f"seed must be >= 0, got {seed}")
         words = [seed & 0xFFFFFFFF]  # SeedSequence's little-endian 32-bit split
         while seed >> 32 * len(words):
             words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
         seed_words.append(words)
     keys = np.asarray(keys)
     if keys.size and not (keys.dtype.kind in "iu" and keys.min() >= 0 and keys.max() < 2**32):
-        raise ValueError("stream key entries must be integers in [0, 2**32)")
+        raise InvalidConfig("stream key entries must be integers in [0, 2**32)")
     out = np.empty((len(seed_words), len(keys), 2), dtype=np.uint64)
     if not len(keys):
         return out  # no key to read a width from

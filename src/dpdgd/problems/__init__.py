@@ -2,13 +2,10 @@
 
 from .base import (
     CLASSIFICATIONS,
-    DimensionMismatch,
     KnownPoint,
-    NotUnitNorm,
     Problem,
     ProblemConstants,
     ProblemError,
-    SingularPoint,
     classify_stationary_point,
 )
 from .estimation import EstimationProblem, make_paper_estimation_problem
@@ -17,16 +14,13 @@ from .quadratic import QuadraticProblem
 
 __all__ = [
     "CLASSIFICATIONS",
-    "DimensionMismatch",
     "EstimationProblem",
     "IcaProblem",
     "KnownPoint",
-    "NotUnitNorm",
     "Problem",
     "ProblemConstants",
     "ProblemError",
     "QuadraticProblem",
-    "SingularPoint",
     "classify_stationary_point",
     "make_ica_problem",
     "make_paper_estimation_problem",

@@ -19,18 +19,6 @@ class ProblemError(ValueError):
     pass
 
 
-class DimensionMismatch(ProblemError):
-    pass
-
-
-class SingularPoint(ProblemError):
-    """Analytic Hessian requested where it is undefined."""
-
-
-class NotUnitNorm(ProblemError):
-    pass
-
-
 @dataclass(frozen=True)
 class ProblemConstants:
     """Gradient Lipschitz constant nu and per-agent sample counts n_i.
@@ -135,19 +123,17 @@ class Problem:
     def _check_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.d,):
-            raise DimensionMismatch(f"theta has shape {theta.shape}, expected ({self.d},)")
+            raise ProblemError(f"theta has shape {theta.shape}, expected ({self.d},)")
         return theta
 
     def _check_agent(self, agent: int):
         if not (0 <= agent < self.m):
-            raise DimensionMismatch(f"agent index {agent} out of range [0, {self.m})")
+            raise ProblemError(f"agent index {agent} out of range [0, {self.m})")
 
     def _check_state(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-2:] != (self.m, self.d):
-            raise DimensionMismatch(
-                f"state has shape {x.shape}, expected (..., {self.m}, {self.d})"
-            )
+            raise ProblemError(f"state has shape {x.shape}, expected (..., {self.m}, {self.d})")
         return x
 
 

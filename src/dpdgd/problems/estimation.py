@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import DimensionMismatch, KnownPoint, Problem, ProblemConstants, SingularPoint
+from .base import KnownPoint, Problem, ProblemConstants, ProblemError
 
 # The extension slope is this multiple of the largest per-agent gradient norm
 # on the box boundary; > 1 keeps the radial derivative strictly positive
@@ -46,9 +46,9 @@ class EstimationProblem(Problem):
         self.M = np.array(measurement, dtype=float)
         self.Y = np.array(observations, dtype=float)  # (m, s)
         if self.M.shape[1:] != (2,):
-            raise DimensionMismatch(f"measurement {self.M.shape} is not (s, 2); the problem is 2-D")
+            raise ProblemError(f"measurement {self.M.shape} is not (s, 2); the problem is 2-D")
         if self.Y.ndim != 2 or self.Y.shape[1] != self.M.shape[0]:
-            raise DimensionMismatch(
+            raise ProblemError(
                 f"observations {self.Y.shape} incompatible with measurement {self.M.shape}"
             )
         self.kappa = float(kappa)
@@ -57,9 +57,9 @@ class EstimationProblem(Problem):
         self.lo = np.array(region_lo, dtype=float)
         self.hi = np.array(region_hi, dtype=float)
         if self.lo.shape != (self.d,) or self.hi.shape != (self.d,):
-            raise DimensionMismatch("region bounds must have length d")
+            raise ProblemError("region bounds must have length d")
         if not (self.lo < self.hi).all():
-            raise ValueError("region must be nonempty (lo < hi componentwise)")
+            raise ProblemError("region must be nonempty (lo < hi componentwise)")
         # the factor 2 folded in once: x @ 2A is 2 (x @ A) bit for bit unless a
         # product x_i A_ij is subnormal, and always for the paper's diag(1, 4)
         self._2MtM = 2.0 * (self.M.T @ self.M)
@@ -116,7 +116,7 @@ class EstimationProblem(Problem):
         """Hessian at theta (d,), or one per row of theta (..., d)."""
         nt = _dot_norm(theta)[..., None, None]
         if (nt == 0.0).any():
-            raise SingularPoint("analytic Hessian undefined at theta = 0 (cubic term)")
+            raise ProblemError("analytic Hessian undefined at theta = 0 (cubic term)")
         outer = theta[..., :, None] * theta[..., None, :]
         return self._2MtM + 3.0 * self.kappa * (nt * np.eye(self.d) + outer / nt)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KnownPoint, NotUnitNorm, Problem, ProblemConstants, ProblemError
+from .base import KnownPoint, Problem, ProblemConstants, ProblemError
 
 UNIT_NORM_TOL = 1e-8
 
@@ -29,7 +29,7 @@ class IcaProblem(Problem):
         self.A = np.array(mixing, dtype=float)
         self.samples = np.array(samples, dtype=float)  # (m, n, d)
         if self.samples.ndim != 3 or self.samples.shape[2] != self.A.shape[0]:
-            raise ValueError("samples must be (agents, per-agent count, d)")
+            raise ProblemError("samples must be (agents, per-agent count, d)")
         self._samples_t = np.ascontiguousarray(self.samples.transpose(0, 2, 1))  # (m, d, n)
         self._signed_columns = np.concatenate((self.A.T, -self.A.T))  # rows a_1..a_d, -a_1..-a_d
         self.d = self.A.shape[0]
@@ -40,7 +40,7 @@ class IcaProblem(Problem):
         self._back = self._samples_t / (self.n_per_agent / 4)
         ortho_err = np.abs(self.A.T @ self.A - np.eye(self.d)).max()
         if ortho_err > 1e-10:
-            raise ValueError(f"mixing matrix not orthonormal (error {ortho_err:.2e})")
+            raise ProblemError(f"mixing matrix not orthonormal (error {ortho_err:.2e})")
         self.constants = self._estimate_constants()
         self._refined_saddle = None
         self.known_points = (
@@ -131,7 +131,7 @@ class IcaProblem(Problem):
 
     def optimization_errors(self, x):
         """min over columns a_j of A and signs of ||u -+ a_j||, for each
-        agent's row u of x (..., m, d); raises NotUnitNorm if any row is off
+        agent's row u of x (..., m, d); raises ProblemError if any row is off
         the sphere.
 
         On the sphere ||u - s a_j||^2 = 2 - 2 s u^T a_j, so the nearest signed
@@ -143,7 +143,7 @@ class IcaProblem(Problem):
         norms = np.linalg.norm(u, axis=-1)
         off = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # a nan norm is off too
         if off.any():
-            raise NotUnitNorm(f"||u|| = {norms[off][0]:.10f} is not 1 within {UNIT_NORM_TOL:.0e}")
+            raise ProblemError(f"||u|| = {norms[off][0]:.10f} is not 1 within {UNIT_NORM_TOL:.0e}")
         nearest = (u @ self._signed_columns.T).argmax(axis=-1)
         return np.linalg.norm(u - self._signed_columns[nearest], axis=-1)
 

@@ -23,34 +23,6 @@ class TopologyError(ValueError):
     """Base class for graph / weight-matrix construction failures."""
 
 
-class DisconnectedGraph(TopologyError):
-    pass
-
-
-class UnknownTopology(TopologyError):
-    pass
-
-
-class NotSymmetric(TopologyError):
-    pass
-
-
-class NotStochastic(TopologyError):
-    pass
-
-
-class NegativeEntry(TopologyError):
-    pass
-
-
-class ZeroSelfWeight(TopologyError):
-    pass
-
-
-class SpectralGapViolation(TopologyError):
-    pass
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph on agents 0..m-1 with no self loops.
@@ -134,8 +106,8 @@ def spectral_gap(w) -> float:
 def validate_weight_matrix(w) -> WeightMatrix:
     """Check symmetry, double stochasticity, positivity and eta < 1.
 
-    Raises the most specific violation: NotSymmetric, NotStochastic,
-    NegativeEntry, ZeroSelfWeight, or SpectralGapViolation.
+    Raises TopologyError naming the first violation found, in this order:
+    asymmetry, row/col sums, a negative entry, a zero self weight, eta >= 1.
     """
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -145,23 +117,22 @@ def validate_weight_matrix(w) -> WeightMatrix:
         raise TopologyError("weight matrix contains non-finite entries")
     asym = np.abs(arr - arr.T).max()
     if asym > SYMMETRY_TOL:
-        raise NotSymmetric(f"max |w_ij - w_ji| = {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
+        raise TopologyError(f"weight matrix is not symmetric: max |w_ij - w_ji| = {asym:.3e} "
+                            f"exceeds {SYMMETRY_TOL:.0e}")
     row_err = np.abs(arr.sum(axis=1) - 1.0).max()
     col_err = np.abs(arr.sum(axis=0) - 1.0).max()
     if max(row_err, col_err) > STOCHASTIC_TOL:
-        raise NotStochastic(
-            f"row/col sums deviate from 1 by up to {max(row_err, col_err):.3e}"
-        )
+        raise TopologyError(f"row/col sums deviate from 1 by up to {max(row_err, col_err):.3e}")
     if (arr < 0).any():
         i, j = np.unravel_index(np.argmin(arr), arr.shape)
-        raise NegativeEntry(f"w[{i},{j}] = {arr[i, j]:.3e} is negative")
+        raise TopologyError(f"w[{i},{j}] = {arr[i, j]:.3e} is negative")
     diag = np.diag(arr)
     if (diag <= 0).any():
         i = int(np.argmin(diag))
-        raise ZeroSelfWeight(f"w[{i},{i}] = {diag[i]:.3e} must be positive")
+        raise TopologyError(f"w[{i},{i}] = {diag[i]:.3e} must be positive")
     eta = spectral_gap(arr)
     if eta >= 1.0:
-        raise SpectralGapViolation(f"eta = {eta:.6f} >= 1 (disagreement does not contract)")
+        raise TopologyError(f"eta = {eta:.6f} >= 1 (disagreement does not contract)")
     return WeightMatrix(m=m, w=arr, eta=eta)
 
 
@@ -174,7 +145,7 @@ def build_metropolis_weights(g: Graph) -> WeightMatrix:
     resulting gap satisfies eta < 1.
     """
     if not g.is_connected():
-        raise DisconnectedGraph(f"graph on {g.m} agents with {len(g.edges)} edges is not connected")
+        raise TopologyError(f"graph on {g.m} agents with {len(g.edges)} edges is not connected")
     deg = g.degrees()
     w = np.zeros((g.m, g.m))
     for i, j in g.edges:
@@ -206,6 +177,6 @@ def builtin_topology(name: str, m: int) -> Graph:
         if m // 2 != 0:
             edges.add((0, m // 2))
     else:
-        raise UnknownTopology(f"unknown topology {name!r}; expected one of {BUILTIN_TOPOLOGIES}")
+        raise TopologyError(f"unknown topology {name!r}; expected one of {BUILTIN_TOPOLOGIES}")
     return Graph(m=m, edges=frozenset(edges))
 

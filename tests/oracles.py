@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dpdgd.problems import NotUnitNorm
+from dpdgd.problems import ProblemError
 from dpdgd.problems.ica import UNIT_NORM_TOL
 
 
@@ -25,10 +25,10 @@ def ica_sources(d, m, samples_per_agent, seed) -> np.ndarray:
 
 def reconstruction_error(problem, u) -> float:
     """min over the columns a_j of an ICA problem's A and signs s of
-    ||u - s a_j||, from every signed column's distance; NotUnitNorm off the
+    ||u - s a_j||, from every signed column's distance; ProblemError off the
     sphere, as the problem's own metric raises."""
     u = np.asarray(u, dtype=float)
     if not abs(np.linalg.norm(u) - 1.0) <= UNIT_NORM_TOL:
-        raise NotUnitNorm(f"||u|| = {np.linalg.norm(u)} is not 1")
+        raise ProblemError(f"||u|| = {np.linalg.norm(u)} is not 1")
     return min(float(np.linalg.norm(u - s * col, axis=-1))
                for col in problem.A.T for s in (1.0, -1.0))

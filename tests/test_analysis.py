@@ -7,8 +7,6 @@ import pytest
 
 from dpdgd.analysis import (
     AnalysisError,
-    NoConsecutiveRows,
-    NotAStrictSaddle,
     agent_mean,
     assert_contraction,
     escape_distances,
@@ -79,7 +77,7 @@ class TestContraction:
         assert report.violations[0].k == trace.records[5].k
 
     def test_requires_dense_recording(self, paper_problem, rpc5):
-        with pytest.raises(NoConsecutiveRows):
+        with pytest.raises(AnalysisError, match="needs consecutive iterations"):
             assert_contraction(self._trace(paper_problem, rpc5, record_every=2), rpc5)
         # the recorded consensus errors suffice: no per-agent states needed
         cfg = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
@@ -158,7 +156,8 @@ class TestCouplingExperiment:
         assert np.linalg.norm(res.e1) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_non_saddle_start(self, paper_problem, complete5):
-        with pytest.raises(NotAStrictSaddle):
+        with pytest.raises(AnalysisError, match="the coupling start is not a strict saddle: "
+                                                "it classifies as 'minimum'"):
             run_coupling_experiment(
                 paper_problem, complete5, paper_problem.reference_minimum(), PAPER_SCHEDULE,
                 variance=0.5, runs=2, horizon=100, escape_radius=0.5, seed=1,

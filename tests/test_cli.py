@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dpdgd
 from dpdgd import cli, optimizer, privacy
 from dpdgd.optimizer import run, stepsize
 
@@ -81,7 +85,8 @@ class TestRunCommand:
         cfg["topology"] = {"matrix": np.eye(5).tolist()}
         path = write_cfg(tmp_path, cfg)
         assert cli.main(["run", "--config", path, "--out", str(tmp_path)]) == 1
-        assert "SpectralGapViolation" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: [TopologyError] eta = 1.000000 >= 1 (disagreement does not contract)\n")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = dict(BASE_RUN_CFG)
@@ -204,6 +209,15 @@ class TestTable1Command:
         assert (tmp_path / "a" / "table1.csv").read_bytes() == (
             tmp_path / "b" / "table1.csv"
         ).read_bytes()
+
+    def test_builds_the_base_run_once(self, tmp_path, monkeypatch):
+        # the built RunConfig goes to each chunk; no chunk rebuilds it from the config
+        built, build = [], cli.build_run_config
+        monkeypatch.setattr(cli, "build_run_config",
+                            lambda *args, **kw: built.append(args) or build(*args, **kw))
+        path = write_cfg(tmp_path, self._sweep_cfg(runs_per_cell=2))
+        assert cli.main(["table1", "--config", path, "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
 
     @pytest.mark.parametrize("given", [{}, {"seed": "x"}, {"seed": 9}])
     def test_seed_flag_stands_in_for_base_seed(self, tmp_path, given):
@@ -417,6 +431,15 @@ class TestPrivacyReportCommand:
         bodies = {line.split(",", 1)[1] for line in lines[1:]}
         assert len(bodies) == 1
 
+    def test_help_describes_both_flags(self, capsys, monkeypatch):
+        # the same two lines as in the help of run, table1 and coupling
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli.main(["privacy-report", "--help"])
+        assert capsys.readouterr().out.endswith(
+            "  --config CONFIG  JSON config path\n"
+            "  --out OUT        output directory (or $DPDGD_OUT)\n")
+
     def test_zero_horizon_exit_one(self, tmp_path, capsys):
         path = write_cfg(tmp_path, self._cfg(horizon=0))
         assert cli.main(["privacy-report", "--config", path, "--out", str(tmp_path)]) == 1
@@ -522,6 +545,29 @@ class TestUsageErrors:
                                       ["privacy-report", "--config", "x.json", "--extra"]])
     def test_usage_error_exit_one(self, tmp_path, capsys, argv):
         _assert_one_line_exit_one(argv, tmp_path / "out", capsys, "usage error:")
+
+    @pytest.mark.parametrize("argv", [["--out", "x"], ["--out", "x", "run", "--config", "y"],
+                                      ["--seed", "3"], ["--out=x"]])
+    def test_option_before_the_command_exit_one(self, tmp_path, capsys, monkeypatch, argv):
+        # argparse alone would name the option's value as an invalid command
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        option = argv[0].split("=")[0]
+        assert capsys.readouterr().err == ("usage error: dpdgd: the command comes first, "
+                                           f"before its options; got '{option}' first\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_arguments_and_top_level_help_unchanged(self, capsys, monkeypatch):
+        assert cli.main([]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: dpdgd: the following arguments are required: command\n")
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["-h"])
+        help_ = capsys.readouterr()
+        assert exit_.value.code == 0 and help_.err == ""
+        assert help_.out.startswith("usage: dpdgd [-h] {run,table1,coupling,privacy-report,verify,"
+                                    "list-configs} ...\n\nDifferentially private decentralized")
 
     @pytest.mark.parametrize("jobs", ["2.5", "0", "-3", "two", "true"])
     def test_bad_jobs_exit_one(self, tmp_path, capsys, jobs):
@@ -691,7 +737,8 @@ class TestSchema:
         cfg["init"] = {"mode": "explicit", "coords": [1.0, 1.0, 0.0, 0.0]}
         out = tmp_path / "out"
         _assert_one_line_exit_one(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)],
-                                  out, capsys, "config error: [NotUnitNorm]", "1.4142135624")
+                                  out, capsys, "config error: [ProblemError]",
+                                  "||u|| = 1.4142135624 is not 1 within 1e-08")
 
     @pytest.mark.parametrize("problem", [
         {"name": "custom_quadratic", "diag": [1.0, -1.0], "m": 5, "init_half_width": 1e308},
@@ -723,6 +770,79 @@ class TestSchema:
                                                                "diag": diag, "m": 5}))
         _assert_one_line_exit_one(["run", "--config", path, "--out", str(out)], out, capsys,
                                   "config error:", "problem diag must be finite with a nonzero entry")
+
+
+def _library_errors():
+    """The exception classes defined in the modules of dpdgd."""
+    found = set()
+    for info in pkgutil.walk_packages(dpdgd.__path__, "dpdgd."):
+        module = importlib.import_module(info.name)
+        found.update(c for _, c in inspect.getmembers(module, inspect.isclass)
+                     if issubclass(c, BaseException) and c.__module__ == module.__name__)
+    return sorted(found, key=lambda c: c.__name__)
+
+
+# a two-agent run whose topology or problem the edits below replace
+_QUADRATIC_RUN = dict(BASE_RUN_CFG, topology={"builtin": "complete", "m": 2},
+                      problem={"name": "custom_quadratic", "diag": [1.0, -1.0], "m": 2})
+# an edit of a config that the schema accepts and the library rejects, with the line it
+# prints; the gap violation and an ICA start off the sphere have tests of their own
+_LIBRARY_FAILURES = {
+    "disconnected": ({"problem": {"name": "custom_quadratic", "diag": [1.0, -1.0], "m": 4},
+                      "topology": {"edges": [[0, 1], [2, 3]], "m": 4}},
+                     "[TopologyError] graph on 4 agents with 2 edges is not connected"),
+    "not-symmetric": ({"topology": {"matrix": [[0.6, 0.4], [0.5, 0.5]]}},
+                      "[TopologyError] weight matrix is not symmetric: max |w_ij - w_ji| = "
+                      "1.000e-01 exceeds 1e-12"),
+    "not-stochastic": ({"topology": {"matrix": [[0.7, 0.4], [0.4, 0.7]]}},
+                       "[TopologyError] row/col sums deviate from 1 by up to 1.000e-01"),
+    "negative-entry": ({"topology": {"matrix": [[1.2, -0.2], [-0.2, 1.2]]}},
+                       "[TopologyError] w[0,1] = -2.000e-01 is negative"),
+    "zero-self-weight": ({"topology": {"matrix": [[0.0, 1.0], [1.0, 0.0]]}},
+                         "[TopologyError] w[0,0] = 0.000e+00 must be positive"),
+    "ica-maximum-coupling": ({"problem": {"name": "ica", "d": 4, "m": 5, "samples_per_agent": 160,
+                                          "seed": 99}},
+                             "[AnalysisError] the coupling start is not a strict saddle: "
+                             "it classifies as 'maximum'"),
+}
+
+
+class TestLibraryErrors:
+    """Each module raises one input-error class, a ValueError that exits 1;
+    a numerical blow-up exits 2. Either prints one stderr line."""
+
+    def test_six_classes_and_the_parser_error(self):
+        assert [c.__name__ for c in _library_errors()] == [
+            "AnalysisError", "InvalidConfig", "NonFiniteState", "PrivacyError", "ProblemError",
+            "TopologyError", "_UsageError"]
+
+    @pytest.mark.parametrize("error", _library_errors(), ids=lambda c: c.__name__)
+    def test_every_library_error_maps_to_an_exit_code(self, capsys, monkeypatch, error):
+        exc = error(7) if error is optimizer.NonFiniteState else error("what went wrong")
+
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_run", failing)
+        code = cli.main(["run", "--config", "a.json"])
+        err = capsys.readouterr().err
+        if error is optimizer.NonFiniteState:
+            assert (code, err) == (2, "divergence: non-finite state at iteration 7\n")
+        elif error is cli._UsageError:
+            assert (code, err) == (1, "usage error: what went wrong\n")
+        else:
+            assert issubclass(error, ValueError)
+            assert (code, err) == (1, f"config error: [{error.__name__}] what went wrong\n")
+
+    @pytest.mark.parametrize("name", _LIBRARY_FAILURES)
+    def test_library_failures_of_a_config_exit_one(self, tmp_path, capsys, name):
+        edit, line = _LIBRARY_FAILURES[name]
+        command, cfg = (("coupling", {**TestCouplingCommand()._cfg(), "runs": 2, **edit})
+                        if name.endswith("coupling") else ("run", {**_QUADRATIC_RUN, **edit}))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not out.exists()
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
