@@ -589,12 +589,15 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--"]:  # the end-of-options marker, which argparse reads as the command
+        argv = argv[1:]
     try:
         args = _PARSER.parse_args(argv)
         # looked up at each call, so that a command replaced after the first call runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _UsageError as exc:
-        first = (sys.argv[1:] if argv is None else argv)[:1]
+        first = argv[:1]
         # argparse misreads an option given before the command (or its value) as the command
         if first and first[0].startswith("-") and first[0] != "-":
             exc = (f"dpdgd: the command comes first, before its options; "

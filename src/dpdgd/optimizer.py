@@ -23,6 +23,7 @@ a run's numbers do not depend on the batch it shares.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -303,9 +304,10 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
     records rows at k = 0, at every multiple of record_every and at the last
     iteration; noise_norm is that of the mapped noise. `stop(x, k)` returns a
     mask over the runs still advancing; a run whose mask is set stops there
-    and draws no further noise.
+    and draws no further noise. A state whose trailing shape is not the
+    problem's (m, d) raises ProblemError before any noise is drawn.
     """
-    x = np.array(x, dtype=float)
+    x = problem._check_state(np.array(x, dtype=float))
     runs = x.shape[0]
     m, d = x.shape[-2:]
     final = x.copy()
@@ -351,8 +353,8 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
             raise NonFiniteState(k)
         if record_every and (k % record_every == 0 or k == iterations):
             rows += [
-                (r, k, lam, x[i].copy(), float(np.linalg.norm(n[i])),
-                 float(np.linalg.norm(gn[i])), gn[i].mean(axis=0) if keep_state else None)
+                (r, k, lam, x[i].copy(), _norm(n[i]), _norm(gn[i]),
+                 gn[i].mean(axis=0) if keep_state else None)
                 for i, r in enumerate(active)
             ]
         if stop is not None:
@@ -377,6 +379,12 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
         records[r].append(TraceRecord(k, lam, *errors, noise_norm, gn_norm,
                                       xr if keep_state else None, mean_gn))
     return Lockstep(x=final, records=records, stopped_at=stopped_at)
+
+
+def _norm(v) -> float:
+    """np.linalg.norm(v) by its own formula, without its wrapper."""
+    v = v.ravel("K")
+    return math.sqrt(v.dot(v))
 
 
 def row_metrics(problem, xs) -> list:

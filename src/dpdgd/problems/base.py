@@ -68,8 +68,9 @@ class Problem:
         raise NotImplementedError
 
     def agent_gradients(self, x) -> np.ndarray:
-        """Gradients for all agents, x being (..., m, d) per-agent iterates
-        with any leading batch axes."""
+        """Gradients for all agents, x being a float array of (..., m, d)
+        per-agent iterates with any leading batch axes. x is not checked here:
+        `lockstep` checks a state's shape once, at its entry."""
         raise NotImplementedError
 
     def agent_gradient(self, agent: int, theta) -> np.ndarray:

@@ -193,7 +193,6 @@ class EstimationProblem(Problem):
         return self._inside_objective(agent, tc) + s * float(g @ dvec) + self.wall_slope * r
 
     def agent_gradients(self, x):
-        x = self._check_state(x)
         return self._gradients(x, *self._at_shape(x.shape))
 
     def agent_gradient_for_observation(self, agent, theta, y):

@@ -11,6 +11,11 @@ v = d^{-1/2}(+/-1, ..., +/-1) are stationary with negative tangent curvature,
 which is what the noise-driven escape experiments start from. The unit-norm
 constraint is handled by projecting gradients onto the tangent space and
 renormalizing after every mixing step.
+
+The instance (A and its samples), the nominal saddle and the saddle
+refinement sum their products with np.add.reduce, in an order numpy fixes, so
+that the refined saddle does not depend on which BLAS kernel the CPU runs. The
+constant nu (through LAPACK's eigvalsh) and the per-step products still do.
 """
 
 from __future__ import annotations
@@ -20,6 +25,11 @@ import numpy as np
 from .base import KnownPoint, Problem, ProblemConstants, ProblemError
 
 UNIT_NORM_TOL = 1e-8
+
+
+def _dots(a, b):
+    """Dot products along the last axis of a * b, summed in a fixed order."""
+    return np.add.reduce(a * b, axis=-1)
 
 
 class IcaProblem(Problem):
@@ -35,9 +45,9 @@ class IcaProblem(Problem):
         self.d = self.A.shape[0]
         self.m = self.samples.shape[0]
         self.n_per_agent = self.samples.shape[1]
-        # the back product's samples carry the gradient's factor 4 / n, so that
-        # no pass over the gradient divides by it
-        self._back = self._samples_t / (self.n_per_agent / 4)
+        # the back product's (m, n, d) samples carry the gradient's factor 4 / n,
+        # so that no pass over the gradient divides by it
+        self._back = self.samples / (self.n_per_agent / 4)
         ortho_err = np.abs(self.A.T @ self.A - np.eye(self.d)).max()
         if ortho_err > 1e-10:
             raise ProblemError(f"mixing matrix not orthonormal (error {ortho_err:.2e})")
@@ -72,28 +82,26 @@ class IcaProblem(Problem):
 
     def agent_gradients(self, x):
         """Tangent-space projections of the sample-average gradients, one
-        product per (run, agent) for each of: proj = x Y^T as a (1, d) row,
-        g = (4 / n) Y^T proj^3 as a (d, 1) column, and the tangent dot x g."""
-        x = self._check_state(x)[..., None, :]
-        proj = x @ self._samples_t
+        stacked-vector product per (run, agent) for each of: proj = x Y^T,
+        g = proj^3 (4 / n) Y and the tangent coefficient x . g."""
+        proj = np.vecmat(x, self._samples_t)  # (..., m, n)
         cube = proj * proj
         cube *= proj
-        g = self._back @ cube.swapaxes(-1, -2)  # (..., m, d, 1)
-        g -= (x @ g) * x.swapaxes(-1, -2)
-        return g[..., 0]
+        g = np.vecmat(cube, self._back)  # (..., m, d)
+        g -= np.vecdot(x, g)[..., None] * x
+        return g
 
     def aggregated_euclidean_gradient(self, u):
+        """4 mean((u^T y)^3 y) over all samples, summed in a fixed order."""
         u = self._check_theta(u)
         flat = self.samples.reshape(-1, self.d)
-        proj = flat @ u
-        return 4.0 * (proj * proj * proj) @ flat / flat.shape[0]
+        proj = _dots(flat, u)
+        return 4.0 * np.add.reduce((proj * proj * proj)[:, None] * flat, axis=0) / flat.shape[0]
 
     # -- optimizer hooks ----------------------------------------------------------
 
     def retract(self, x):
-        # np.linalg.norm(x, axis=-1, keepdims=True) without its wrapper
-        norm = np.add.reduce(x * x, axis=-1, keepdims=True)
-        return x / np.sqrt(norm, out=norm)
+        return x / np.sqrt(np.vecdot(x, x))[..., None]
 
     def sample_init(self, rng):
         x = rng.standard_normal((self.m, self.d))
@@ -102,7 +110,7 @@ class IcaProblem(Problem):
     def nominal_saddle(self):
         """A v with v = d^{-1/2}(1, ..., 1): stationary for the population
         objective, close to (but not exactly) stationary for the sampled one."""
-        return self.A @ (np.ones(self.d) / np.sqrt(self.d))
+        return np.add.reduce(self.A, axis=1) / np.sqrt(self.d)
 
     def known_saddle(self):
         """Stationary point of the *sampled* objective nearest the nominal
@@ -110,17 +118,17 @@ class IcaProblem(Problem):
         if self._refined_saddle is None:
             from scipy import optimize  # here, so that no other command pays for loading scipy
             u0 = self.nominal_saddle()
-            lam0 = float(u0 @ self.aggregated_euclidean_gradient(u0))
+            lam0 = float(_dots(u0, self.aggregated_euclidean_gradient(u0)))
 
             def system(w):
                 u, lam = w[: self.d], w[self.d]
                 g = self.aggregated_euclidean_gradient(u)
-                return np.concatenate([g - lam * u, [u @ u - 1.0]])
+                return np.concatenate([g - lam * u, [_dots(u, u) - 1.0]])
 
             # full_output: a failure is reported in the result, not as a warning
             sol = optimize.fsolve(system, np.concatenate([u0, [lam0]]), xtol=1e-13,
                                   full_output=True)[0]
-            u = sol[: self.d] / np.linalg.norm(sol[: self.d])
+            u = sol[: self.d] / np.sqrt(_dots(sol[: self.d], sol[: self.d]))
             resid = np.linalg.norm(self.aggregated_gradient(u))
             if resid > 1e-10:
                 raise ProblemError(f"saddle refinement did not converge (residual {resid:.2e})")
@@ -149,7 +157,7 @@ class IcaProblem(Problem):
 
 
 def make_ica_problem(d, m, samples_per_agent, seed) -> IcaProblem:
-    """Random instance: Haar-ish orthonormal A (QR with R-diagonal sign fix),
+    """Random instance: Haar-ish orthonormal A (the Q of a Gaussian matrix),
     Rademacher sources Z, observations Y = A Z split evenly across agents.
 
     Rademacher entries have fourth moment 1, so -sign(mu - 3) = +1 and the
@@ -158,9 +166,22 @@ def make_ica_problem(d, m, samples_per_agent, seed) -> IcaProblem:
     if d < 2 or m < 1 or samples_per_agent < 1 or seed < 0:
         raise ProblemError("need d >= 2, m >= 1, samples_per_agent >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    a = q * signs[None, :]
+    a = _orthonormal_columns(rng.standard_normal((d, d)))
     z = rng.choice(np.array([-1.0, 1.0]), size=(m, samples_per_agent, d))
-    return IcaProblem(mixing=a, samples=z @ a.T)
+    y = np.zeros(z.shape)  # Y = Z A^T, summed over the sources in order
+    for k in range(d):
+        y += z[..., k, None] * a[:, k]
+    return IcaProblem(mixing=a, samples=y)
+
+
+def _orthonormal_columns(g):
+    """Q of g = QR with R's diagonal positive, by classical Gram-Schmidt run
+    twice per column (the second pass restores the orthogonality the first
+    loses to rounding), with sums in a fixed order."""
+    q = np.array(g, dtype=float)
+    for j in range(q.shape[1]):
+        v, done = q[:, j], q[:, :j]
+        for _ in range(2):
+            v = v - np.add.reduce(done * _dots(done.T, v), axis=1)
+        q[:, j] = v / np.sqrt(_dots(v, v))
+    return q

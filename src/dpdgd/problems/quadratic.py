@@ -38,7 +38,6 @@ class QuadraticProblem(Problem):
         return float(self.c @ (theta - self.offsets[agent]) ** 2)
 
     def agent_gradients(self, x):
-        x = self._check_state(x)
         return 2.0 * self.c[None, :] * (x - self.offsets)
 
     def aggregated_hessian(self, theta):

@@ -557,6 +557,22 @@ class TestUsageErrors:
                                            f"before its options; got '{option}' first\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_end_of_options_marker_before_the_command(self, tmp_path, capsys):
+        # one leading `--` is dropped; the run writes what it writes without it
+        cfg = write_cfg(tmp_path, BASE_RUN_CFG)
+        assert cli.main(["--", "run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("trace.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_bare_end_of_options_marker_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: dpdgd: the following arguments are required: command\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_arguments_and_top_level_help_unchanged(self, capsys, monkeypatch):
         assert cli.main([]) == 1
         assert capsys.readouterr().err == (

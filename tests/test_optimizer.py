@@ -25,7 +25,7 @@ from dpdgd.optimizer import (
     stepsizes,
     stream_keys,
 )
-from dpdgd.problems import QuadraticProblem
+from dpdgd.problems import ProblemError, QuadraticProblem
 from dpdgd.topology import build_metropolis_weights, builtin_topology, validate_weight_matrix
 
 PAPER_SCHEDULE = StepsizeSchedule("piecewise_paper", lambda0=0.02, switch_k=500, scale=1.0)
@@ -481,6 +481,18 @@ class TestLockstep:
         batch = run_batch(configs)
         for config, trace in zip(configs, batch):
             assert _records_equal(trace, run(config))
+
+    @pytest.mark.parametrize("shape", [(1, 5, 3), (2, 4, 2), (3, 2)])
+    def test_state_of_another_shape_raises_before_any_draw(self, paper_problem, rpc5, shape):
+        # the kernel checks the state's trailing (m, d) once, at its entry;
+        # the problem's agent_gradients does not check it again
+        class Undrawn:
+            def standard_normal(self, out):
+                raise AssertionError("noise drawn")
+
+        with pytest.raises(ProblemError, match=r"state has shape .*, expected \(\.\.\., 5, 2\)"):
+            lockstep(paper_problem, rpc5.w, np.zeros(shape), PAPER_SCHEDULE, 5,
+                     [[Undrawn()] * 5] * shape[0], [1.0] * shape[0])
 
     def test_estimation_batch_slices_match_single_runs(self, paper_problem, rpc5):
         self._assert_slices_match_single_runs(

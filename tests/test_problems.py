@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,11 @@ import oracles
 
 PRINTED_MIN = np.array([1.3478, 1.0690])
 PRINTED_SADDLE = np.array([-7.4336, 1.3959])
+# known_saddle() of make_ica_problem(4, 5, 160, 99), on every BLAS kernel
+ICA4_SADDLE = ["0x1.3b4ad36f56980p-2", "-0x1.64a817452b49fp-2",
+               "0x1.08f815c386f76p-2", "0x1.b184d089e4026p-1"]
+# the CPU flags (as /proc/cpuinfo names them) that each OpenBLAS kernel runs on
+KERNEL_FLAGS = {"Haswell": {"avx2", "fma"}, "Prescott": {"pni"}}
 
 
 def _extension_gradient(p, agent, theta):
@@ -391,9 +401,26 @@ class TestRefinedPoints:
             "0x1.590752ebb4cd6p+0", "0x1.11a72022a5114p+0"]
         assert [v.hex() for v in paper_problem.known_saddle()] == [
             "-0x1.dbbf8cb88b630p+2", "0x1.655b9bd7fa64bp+0"]
-        assert [v.hex() for v in ica4.known_saddle()] == [
-            "0x1.3b4ad36f56951p-2", "-0x1.64a817452b474p-2",
-            "0x1.08f815c386f8cp-2", "0x1.b184d089e4035p-1"]
+        assert [v.hex() for v in ica4.known_saddle()] == ICA4_SADDLE
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_FLAGS))
+    def test_ica_saddle_pinned_on_other_blas_kernels(self, kernel):
+        # the instance and the refinement sum in numpy's fixed order, so a
+        # process that runs another OpenBLAS kernel refines to the same bits
+        try:
+            flags = set(next(line for line in Path("/proc/cpuinfo").read_text().splitlines()
+                             if line.startswith("flags")).split(":")[1].split())
+        except (OSError, StopIteration):
+            pytest.skip("no /proc/cpuinfo flags to tell which kernels this CPU runs")
+        if not KERNEL_FLAGS[kernel] <= flags:
+            pytest.skip(f"this CPU lacks the {kernel} kernel's instructions")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("from dpdgd.problems import make_ica_problem\n"
+                "print(*(v.hex() for v in make_ica_problem(4, 5, 160, 99).known_saddle()))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel))
+        assert out.returncode == 0 and out.stderr == "", out.stderr
+        assert out.stdout.split() == ICA4_SADDLE
 
     def test_constructor_built_problem_runs(self, paper_problem, rpc5):
         p = paper_problem
@@ -463,7 +490,7 @@ class TestIca:
     def test_constants_pinned(self):
         # the value of the per-direction Hessian loop
         c = make_ica_problem(10, 5, 160, 99).constants
-        assert c.nu == float.fromhex("0x1.5182a77df51a4p+5")
+        assert c.nu == float.fromhex("0x1.5182a77df51a6p+5")
 
     def test_reconstruction_error_on_columns(self, ica4):
         a1 = ica4.A[:, 0]
@@ -575,10 +602,11 @@ class TestIca:
         assert np.allclose(np.linalg.norm(ica4.retract(x), axis=1), 1.0)
 
     def test_retraction_equals_norm_form(self, ica4, rng):
+        # each row over its own norm, the root of the row's dot with itself
         for shape, scale in (((5, 4), 3.0), ((7, 5, 4), 1e-150), ((2, 3, 5, 4), 1e150)):
             x = rng.standard_normal(shape) * scale
-            want = x / np.linalg.norm(x, axis=-1, keepdims=True)
-            assert ica4.retract(x).tobytes() == want.tobytes()
+            want = np.array([row / np.linalg.norm(row) for row in x.reshape(-1, 4)])
+            assert ica4.retract(x).tobytes() == want.reshape(shape).tobytes()
 
     @pytest.mark.parametrize("d", [2, 4, 10])
     def test_stacked_gradients_match_agent_gradient(self, d, rng):
