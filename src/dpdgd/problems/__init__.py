@@ -11,17 +11,3 @@ from .base import (
 from .estimation import EstimationProblem, make_paper_estimation_problem
 from .ica import IcaProblem, make_ica_problem
 from .quadratic import QuadraticProblem
-
-__all__ = [
-    "CLASSIFICATIONS",
-    "EstimationProblem",
-    "IcaProblem",
-    "KnownPoint",
-    "Problem",
-    "ProblemConstants",
-    "ProblemError",
-    "QuadraticProblem",
-    "classify_stationary_point",
-    "make_ica_problem",
-    "make_paper_estimation_problem",
-]

@@ -87,11 +87,7 @@ class Problem:
     def aggregated_hessian(self, theta) -> np.ndarray:
         """Mean per-agent Hessian; the default falls back to the symmetrized
         central-difference Jacobian of the aggregated gradient, step 1e-6."""
-        theta = self._check_theta(theta)
-        step = 1e-6
-        grad = self.aggregated_gradient
-        j = np.stack([(grad(theta + e) - grad(theta - e)) / (2 * step)
-                      for e in np.eye(self.d) * step], axis=1)
+        j = central_jacobian(self.aggregated_gradient, self._check_theta(theta))
         return 0.5 * (j + j.T)
 
     # -- hooks used by the optimizer ----------------------------------------
@@ -136,6 +132,46 @@ class Problem:
         if x.shape[-2:] != (self.m, self.d):
             raise ProblemError(f"state has shape {x.shape}, expected (..., {self.m}, {self.d})")
         return x
+
+
+def dots(a, b):
+    """Dot products along the last axis of a * b, summed in an order numpy fixes."""
+    return np.add.reduce(a * b, axis=-1)
+
+
+def central_jacobian(f, x) -> np.ndarray:
+    """Central-difference Jacobian of f: R^d -> R^d at x, step 1e-6, one column per coordinate."""
+    return np.stack([(f(x + e) - f(x - e)) / 2e-6 for e in np.eye(len(x)) * 1e-6], axis=1)
+
+
+def _solve(a, b):
+    """a^-1 b by Gaussian elimination with partial pivoting, in a fixed order
+    (LAPACK's solve runs BLAS kernels)."""
+    ab = np.column_stack((a, b))
+    for j in range(len(b)):
+        p = j + np.argmax(np.abs(ab[j:, j]))
+        ab[[j, p]] = ab[[p, j]]
+        ab[j + 1:] -= ab[j + 1:, j, None] / ab[j, j] * ab[j]
+    x = ab[:, -1]
+    for j in reversed(range(len(b))):
+        x[j] = (x[j] - dots(ab[j, j + 1:-1], x[j + 1:])) / ab[j, j]
+    return x
+
+
+def newton_root(residual, jacobian, x) -> np.ndarray:
+    """Newton's root of residual from x, in at most 100 steps. It stops when a
+    step leaves x unchanged or, once |residual| < 1e-8, at the first step that
+    does not lower it (that step is dropped): rounding can keep x dithering."""
+    x = np.array(x, dtype=float)
+    r = residual(x)
+    for _ in range(100):
+        nxt = x - _solve(jacobian(x), r)
+        r_nxt = residual(nxt)
+        sq, sq_nxt = dots(r, r), dots(r_nxt, r_nxt)
+        if np.array_equal(nxt, x) or sq < 1e-16 and not sq_nxt < sq:
+            break
+        x, r = nxt, r_nxt
+    return x
 
 
 def classify_stationary_point(problem, theta, grad_tol=1e-6, eig_tol=1e-6) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KnownPoint, Problem, ProblemConstants, ProblemError
+from .base import KnownPoint, Problem, ProblemConstants, ProblemError, newton_root
 
 # The extension slope is this multiple of the largest per-agent gradient norm
 # on the box boundary; > 1 keeps the radial derivative strictly positive
@@ -216,21 +216,12 @@ class EstimationProblem(Problem):
 
     # -- stationary points -------------------------------------------------------
 
-    def _newton_refine(self, seed_point):
-        x = np.asarray(seed_point, dtype=float).copy()
-        for _ in range(100):
-            step = np.linalg.solve(self._inside_hessian(x), self.aggregated_gradient(x))
-            nxt = x - step
-            if np.array_equal(nxt, x):
-                break
-            x = nxt
-        return x
-
     def _newton_root(self, kind):
         """Newton's root from the known point of `kind` (a copy), or None without one."""
         if kind not in self._refined:
             start = [pt.coords for pt in self.known_points if pt.kind == kind]
-            self._refined[kind] = self._newton_refine(start[0]) if start else None
+            self._refined[kind] = None if not start else newton_root(
+                self.aggregated_gradient, self._inside_hessian, start[0])
         root = self._refined[kind]
         return None if root is None else root.copy()
 

@@ -12,9 +12,9 @@ which is what the noise-driven escape experiments start from. The unit-norm
 constraint is handled by projecting gradients onto the tangent space and
 renormalizing after every mixing step.
 
-The instance (A and its samples), the nominal saddle and the saddle
-refinement sum their products with np.add.reduce, in an order numpy fixes, so
-that the refined saddle does not depend on which BLAS kernel the CPU runs. The
+The instance, the nominal saddle and the saddle refinement (Newton's method,
+its linear solves by elimination) sum with np.add.reduce, in an order numpy
+fixes, so the refined saddle does not depend on the CPU's BLAS kernel. The
 constant nu (through LAPACK's eigvalsh) and the per-step products still do.
 """
 
@@ -22,14 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KnownPoint, Problem, ProblemConstants, ProblemError
+from .base import (KnownPoint, Problem, ProblemConstants, ProblemError, central_jacobian, dots,
+                   newton_root)
 
 UNIT_NORM_TOL = 1e-8
-
-
-def _dots(a, b):
-    """Dot products along the last axis of a * b, summed in a fixed order."""
-    return np.add.reduce(a * b, axis=-1)
 
 
 class IcaProblem(Problem):
@@ -95,7 +91,7 @@ class IcaProblem(Problem):
         """4 mean((u^T y)^3 y) over all samples, summed in a fixed order."""
         u = self._check_theta(u)
         flat = self.samples.reshape(-1, self.d)
-        proj = _dots(flat, u)
+        proj = dots(flat, u)
         return 4.0 * np.add.reduce((proj * proj * proj)[:, None] * flat, axis=0) / flat.shape[0]
 
     # -- optimizer hooks ----------------------------------------------------------
@@ -113,25 +109,23 @@ class IcaProblem(Problem):
         return np.add.reduce(self.A, axis=1) / np.sqrt(self.d)
 
     def known_saddle(self):
-        """Stationary point of the *sampled* objective nearest the nominal
-        saddle, found by root-finding on the Lagrangian system."""
+        """Stationary point of the *sampled* objective near the nominal saddle:
+        Newton's root, from it, of the tangent gradient g - (u . g) u, which is
+        0 at the unit u with g parallel to u. A root more than 0.5 from the
+        nominal saddle is another point, and raises ProblemError."""
         if self._refined_saddle is None:
-            from scipy import optimize  # here, so that no other command pays for loading scipy
-            u0 = self.nominal_saddle()
-            lam0 = float(_dots(u0, self.aggregated_euclidean_gradient(u0)))
-
-            def system(w):
-                u, lam = w[: self.d], w[self.d]
+            def tangent(u):
                 g = self.aggregated_euclidean_gradient(u)
-                return np.concatenate([g - lam * u, [_dots(u, u) - 1.0]])
+                return g - dots(u, g) * u
 
-            # full_output: a failure is reported in the result, not as a warning
-            sol = optimize.fsolve(system, np.concatenate([u0, [lam0]]), xtol=1e-13,
-                                  full_output=True)[0]
-            u = sol[: self.d] / np.sqrt(_dots(sol[: self.d], sol[: self.d]))
+            u0 = self.nominal_saddle()
+            u = newton_root(tangent, lambda u: central_jacobian(tangent, u), u0)
             resid = np.linalg.norm(self.aggregated_gradient(u))
-            if resid > 1e-10:
+            if not resid <= 1e-10:
                 raise ProblemError(f"saddle refinement did not converge (residual {resid:.2e})")
+            dist = np.linalg.norm(u - u0)
+            if not dist <= 0.5:
+                raise ProblemError(f"saddle refinement ended {dist:.2f} > 0.5 off the nominal saddle")
             self._refined_saddle = u
         return self._refined_saddle.copy()
 
@@ -182,6 +176,6 @@ def _orthonormal_columns(g):
     for j in range(q.shape[1]):
         v, done = q[:, j], q[:, :j]
         for _ in range(2):
-            v = v - np.add.reduce(done * _dots(done.T, v), axis=1)
-        q[:, j] = v / np.sqrt(_dots(v, v))
+            v = v - np.add.reduce(done * dots(done.T, v), axis=1)
+        q[:, j] = v / np.sqrt(dots(v, v))
     return q

@@ -740,7 +740,8 @@ class TestSchema:
         cfg["init"] = {"mode": "at_saddle"}
         out = tmp_path / "out"
         _assert_one_line_exit_one(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)],
-                                  out, capsys, "config error: [ProblemError]", "saddle refinement")
+                                  out, capsys, "config error: [ProblemError]",
+                                  "saddle refinement ended 1.09 > 0.5 off the nominal saddle")
 
     def test_ica_explicit_init_off_the_sphere_exit_one(self, tmp_path, capsys, monkeypatch):
         # the initial state is checked once, before iteration 1, not first

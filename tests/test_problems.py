@@ -18,6 +18,7 @@ from dpdgd.problems import (
     make_ica_problem,
     make_paper_estimation_problem,
 )
+from dpdgd.problems.base import _solve
 from dpdgd.problems.estimation import RAMP_RADIUS
 
 import numdiff
@@ -25,11 +26,14 @@ import oracles
 
 PRINTED_MIN = np.array([1.3478, 1.0690])
 PRINTED_SADDLE = np.array([-7.4336, 1.3959])
-# known_saddle() of make_ica_problem(4, 5, 160, 99), on every BLAS kernel
-ICA4_SADDLE = ["0x1.3b4ad36f56980p-2", "-0x1.64a817452b49fp-2",
-               "0x1.08f815c386f76p-2", "0x1.b184d089e4026p-1"]
+# reference_minimum() and known_saddle() of the paper's estimation problem,
+# and known_saddle() of make_ica_problem(4, 5, 160, 99), on every BLAS kernel
+ESTIMATION_MIN = ["0x1.590752ebb4cd6p+0", "0x1.11a72022a5114p+0"]
+ESTIMATION_SADDLE = ["-0x1.dbbf8cb88b630p+2", "0x1.655b9bd7fa64bp+0"]
+ICA4_SADDLE = ["0x1.3b4ad36f569a1p-2", "-0x1.64a817452b499p-2",
+               "0x1.08f815c386f83p-2", "0x1.b184d089e401fp-1"]
 # the CPU flags (as /proc/cpuinfo names them) that each OpenBLAS kernel runs on
-KERNEL_FLAGS = {"Haswell": {"avx2", "fma"}, "Prescott": {"pni"}}
+KERNEL_FLAGS = {"Haswell": {"avx2", "fma"}, "Prescott": {"pni"}, "Sandybridge": {"avx"}}
 
 
 def _extension_gradient(p, agent, theta):
@@ -397,16 +401,15 @@ class TestRefinedPoints:
     def test_refined_points_pinned(self, paper_problem, ica4):
         # Newton refinement and the saddle polish read these bits; a gradient
         # rewrite that moves them moves every at_saddle output
-        assert [v.hex() for v in paper_problem.reference_minimum()] == [
-            "0x1.590752ebb4cd6p+0", "0x1.11a72022a5114p+0"]
-        assert [v.hex() for v in paper_problem.known_saddle()] == [
-            "-0x1.dbbf8cb88b630p+2", "0x1.655b9bd7fa64bp+0"]
+        assert [v.hex() for v in paper_problem.reference_minimum()] == ESTIMATION_MIN
+        assert [v.hex() for v in paper_problem.known_saddle()] == ESTIMATION_SADDLE
         assert [v.hex() for v in ica4.known_saddle()] == ICA4_SADDLE
 
     @pytest.mark.parametrize("kernel", sorted(KERNEL_FLAGS))
     def test_ica_saddle_pinned_on_other_blas_kernels(self, kernel):
-        # the instance and the refinement sum in numpy's fixed order, so a
-        # process that runs another OpenBLAS kernel refines to the same bits
+        # the ICA instance, both problems' residuals and newton_root's solve
+        # sum in numpy's fixed order, so a process that runs another OpenBLAS
+        # kernel refines the estimation points and the ICA saddle to the same bits
         try:
             flags = set(next(line for line in Path("/proc/cpuinfo").read_text().splitlines()
                              if line.startswith("flags")).split(":")[1].split())
@@ -415,12 +418,24 @@ class TestRefinedPoints:
         if not KERNEL_FLAGS[kernel] <= flags:
             pytest.skip(f"this CPU lacks the {kernel} kernel's instructions")
         src = str(Path(__file__).resolve().parents[1] / "src")
-        code = ("from dpdgd.problems import make_ica_problem\n"
-                "print(*(v.hex() for v in make_ica_problem(4, 5, 160, 99).known_saddle()))")
+        code = ("from dpdgd.problems import make_ica_problem, make_paper_estimation_problem\n"
+                "p = make_paper_estimation_problem()\n"
+                "print(*(v.hex() for v in [*p.reference_minimum(), *p.known_saddle(),\n"
+                "                          *make_ica_problem(4, 5, 160, 99).known_saddle()]))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel))
         assert out.returncode == 0 and out.stderr == "", out.stderr
-        assert out.stdout.split() == ICA4_SADDLE
+        assert out.stdout.split() == ESTIMATION_MIN + ESTIMATION_SADDLE + ICA4_SADDLE
+
+    def test_fixed_order_solve_matches_lapack(self, rng):
+        # newton_root's elimination against np.linalg.solve; the permutation
+        # has a zero leading entry, which only a pivoting elimination solves
+        mats = [rng.standard_normal((d, d)) + d * np.eye(d) for d in range(1, 11)]
+        mats.append(np.eye(4)[[2, 0, 3, 1]])
+        for a in mats:
+            b = rng.standard_normal(len(a))
+            want = np.linalg.solve(a, b)
+            assert np.allclose(_solve(a, b), want, rtol=1e-12, atol=1e-12)
 
     def test_constructor_built_problem_runs(self, paper_problem, rpc5):
         p = paper_problem
@@ -580,11 +595,18 @@ class TestIca:
         assert np.abs(g @ u).max() <= 1e-12
 
     def test_refined_saddle_is_stationary(self, ica4):
-        u = ica4.known_saddle()
-        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
-        assert np.linalg.norm(ica4.aggregated_gradient(u)) <= 1e-10
-        # close to, but not exactly, the population saddle direction
-        assert np.linalg.norm(u - ica4.nominal_saddle()) <= 0.15
+        for p in [ica4] + [make_ica_problem(d, 5, 160, seed) for d in (3, 4) for seed in range(12)]:
+            u = p.known_saddle()
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+            assert np.linalg.norm(p.aggregated_gradient(u)) <= 1e-10
+            # close to, but not exactly, the population saddle direction
+            assert 0 < np.linalg.norm(u - p.nominal_saddle()) <= 0.15
+
+    def test_far_saddle_refinement_refused(self):
+        # at d = 10 Newton's root from the nominal saddle lies 1.09 from it: some
+        # other stationary point, not the saddle that known_saddle promises
+        with pytest.raises(ProblemError, match=r"^saddle refinement ended 1\.09 > 0\.5 off"):
+            make_ica_problem(10, 5, 160, 99).known_saddle()
 
     @pytest.mark.parametrize("m", [5, 16])
     @pytest.mark.parametrize("runs", [1, 7, 200])
