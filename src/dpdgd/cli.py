@@ -172,8 +172,7 @@ _PROBLEM = _Variants(  # the keys are the parameters of _PROBLEM_MAKERS
     estimation_paper={},
     ica={"d": _INT, "m": _INT, "samples_per_agent": _INT, "seed": _INT},
     custom_quadratic={"diag": _DIAG, "m": Field("int", default=1),
-                      "offsets": Field("array", checks=((lambda c: np.isfinite(c).all(), "finite"),)),
-                      "init_half_width": Field("real", default=3.0)},
+                      "offsets": Field("array", checks=((lambda c: np.isfinite(c).all(), "finite"),))},
 )
 _TOPOLOGY = _Variants(
     None,
@@ -495,11 +494,8 @@ def _verify_checks():
     worst = 0.0
     for eps in (0.1, 0.5, 0.9):
         for target in privacy.TARGETS:
-            inputs = privacy.SensitivityInputs(nu=2.0, lambda_k=0.02, n_i=5)
-            var = privacy.variance_for_budget(
-                privacy.PrivacyBudget(epsilon=eps, delta=0.05, target=target), inputs
-            )
-            back = privacy.budget_for_variance(var, target, inputs, delta=0.05).epsilon
+            var = privacy.variance_for_budget(eps, 0.05, target, nu=2.0, lam=0.02, n_i=5)
+            back = privacy.budget_for_variance(var, 0.05, target, nu=2.0, lam=0.02, n_i=5)
             worst = max(worst, abs(back - eps) / eps)
     ok = worst <= 1e-12
     yield "privacy_roundtrip", ok, f"worst rel err {worst:.2e}"

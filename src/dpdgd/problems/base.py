@@ -24,9 +24,12 @@ class ProblemConstants:
     """Gradient Lipschitz constant nu and per-agent sample counts n_i.
 
     For the built-in problems nu is estimated numerically over the working
-    region (a documented upper-ish bound, not claimed tight); it additionally
-    covers the data-direction Lipschitz constant used by the sensitivity
-    formulas.
+    region (a documented upper-ish bound, not claimed tight). The `sample`
+    sensitivity also reads nu as the data-direction Lipschitz constant. That
+    holds only for estimation, whose nu is at least nu_data = 2 ||M^T|| (exact).
+    custom_quadratic has no data, so it means nothing there. For ICA it is
+    false: the per-sample Jacobian reaches several times nu (above 100 against
+    nu = 32.4 on make_ica_problem(4, 5, 160, 99)).
     """
 
     nu: float

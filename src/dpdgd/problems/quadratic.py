@@ -15,13 +15,12 @@ from .base import KnownPoint, Problem, ProblemConstants, ProblemError
 class QuadraticProblem(Problem):
     name = "custom_quadratic"
 
-    def __init__(self, diag, m=1, offsets=None, init_half_width=3.0):
+    def __init__(self, diag, m=1, offsets=None):
         self.c = np.array(diag, dtype=float)
         self.d = self.c.size
         self.m = int(m)
-        w = self.init_half_width = float(init_half_width)
-        if self.c.ndim != 1 or not self.d or self.m < 1 or not 0 <= 2 * w < np.inf:
-            raise ProblemError("need a non-empty diag, m >= 1 and a finite init_half_width >= 0")
+        if self.c.ndim != 1 or not self.d or self.m < 1:
+            raise ProblemError("need a non-empty diag and m >= 1")
         if offsets is None:
             offsets = np.zeros((self.m, self.d))
         self.offsets = np.array(offsets, dtype=float)
@@ -45,8 +44,7 @@ class QuadraticProblem(Problem):
         return 2.0 * np.diag(self.c)
 
     def sample_init(self, rng):
-        w = self.init_half_width
-        return rng.uniform(-w, w, size=(self.m, self.d))
+        return rng.uniform(-3.0, 3.0, size=(self.m, self.d))
 
     def known_saddle(self):
         if not ((self.c > 0).any() and (self.c < 0).any()) or self.offsets.any():

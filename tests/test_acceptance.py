@@ -15,13 +15,7 @@ import pytest
 from dpdgd import cli
 from dpdgd.analysis import assert_contraction
 from dpdgd.optimizer import RunConfig, StepsizeSchedule, run, run_batch
-from dpdgd.privacy import (
-    PrivacyBudget,
-    SensitivityInputs,
-    budget_for_variance,
-    sensitivity,
-    variance_for_budget,
-)
+from dpdgd.privacy import budget_for_variance, sensitivity, variance_for_budget
 from dpdgd.problems import QuadraticProblem, make_ica_problem
 from dpdgd.topology import Graph, build_metropolis_weights
 
@@ -201,20 +195,17 @@ def test_criterion_6_privacy_calibration(paper_problem):
     for eps in np.linspace(0.05, 0.95, 10):
         for delta in np.linspace(0.01, 0.5, 10):
             for lam in np.geomspace(1e-4, 0.5, 10):
-                inputs = SensitivityInputs(nu=3.3, lambda_k=float(lam), n_i=17)
                 for target in ("sample", "gradient", "variable"):
-                    var = variance_for_budget(
-                        PrivacyBudget(float(eps), float(delta), target), inputs
-                    )
-                    back = budget_for_variance(var, target, inputs, float(delta)).epsilon
+                    args = (float(delta), target, 3.3, float(lam), 17)
+                    var = variance_for_budget(float(eps), *args)
+                    back = budget_for_variance(var, *args)
                     worst_rt = max(worst_rt, abs(back - eps) / eps)
 
     # adjacent-observation sensitivity never exceeds the formula bound
     rng = np.random.default_rng(0x5EED)
     lam = 0.02
     theta = np.array([0.7, -1.2])
-    bound = sensitivity("sample", SensitivityInputs(nu=paper_problem.constants.nu,
-                                                    lambda_k=lam, n_i=1))
+    bound, _ = sensitivity("sample", paper_problem.constants.nu, lam, 1)
     worst_emp = 0.0
     for _ in range(1000):
         agent = int(rng.integers(paper_problem.m))
@@ -230,31 +221,16 @@ def test_criterion_6_privacy_calibration(paper_problem):
     mono_ok = True
     grid = np.linspace(0.05, 0.95, 15)
     for target in ("sample", "gradient", "variable"):
-        vals = [
-            variance_for_budget(
-                PrivacyBudget(float(e), 0.05, target),
-                SensitivityInputs(nu=2.0, lambda_k=0.05, n_i=3),
-            )
-            for e in grid
-        ]
+        vals = [variance_for_budget(float(e), 0.05, target, nu=2.0, lam=0.05, n_i=3)
+                for e in grid]
         mono_ok &= all(a > b for a, b in zip(vals[:-1], vals[1:]))
     lams = np.geomspace(1e-3, 0.5, 15)
     for target, sign in (("sample", 1), ("gradient", 1), ("variable", -1)):
-        vals = [
-            variance_for_budget(
-                PrivacyBudget(0.3, 0.05, target),
-                SensitivityInputs(nu=2.0, lambda_k=float(l), n_i=3),
-            )
-            for l in lams
-        ]
+        vals = [variance_for_budget(0.3, 0.05, target, nu=2.0, lam=float(l), n_i=3)
+                for l in lams]
         mono_ok &= all(sign * (b - a) > 0 for a, b in zip(vals[:-1], vals[1:]))
     ns = (1, 2, 5, 20, 100)
-    vals = [
-        variance_for_budget(
-            PrivacyBudget(0.3, 0.05, "sample"), SensitivityInputs(nu=2.0, lambda_k=0.05, n_i=n)
-        )
-        for n in ns
-    ]
+    vals = [variance_for_budget(0.3, 0.05, "sample", nu=2.0, lam=0.05, n_i=n) for n in ns]
     mono_ok &= all(a > b for a, b in zip(vals[:-1], vals[1:]))
 
     ok = worst_rt <= 1e-12 and worst_emp <= bound + 1e-9 and mono_ok

@@ -391,11 +391,11 @@ def _privacy_restatement(cfg):
     schedule = cli.build_schedule(cfg["schedule"])
     lines = [cli.PRIVACY_HEADER]
     for k in range(1, cfg["horizon"] + 1):
-        inputs = privacy.SensitivityInputs(nu=cfg["nu"], lambda_k=stepsize(schedule, k),
-                                           n_i=cfg["n_i"])
-        eps = [privacy.budget_for_variance(cfg["variance"], target, inputs, cfg["delta"]).epsilon
+        lam = stepsize(schedule, k)
+        eps = [privacy.budget_for_variance(cfg["variance"], cfg["delta"], target, cfg["nu"], lam,
+                                           cfg["n_i"])
                for target in privacy.TARGETS]
-        values = [inputs.lambda_k, *eps, cfg["delta"], cfg["variance"]]
+        values = [lam, *eps, cfg["delta"], cfg["variance"]]
         lines.append(",".join([str(k)] + ["%.17g" % float(v) for v in values]))
     return "\n".join(lines) + "\n"
 
@@ -606,8 +606,6 @@ class TestNumericTypes:
         ({"schedule": {"kind": "harmonic", "scale": True}}, "scale"),
         ({"schedule": {"kind": "piecewise_paper", "lambda0": 0.02, "switch_k": "500",
                        "scale": 1.0}}, "switch_k"),
-        ({"problem": {"name": "custom_quadratic", "diag": [1.0, 1.0], "m": 5,
-                      "init_half_width": "3"}}, "init_half_width"),
         ({"problem": {"name": "ica", "d": "4", "m": 5, "samples_per_agent": 16, "seed": 1}},
          "problem d"),
         ({"init": {"mode": "explicit", "coords": ["1.3", "1.0"]}}, "coords"),
@@ -757,17 +755,20 @@ class TestSchema:
                                   out, capsys, "config error: [ProblemError]",
                                   "||u|| = 1.4142135624 is not 1 within 1e-08")
 
-    @pytest.mark.parametrize("problem", [
-        {"name": "custom_quadratic", "diag": [1.0, -1.0], "m": 5, "init_half_width": 1e308},
-        {"name": "custom_quadratic", "diag": [1.0, -1.0], "m": 5, "init_half_width": float("inf")},
-        {"name": "ica", "d": 3, "m": 5, "samples_per_agent": 4, "seed": -1},
-    ])
-    def test_problem_ranges_exit_one(self, tmp_path, capsys, problem):
+    def test_problem_ranges_exit_one(self, tmp_path, capsys):
         out = tmp_path / "out"
+        problem = {"name": "ica", "d": 3, "m": 5, "samples_per_agent": 4, "seed": -1}
         path = write_cfg(tmp_path, dict(BASE_RUN_CFG, problem=problem))
-        field = "init_half_width" if "init_half_width" in problem else "seed"
         _assert_one_line_exit_one(["run", "--config", path, "--out", str(out)], out, capsys,
-                                  "config error: [ProblemError]", field)
+                                  "config error: [ProblemError]", "seed")
+
+    def test_init_half_width_is_not_a_key(self, tmp_path, capsys):
+        # the quadratic's initial box is fixed at [-3, 3]^d
+        out = tmp_path / "out"
+        problem = {"name": "custom_quadratic", "diag": [1.0, -1.0], "m": 5, "init_half_width": 3.0}
+        path = write_cfg(tmp_path, dict(BASE_RUN_CFG, problem=problem))
+        _assert_one_line_exit_one(["run", "--config", path, "--out", str(out)], out, capsys,
+                                  "config error:", "unknown key 'init_half_width'")
 
     @pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_offsets_exit_one(self, tmp_path, capsys, entry):
