@@ -4,8 +4,8 @@ The contraction check asserts the norm inequality that drives consensus:
 one mixing step shrinks disagreement by the spectral gap eta and injects at
 most eta * lambda_k ||g + N||. The coupling experiment drives paired
 trajectories from a strict saddle whose noises are mirror images along the
-most unstable Hessian direction e1; with noise the pair separates and escapes,
-without noise both stay put.
+most unstable direction e1 of the problem's tangent Hessian; with noise the
+pair separates and escapes, without noise both stay put.
 """
 
 from __future__ import annotations
@@ -136,12 +136,14 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
         raise AnalysisError(f"runs must be at most 2**32, so that a pair index fits its stream "
                             f"key's 32-bit word, got {runs}")
     m, d = problem.m, problem.d
-    optimizer.check_batch_memory(runs * 2 * m * d, runs * m if variance > 0 else 0)
+    optimizer.check_batch_memory(16 * runs * 2 * m * d
+                                 + optimizer._STREAM_BYTES * runs * m * (variance > 0))
     saddle = np.asarray(saddle, dtype=float)
     kind = classify_stationary_point(problem, saddle, grad_tol=1e-6, eig_tol=1e-6)
     if kind != "strict_saddle":
         raise AnalysisError(f"the coupling start is not a strict saddle: it classifies as {kind!r}")
-    e1 = min_eigvec(problem.aggregated_hessian(saddle))
+    basis, h = problem.tangent_hessian(saddle)
+    e1 = basis @ min_eigvec(h)
     start = optimizer.polish_fixed_point(problem, w, optimizer.stepsize(schedule, 1), saddle)
     streams = [None] * runs
     if variance > 0:

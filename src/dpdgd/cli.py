@@ -26,6 +26,7 @@ import numpy as np
 
 from . import analysis, privacy
 from .optimizer import (
+    _STREAM_BYTES,
     _TABLE1_STREAM,
     InvalidConfig,
     NonFiniteState,
@@ -380,8 +381,8 @@ def cmd_table1(args) -> int:
         raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
     variances, runs_per_cell = checked["variances"].tolist(), checked["runs_per_cell"]
     agents = config.problem.m
-    check_batch_memory(len(variances) * runs_per_cell * agents * config.problem.d,
-                       sum(v > 0 for v in variances) * runs_per_cell * agents)
+    check_batch_memory(16 * len(variances) * runs_per_cell * agents * config.problem.d
+                       + _STREAM_BYTES * sum(v > 0 for v in variances) * runs_per_cell * agents)
     # every (cell, run) pair in one lockstep batch, or in one contiguous chunk
     # per worker; a run's numbers do not depend on the batch it is in
     seeds = _table1_seeds(base["seed"], range(len(variances)), runs_per_cell)
@@ -426,6 +427,7 @@ def cmd_coupling(args) -> int:
 def cmd_privacy_report(args) -> int:
     checked = _walk(load_config(args.config), _PRIVACY, "privacy config")
     delta, variance = checked["delta"], checked["variance"]
+    check_batch_memory(40 * checked["horizon"])  # the report's five 8-byte columns
     report = privacy.per_iteration_report(
         StepsizeSchedule(**checked["schedule"]), variance=variance, nu=checked["nu"],
         n_i=checked["n_i"], delta=delta, horizon=checked["horizon"],
@@ -500,14 +502,15 @@ def _verify_checks():
     ok = worst <= 1e-12
     yield "privacy_roundtrip", ok, f"worst rel err {worst:.2e}"
 
-    # classification of the benchmark stationary points
-    kinds = [
-        classify_stationary_point(p, np.array(pt.coords), grad_tol=1e-2, eig_tol=1e-6)
-        for pt in p.known_points
-    ]
-    ok = kinds == [pt.kind for pt in p.known_points]
+    # classification of the estimation problem's printed points and ICA d = 4's refined ones
+    ica = make_ica_problem(4, 5, 160, 99)  # refined raises ProblemError on a root of another kind
+    kinds = [classify_stationary_point(p, np.array(pt.coords), grad_tol=1e-2, eig_tol=1e-6)
+             for pt in p.known_points]
+    kinds += [classify_stationary_point(ica, ica.refined(pt.kind)) for pt in ica.known_points]
+    ok = kinds == [pt.kind for pt in p.known_points + ica.known_points]
     yield "stationary_classification", ok, (
-        f"(1.3478, 1.0690) -> {kinds[0]}; (-7.4336, 1.3959) -> {kinds[1]}"
+        f"(1.3478, 1.0690) -> {kinds[0]}; (-7.4336, 1.3959) -> {kinds[1]}; "
+        f"ICA d=4 maximum -> {kinds[2]}, saddle -> {kinds[3]}"
     )
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy loads it lazily; every run draws noise from it, so load it up front
 
+from .problems.base import Problem
 from .topology import WeightMatrix
 
 SCHEDULE_KINDS = ("constant", "harmonic", "piecewise_paper")
@@ -242,15 +243,15 @@ def stream_keys(seeds, keys) -> np.ndarray:
     return out
 
 
-def check_batch_memory(states, streams):
-    """InvalidConfig when a lockstep batch of `states` float64 state entries
-    and `streams` noise streams cannot fit in physical memory, by a lower bound:
-    16 bytes per entry (the running and the final state), _STREAM_BYTES per stream."""
-    need = 16 * states + _STREAM_BYTES * streams
+def check_batch_memory(need):
+    """InvalidConfig when `need`, a lower bound on the bytes that a command's
+    inputs ask for, exceeds physical memory. A lockstep batch needs 16 bytes
+    per state entry (the running and the final state) and _STREAM_BYTES per
+    noise stream."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        raise InvalidConfig(f"the batch's states and noise streams need at least {need / 2**30:.4g} "
-                            f"GiB, more than the {have / 2**30:.4g} GiB of physical memory")
+        raise InvalidConfig(f"the inputs need at least {need / 2**30:.4g} GiB, more than the "
+                            f"{have / 2**30:.4g} GiB of physical memory")
 
 
 class _PhiloxKey(numpy.random.bit_generator.ISeedSequence):
@@ -402,12 +403,6 @@ def row_metrics(problem, xs) -> list:
     return out
 
 
-def _uses_retraction(problem):
-    from .problems.base import Problem
-
-    return type(problem).retract is not Problem.retract
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up leaves theta unchanged
 def polish_fixed_point(problem, w: WeightMatrix, lam: float, theta) -> np.ndarray:
     """Nudge theta (a refined stationary point) to a bitwise fixed point of the
@@ -423,7 +418,7 @@ def polish_fixed_point(problem, w: WeightMatrix, lam: float, theta) -> np.ndarra
     when the update overflows.
     """
     theta = np.asarray(theta, dtype=float)
-    if _uses_retraction(problem) or problem.d > 3:
+    if type(problem).retract is not Problem.retract or problem.d > 3:
         return theta
     m, d = problem.m, problem.d
 

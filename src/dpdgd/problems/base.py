@@ -87,11 +87,33 @@ class Problem:
         """Mean of the agent_gradients rows with every agent at theta."""
         return self.agent_gradients(np.tile(self._check_theta(theta), (self.m, 1))).mean(axis=0)
 
-    def aggregated_hessian(self, theta) -> np.ndarray:
-        """Mean per-agent Hessian; the default falls back to the symmetrized
-        central-difference Jacobian of the aggregated gradient, step 1e-6."""
-        j = central_jacobian(self.aggregated_gradient, self._check_theta(theta))
-        return 0.5 * (j + j.T)
+    def tangent_hessian(self, theta):
+        """(basis, h): an orthonormal basis (d, k) of the directions the iterates
+        move in at theta, and the mean objective's analytic Hessian on it."""
+        raise NotImplementedError
+
+    def newton_residual(self, theta) -> np.ndarray:
+        """The function whose roots are the stationary points; the mean gradient here."""
+        return self.aggregated_gradient(theta)
+
+    def newton_jacobian(self, theta) -> np.ndarray:
+        """newton_residual's Jacobian; the mean Hessian here, where the basis is the identity."""
+        return self.tangent_hessian(theta)[1]
+
+    def refined(self, kind) -> np.ndarray:
+        """Newton's root of newton_residual from the known point of `kind`, cached; ProblemError
+        without one, or if the root classifies as another kind."""
+        cache = vars(self).setdefault("_refined", {})
+        if kind not in cache:
+            start = [pt.coords for pt in self.known_points if pt.kind == kind]
+            if not start:
+                raise ProblemError(f"{self.name} has no known {kind}")
+            root = newton_root(self.newton_residual, self.newton_jacobian, start[0])
+            got = classify_stationary_point(self, root)
+            if got != kind:
+                raise ProblemError(f"Newton's root from the known {kind} classifies as {got!r}")
+            cache[kind] = root
+        return cache[kind].copy()
 
     # -- hooks used by the optimizer ----------------------------------------
 
@@ -104,11 +126,12 @@ class Problem:
         raise NotImplementedError
 
     def known_saddle(self) -> np.ndarray:
-        raise ProblemError(f"{self.name} has no known saddle")
+        return self.refined("strict_saddle")
 
     def reference_minimum(self):
-        """Target point for optimization-error metrics, or None."""
-        return None
+        """Target point for optimization-error metrics: the refined minimum, or None."""
+        known = any(pt.kind == "minimum" for pt in self.known_points)
+        return self.refined("minimum") if known else None
 
     def optimization_errors(self, x) -> np.ndarray:
         """Per-agent distance to the reference minimum (nan if unknown)."""
@@ -142,11 +165,6 @@ def dots(a, b):
     return np.add.reduce(a * b, axis=-1)
 
 
-def central_jacobian(f, x) -> np.ndarray:
-    """Central-difference Jacobian of f: R^d -> R^d at x, step 1e-6, one column per coordinate."""
-    return np.stack([(f(x + e) - f(x - e)) / 2e-6 for e in np.eye(len(x)) * 1e-6], axis=1)
-
-
 def _solve(a, b):
     """a^-1 b by Gaussian elimination with partial pivoting, in a fixed order
     (LAPACK's solve runs BLAS kernels)."""
@@ -178,7 +196,8 @@ def newton_root(residual, jacobian, x) -> np.ndarray:
 
 
 def classify_stationary_point(problem, theta, grad_tol=1e-6, eig_tol=1e-6) -> str:
-    """Classify theta by gradient norm and Hessian eigenvalue signs.
+    """Classify theta by gradient norm and the signs of the eigenvalues of
+    the problem's tangent Hessian.
 
     not_stationary if ||grad F|| > grad_tol; otherwise minimum / maximum when
     all eigenvalues clear +/-eig_tol, strict_saddle when both signs do, and
@@ -190,8 +209,7 @@ def classify_stationary_point(problem, theta, grad_tol=1e-6, eig_tol=1e-6) -> st
     g = problem.aggregated_gradient(theta)
     if np.linalg.norm(g) > grad_tol:
         return "not_stationary"
-    h = problem.aggregated_hessian(theta)
-    eig = np.linalg.eigvalsh(0.5 * (h + h.T))
+    eig = np.linalg.eigvalsh(problem.tangent_hessian(theta)[1])
     if (eig > eig_tol).all():
         return "minimum"
     if (eig < -eig_tol).all():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KnownPoint, Problem, ProblemConstants, ProblemError, newton_root
+from .base import KnownPoint, Problem, ProblemConstants, ProblemError
 
 # The extension slope is this multiple of the largest per-agent gradient norm
 # on the box boundary; > 1 keeps the radial derivative strictly positive
@@ -68,7 +68,6 @@ class EstimationProblem(Problem):
         self.wall_slope = WALL_SLOPE_FACTOR * self._boundary_gradient_bound()
         self.constants = self._estimate_constants()
         self.known_points = tuple(known_points)  # Newton's starting points, by kind
-        self._refined = {}
 
     # -- construction-time constants ----------------------------------------
 
@@ -204,33 +203,15 @@ class EstimationProblem(Problem):
         x = np.tile(self._check_theta(theta), (self.m, 1))
         return self._gradients(x, self.lo, self.hi, data)[agent]
 
-    def aggregated_hessian(self, theta):
+    def tangent_hessian(self, theta):
+        """The identity and the closed-form Hessian; ProblemError outside the box."""
         theta = self._check_theta(theta)
-        inside = (theta >= self.lo).all() and (theta <= self.hi).all()
-        if inside:
-            return self._inside_hessian(theta)  # agent-independent
-        return super().aggregated_hessian(theta)
+        if not ((theta >= self.lo).all() and (theta <= self.hi).all()):
+            raise ProblemError(f"no analytic Hessian outside the box, at theta = {theta.tolist()}")
+        return np.eye(self.d), self._inside_hessian(theta)
 
     def sample_init(self, rng):
         return rng.uniform(self.lo, self.hi, size=(self.m, self.d))
-
-    # -- stationary points -------------------------------------------------------
-
-    def _newton_root(self, kind):
-        """Newton's root from the known point of `kind` (a copy), or None without one."""
-        if kind not in self._refined:
-            start = [pt.coords for pt in self.known_points if pt.kind == kind]
-            self._refined[kind] = None if not start else newton_root(
-                self.aggregated_gradient, self._inside_hessian, start[0])
-        root = self._refined[kind]
-        return None if root is None else root.copy()
-
-    def reference_minimum(self):
-        return self._newton_root("minimum")
-
-    def known_saddle(self):
-        root = self._newton_root("strict_saddle")
-        return super().known_saddle() if root is None else root  # ProblemError without one
 
 
 def make_paper_estimation_problem() -> EstimationProblem:

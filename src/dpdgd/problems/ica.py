@@ -6,15 +6,16 @@ column of A amounts to
 
     min_{||u|| = 1}  E[(u^T y)^4]
 
-over the sphere. Minimizers are +/- columns of A; the points A v with
-v = d^{-1/2}(+/-1, ..., +/-1) are stationary with negative tangent curvature,
-which is what the noise-driven escape experiments start from. The unit-norm
-constraint is handled by projecting gradients onto the tangent space and
-renormalizing after every mixing step.
+over the sphere. The points A v with v_i = +/-k^{-1/2} on k of the d entries
+are stationary for the population objective: the minima +/- a_i at k = 1, the
+maximum at k = d and strict saddles in between (Ge, Huang, Jin & Yuan, 2015).
+Newton's method refines the known points, k = d and k = 2, to the sampled
+objective's. The unit-norm constraint is handled by projecting gradients onto
+the tangent space and renormalizing after every mixing step.
 
-The instance, the nominal saddle and the saddle refinement (Newton's method,
-its linear solves by elimination) sum with np.add.reduce, in an order numpy
-fixes, so the refined saddle does not depend on the CPU's BLAS kernel. The
+The instance, the known points and their refinement (Newton's method, its
+linear solves by elimination) sum with np.add.reduce, in an order numpy
+fixes, so the refined points do not depend on the CPU's BLAS kernel. The
 constant nu (through LAPACK's eigvalsh) and the per-step products still do.
 """
 
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (KnownPoint, Problem, ProblemConstants, ProblemError, central_jacobian, dots,
-                   newton_root)
+from .base import KnownPoint, Problem, ProblemConstants, ProblemError, dots
 
 UNIT_NORM_TOL = 1e-8
 
@@ -48,10 +48,9 @@ class IcaProblem(Problem):
         if ortho_err > 1e-10:
             raise ProblemError(f"mixing matrix not orthonormal (error {ortho_err:.2e})")
         self.constants = self._estimate_constants()
-        self._refined_saddle = None
-        self.known_points = (
-            KnownPoint(coords=tuple(self.nominal_saddle()), kind="strict_saddle"),
-        )
+        a, d = self.A, self.d  # A v at v = d^{-1/2} (1, ..., 1) and 2^{-1/2} (1, 1, 0, ..., 0)
+        self.known_points = (KnownPoint(tuple(np.add.reduce(a, axis=1) / np.sqrt(d)), "maximum"),
+                             KnownPoint(tuple((a[:, 0] + a[:, 1]) / np.sqrt(2.0)), "strict_saddle"))
 
     def _estimate_constants(self):
         rng = np.random.default_rng(0x1CA)
@@ -94,6 +93,35 @@ class IcaProblem(Problem):
         proj = dots(flat, u)
         return 4.0 * np.add.reduce((proj * proj * proj)[:, None] * flat, axis=0) / flat.shape[0]
 
+    def _euclidean_hessian(self, u):
+        """12 mean((u^T y)^2 y y^T) over all samples, summed in a fixed order."""
+        flat = self.samples.reshape(-1, self.d)
+        proj = dots(flat, u)
+        outer = flat[:, :, None] * flat[:, None, :]
+        return 12.0 * np.add.reduce(outer * (proj * proj)[:, None, None], axis=0) / flat.shape[0]
+
+    def tangent_hessian(self, u):
+        """B, the last d - 1 columns of the Householder reflection that maps u
+        to +/- e_1 (a basis of u's tangent space), and B^T (H - (u . g) I) B
+        (Absil, Mahony & Sepulchre, 2008, 5.5); ProblemError off the sphere."""
+        u = self._on_sphere(self._check_theta(u))
+        w = u + np.copysign(np.eye(self.d)[0], u[0])
+        basis = (np.eye(self.d) - (2.0 / dots(w, w)) * np.outer(w, w))[:, 1:]
+        g = self.aggregated_euclidean_gradient(u)
+        h = self._euclidean_hessian(u) - dots(u, g) * np.eye(self.d)
+        return basis, basis.T @ h @ basis
+
+    def newton_residual(self, u):
+        """The tangent gradient g - (u . g) u, 0 only at the unit u with g parallel to u."""
+        g = self.aggregated_euclidean_gradient(u)
+        return g - dots(u, g) * u
+
+    def newton_jacobian(self, u):
+        """newton_residual's Jacobian H - u (g + H u)^T - (u . g) I, in a fixed order."""
+        g = self.aggregated_euclidean_gradient(u)
+        h = self._euclidean_hessian(u)
+        return h - u[:, None] * (g + dots(h, u)) - dots(u, g) * np.eye(self.d)
+
     # -- optimizer hooks ----------------------------------------------------------
 
     def retract(self, x):
@@ -102,32 +130,6 @@ class IcaProblem(Problem):
     def sample_init(self, rng):
         x = rng.standard_normal((self.m, self.d))
         return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-    def nominal_saddle(self):
-        """A v with v = d^{-1/2}(1, ..., 1): stationary for the population
-        objective, close to (but not exactly) stationary for the sampled one."""
-        return np.add.reduce(self.A, axis=1) / np.sqrt(self.d)
-
-    def known_saddle(self):
-        """Stationary point of the *sampled* objective near the nominal saddle:
-        Newton's root, from it, of the tangent gradient g - (u . g) u, which is
-        0 at the unit u with g parallel to u. A root more than 0.5 from the
-        nominal saddle is another point, and raises ProblemError."""
-        if self._refined_saddle is None:
-            def tangent(u):
-                g = self.aggregated_euclidean_gradient(u)
-                return g - dots(u, g) * u
-
-            u0 = self.nominal_saddle()
-            u = newton_root(tangent, lambda u: central_jacobian(tangent, u), u0)
-            resid = np.linalg.norm(self.aggregated_gradient(u))
-            if not resid <= 1e-10:
-                raise ProblemError(f"saddle refinement did not converge (residual {resid:.2e})")
-            dist = np.linalg.norm(u - u0)
-            if not dist <= 0.5:
-                raise ProblemError(f"saddle refinement ended {dist:.2f} > 0.5 off the nominal saddle")
-            self._refined_saddle = u
-        return self._refined_saddle.copy()
 
     # -- metrics ---------------------------------------------------------------------
 
@@ -141,13 +143,17 @@ class IcaProblem(Problem):
         |u^T a_j| with its sign; one u [A, -A] product finds it. The distance
         to it is then formed from u - s a_j, never as 2 - 2 s u^T a_j, which
         loses a small distance to cancellation."""
-        u = self._check_state(x)
-        norms = np.linalg.norm(u, axis=-1)
+        u = self._on_sphere(self._check_state(x))
+        nearest = (u @ self._signed_columns.T).argmax(axis=-1)
+        return np.linalg.norm(u - self._signed_columns[nearest], axis=-1)
+
+    def _on_sphere(self, x):
+        """x, whose rows (..., d) must have unit norm, or ProblemError."""
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
         off = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)  # a nan norm is off too
         if off.any():
             raise ProblemError(f"||u|| = {norms[off][0]:.10f} is not 1 within {UNIT_NORM_TOL:.0e}")
-        nearest = (u @ self._signed_columns.T).argmax(axis=-1)
-        return np.linalg.norm(u - self._signed_columns[nearest], axis=-1)
+        return x
 
 
 def make_ica_problem(d, m, samples_per_agent, seed) -> IcaProblem:

@@ -1,8 +1,8 @@
 """Diagonal quadratic test problem with known closed-form structure.
 
 Used as an oracle: with positive curvatures the minimum is the mean of the
-per-agent offsets; with mixed signs the origin is a strict saddle. Keeps the
-optimizer and analysis test surfaces independent of the benchmark problems.
+per-agent offsets; with nonzero mixed signs the origin is a strict saddle. Keeps
+the optimizer and analysis test surfaces independent of the benchmark problems.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class QuadraticProblem(Problem):
             raise ProblemError(f"offsets must have shape ({self.m}, {self.d})")
         self.constants = ProblemConstants(nu=2.0 * float(np.abs(self.c).max()),
                                           n_i=tuple([1] * self.m))
-        if (self.c > 0).any() and (self.c < 0).any() and not self.offsets.any():
+        if (self.c > 0).any() and (self.c < 0).any() and self.c.all() and not self.offsets.any():
             self.known_points = (KnownPoint(coords=tuple(np.zeros(self.d)), kind="strict_saddle"),)
 
     def agent_objective(self, agent, theta):
@@ -39,17 +39,12 @@ class QuadraticProblem(Problem):
     def agent_gradients(self, x):
         return 2.0 * self.c[None, :] * (x - self.offsets)
 
-    def aggregated_hessian(self, theta):
+    def tangent_hessian(self, theta):
         self._check_theta(theta)
-        return 2.0 * np.diag(self.c)
+        return np.eye(self.d), 2.0 * np.diag(self.c)
 
     def sample_init(self, rng):
         return rng.uniform(-3.0, 3.0, size=(self.m, self.d))
-
-    def known_saddle(self):
-        if not ((self.c > 0).any() and (self.c < 0).any()) or self.offsets.any():
-            return super().known_saddle()
-        return np.zeros(self.d)
 
     def reference_minimum(self):
         if (self.c > 0).all():

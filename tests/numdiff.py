@@ -42,9 +42,3 @@ def hessian(f, x, step=1e-4):
             pij -= f(x - eye[i] + eye[j]) - f(x - eye[i] - eye[j])
             h[i, j] = h[j, i] = pij / (4 * step * step)
     return h
-
-
-def hessian_from_gradient(grad, x, step=1e-6):
-    """Symmetrized central-difference Jacobian of a gradient function."""
-    j = jacobian(grad, x, step=step)
-    return 0.5 * (j + j.T)

@@ -170,8 +170,8 @@ def test_criterion_5_stationary_point_fidelity(paper_problem):
     )
     gmin = np.linalg.norm(p.aggregated_gradient(p.reference_minimum()))
     gsad = np.linalg.norm(p.aggregated_gradient(p.known_saddle()))
-    eig_min = np.linalg.eigvalsh(p.aggregated_hessian(p.reference_minimum()))
-    eig_sad = np.linalg.eigvalsh(p.aggregated_hessian(p.known_saddle()))
+    eig_min = np.linalg.eigvalsh(p.tangent_hessian(p.reference_minimum())[1])
+    eig_sad = np.linalg.eigvalsh(p.tangent_hessian(p.known_saddle())[1])
     ok = (
         printed_ok
         and gmin <= 1e-10

@@ -115,7 +115,7 @@ class TestMirrorNoise:
         # the kernel mirrors a whole (K, R, m, d) noise block at once; each
         # step's slice must carry the bytes of a call on that step alone, in
         # the block's layout and in the streams' (R, m, K, d) layout
-        e1 = min_eigvec(paper_problem.aggregated_hessian(paper_problem.known_saddle()))
+        e1 = min_eigvec(paper_problem.tangent_hessian(paper_problem.known_saddle())[1])
         fill = rng.standard_normal((6, 5, 7, 2))
         block = np.ascontiguousarray(fill.transpose(2, 0, 1, 3))
         mirrored = mirror_noise(block, e1)
@@ -127,7 +127,7 @@ class TestMirrorNoise:
         # first-step hand expansion: x'1 - x''1 = -lam * W (N' - N'')
         saddle = paper_problem.known_saddle()
         x0 = np.tile(saddle, (5, 1))
-        e1 = min_eigvec(paper_problem.aggregated_hessian(saddle))
+        e1 = min_eigvec(paper_problem.tangent_hessian(saddle)[1])
         n = rng.standard_normal((5, 2)) * 0.7
         lam = 0.02
         g = paper_problem.agent_gradients(x0)
@@ -181,6 +181,23 @@ class TestCouplingExperiment:
                 variance=0.5, runs=2, horizon=horizon, escape_radius=0.5, seed=1,
             )
 
+    def test_ica_pairs_escape_along_a_tangent_e1(self, ica4, complete5):
+        # from ICA's refined k = 2 saddle on the sphere: e1 is a unit tangent
+        # vector, no pair escapes without noise, and a pair's escape does not
+        # depend on how many pairs run beside it
+        saddle = ica4.known_saddle()
+        schedule = StepsizeSchedule("piecewise_paper", lambda0=0.003, switch_k=100, scale=0.3)
+        kw = dict(horizon=3000, escape_radius=0.5, seed=7)
+        quiet = run_coupling_experiment(ica4, complete5, saddle, schedule, variance=0.0, runs=3,
+                                        **kw)
+        assert quiet.iterations_to_escape == [None] * 3
+        assert np.linalg.norm(quiet.e1) == pytest.approx(1.0, abs=1e-12)
+        assert abs(quiet.e1 @ saddle) <= 1e-12
+        few, many = (run_coupling_experiment(ica4, complete5, saddle, schedule, variance=1.0,
+                                             runs=runs, **kw) for runs in (3, 40))
+        assert few.iterations_to_escape == many.iterations_to_escape[:3] == [299, 330, 1257]
+        assert np.array_equal(few.e1, quiet.e1) and many.escape_count == 40
+
     def test_deterministic(self, paper_problem, complete5):
         kw = dict(variance=0.5, runs=4, horizon=600, escape_radius=0.5, seed=9)
         a = run_coupling_experiment(paper_problem, complete5,
@@ -195,7 +212,7 @@ class TestCouplingExperiment:
         # (seed, 3, r, j) and escapes when either mean leaves the ball
         saddle = paper_problem.known_saddle()
         seed, horizon, radius, sig = 17, 600, 0.5, np.sqrt(0.5)
-        e1 = min_eigvec(paper_problem.aggregated_hessian(saddle))
+        e1 = min_eigvec(paper_problem.tangent_hessian(saddle)[1])
         start = polish_fixed_point(paper_problem, complete5, 0.02, saddle)
         one_at_a_time = []
         for r in range(6):

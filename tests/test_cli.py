@@ -325,6 +325,14 @@ class TestCouplingCommand:
         assert payload["escape_count"] == 4
         assert len(payload["iterations_to_escape"]) == 4
 
+    def test_ica_saddle_exit_zero(self, tmp_path):
+        # ICA d = 4's refined k = 2 saddle is a strict saddle on the sphere
+        problem = {"name": "ica", "d": 4, "m": 5, "samples_per_agent": 160, "seed": 99}
+        path = write_cfg(tmp_path, dict(self._cfg(), problem=problem, runs=2))
+        assert cli.main(["coupling", "--config", path, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "coupling.json").read_text())
+        assert payload["total_runs"] == 2 and len(payload["e1"]) == 4
+
     def test_zero_variance_control(self, tmp_path):
         path = write_cfg(tmp_path, self._cfg(variance=0.0))
         assert cli.main(["coupling", "--config", path, "--out", str(tmp_path)]) == 0
@@ -482,12 +490,13 @@ class TestPrivacyReportCommand:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not (tmp_path / "out").exists()
 
-    def test_unaddressable_horizon_exit_one(self, tmp_path, capsys):
-        # numpy refuses a 2**62-entry column before it allocates anything
-        path = write_cfg(tmp_path, self._cfg(horizon=2**62))
+    @pytest.mark.parametrize("horizon", [2**50, 2**62])
+    def test_horizon_beyond_memory_exit_one(self, tmp_path, capsys, horizon):
+        # the report's columns are sized against physical memory before any is built
+        path = write_cfg(tmp_path, self._cfg(horizon=horizon))
         out = tmp_path / "out"
         _assert_one_line_exit_one(["privacy-report", "--config", path, "--out", str(out)], out,
-                                  capsys, "config error: [PrivacyError]", str(2**62))
+                                  capsys, "config error: [InvalidConfig]", "physical memory")
 
     def test_integral_float_horizon_accepted(self, tmp_path):
         path = write_cfg(tmp_path, self._cfg(horizon=50.0, n_i=2.0))
@@ -502,6 +511,7 @@ class TestVerifyCommand:
         assert "PASS weight_invariants" in out
         assert "(1.3478, 1.0690) -> minimum" in out
         assert "(-7.4336, 1.3959) -> strict_saddle" in out
+        assert "ICA d=4 maximum -> maximum, saddle -> strict_saddle" in out
         assert "FAIL" not in out
 
 
@@ -734,12 +744,18 @@ class TestSchema:
                                    str(out)], out, capsys, "config error:", "3 agents")
 
     def test_failed_ica_saddle_refinement_exit_one(self, tmp_path, capsys):
+        # on ica_d10.json's instance the at_saddle run starts at a refined
+        # saddle; with data seed 1, Newton's root from A (a_1 + a_2)/sqrt(2) is a maximum
         cfg = json.loads(cli.bundled_config_path("ica_d10.json").read_text())
-        cfg["init"] = {"mode": "at_saddle"}
+        cfg.update(init={"mode": "at_saddle"}, iterations=20)
+        assert cli.main(["run", "--config", write_cfg(tmp_path, cfg), "--out",
+                         str(tmp_path / "ok")]) == 0
+        cfg["problem"] = dict(cfg["problem"], seed=1)
         out = tmp_path / "out"
         _assert_one_line_exit_one(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)],
                                   out, capsys, "config error: [ProblemError]",
-                                  "saddle refinement ended 1.09 > 0.5 off the nominal saddle")
+                                  "Newton's root from the known strict_saddle classifies as "
+                                  "'maximum'")
 
     def test_ica_explicit_init_off_the_sphere_exit_one(self, tmp_path, capsys, monkeypatch):
         # the initial state is checked once, before iteration 1, not first
@@ -818,10 +834,11 @@ _LIBRARY_FAILURES = {
                        "[TopologyError] w[0,1] = -2.000e-01 is negative"),
     "zero-self-weight": ({"topology": {"matrix": [[0.0, 1.0], [1.0, 0.0]]}},
                          "[TopologyError] w[0,0] = 0.000e+00 must be positive"),
-    "ica-maximum-coupling": ({"problem": {"name": "ica", "d": 4, "m": 5, "samples_per_agent": 160,
+    # at d = 2, A (a_1 + a_2)/sqrt(2) is the population maximum, and it refines to a maximum
+    "ica-maximum-coupling": ({"problem": {"name": "ica", "d": 2, "m": 5, "samples_per_agent": 160,
                                           "seed": 99}},
-                             "[AnalysisError] the coupling start is not a strict saddle: "
-                             "it classifies as 'maximum'"),
+                             "[ProblemError] Newton's root from the known strict_saddle "
+                             "classifies as 'maximum'"),
 }
 
 
@@ -1006,6 +1023,7 @@ class TestSizeBounds:
         "coupling-memory-noiseless": ("coupling", {"runs": 2**32, "variance": 0.0},
                                       "physical memory"),
         "coupling-memory": ("coupling", {"runs": 2**30}, "physical memory"),
+        "privacy-report-memory": ("privacy-report", {"horizon": 2**50}, "physical memory"),
     }
 
     @pytest.fixture(scope="class")
@@ -1014,8 +1032,9 @@ class TestSizeBounds:
         tmp = tmp_path_factory.mktemp("sizes")
         argvs = {}
         for name, (command, edit, _) in self.CASES.items():
-            cfg = (TestTable1Command()._sweep_cfg() if command == "table1"
-                   else TestCouplingCommand()._cfg())
+            cfg = {"table1": TestTable1Command()._sweep_cfg(),
+                   "coupling": TestCouplingCommand()._cfg(),
+                   "privacy-report": TestPrivacyReportCommand()._cfg()}[command]
             path = write_cfg(tmp, dict(cfg, **edit), name + ".json")
             argvs[name] = [command, "--config", path, "--out", str(tmp / name)]
         script = textwrap.dedent("""
@@ -1043,8 +1062,6 @@ class TestSizeBounds:
 
     def test_memory_bound_is_the_physical_memory(self):
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        optimizer.check_batch_memory(have // 16, 0)
-        optimizer.check_batch_memory(0, have // optimizer._STREAM_BYTES)
-        for states, streams in ((have // 16 + 1, 0), (0, have // optimizer._STREAM_BYTES + 1)):
-            with pytest.raises(optimizer.InvalidConfig, match="physical memory"):
-                optimizer.check_batch_memory(states, streams)
+        optimizer.check_batch_memory(have)
+        with pytest.raises(optimizer.InvalidConfig, match="physical memory"):
+            optimizer.check_batch_memory(have + 1)

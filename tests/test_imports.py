@@ -120,11 +120,11 @@ def test_bundled_configs_run_without_scipy(tmp_path):
             name = Path(path).stem
             argv = [{COMMANDS!r}.get(name, "run"), "--config", path, "--out", "blocked/" + name]
             assert cli.main(argv) == 0, argv
-        # the at_saddle ICA run started at a refined saddle: stationary, not the nominal one
+        # the at_saddle ICA run started at a refined saddle: stationary, not its starting point
         problem = cli.build_problem(cli.load_config({saddle_cfg!r})["problem"])
-        u = problem._refined_saddle
+        u = problem.known_saddle()
         assert np.linalg.norm(problem.aggregated_gradient(u)) <= 1e-10
-        assert not np.array_equal(u, problem.nominal_saddle())
+        assert not np.array_equal(u, problem.known_points[1].coords)
     """, prelude=NO_SCIPY)
     try:
         # the unblocked runs, here, while that interpreter runs the blocked ones

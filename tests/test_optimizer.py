@@ -563,7 +563,7 @@ class TestLockstep:
         x0 = np.stack([paper_problem.sample_init(_seed_sequence_stream(s, 2)) for s in seeds])
         # coupling's pairs: each run's noise and its mirror along e1, on an
         # (R, 2, m, d) state
-        e1 = min_eigvec(paper_problem.aggregated_hessian(paper_problem.known_saddle()))
+        e1 = min_eigvec(paper_problem.tangent_hessian(paper_problem.known_saddle())[1])
         mirrored = (np.stack([x0, x0], axis=1),
                     lambda n: np.stack([n, mirror_noise(n, e1)], axis=-3))
 

@@ -200,6 +200,11 @@ class TestPerIterationReport:
         with pytest.raises(PrivacyError):
             per_iteration_report(PAPER_SCHEDULE, 0.5, 2.0, 3, 0.05, horizon=0)
 
+    def test_rejects_unaddressable_horizon(self):
+        # numpy refuses a 2**62-entry column before it allocates anything
+        with pytest.raises(PrivacyError, match=f"horizon {2**62} is too large to hold in memory"):
+            per_iteration_report(PAPER_SCHEDULE, 0.5, 2.0, 3, 0.05, horizon=2**62)
+
     @pytest.mark.parametrize("variance, nu, n_i, delta", [
         (math.nan, 2.0, 3, 0.05), (math.inf, 2.0, 3, 0.05), (0.0, 2.0, 3, 0.05),
         (0.5, math.nan, 3, 0.05), (0.5, math.inf, 3, 0.05), (0.5, 0.0, 3, 0.05),

@@ -18,7 +18,7 @@ from dpdgd.problems import (
     make_ica_problem,
     make_paper_estimation_problem,
 )
-from dpdgd.problems.base import _solve
+from dpdgd.problems.base import _solve, newton_root
 from dpdgd.problems.estimation import RAMP_RADIUS
 
 import numdiff
@@ -27,11 +27,15 @@ import oracles
 PRINTED_MIN = np.array([1.3478, 1.0690])
 PRINTED_SADDLE = np.array([-7.4336, 1.3959])
 # reference_minimum() and known_saddle() of the paper's estimation problem,
-# and known_saddle() of make_ica_problem(4, 5, 160, 99), on every BLAS kernel
+# and known_saddle() of make_ica_problem(4 | 10, 5, 160, 99), on every BLAS kernel
 ESTIMATION_MIN = ["0x1.590752ebb4cd6p+0", "0x1.11a72022a5114p+0"]
 ESTIMATION_SADDLE = ["-0x1.dbbf8cb88b630p+2", "0x1.655b9bd7fa64bp+0"]
-ICA4_SADDLE = ["0x1.3b4ad36f569a1p-2", "-0x1.64a817452b499p-2",
-               "0x1.08f815c386f83p-2", "0x1.b184d089e401fp-1"]
+ICA4_SADDLE = ["-0x1.22fadb891a842p-3", "-0x1.0e2d95a7a8ab3p-2",
+               "-0x1.2941be1412c12p-2", "0x1.d14f2c7e1fc46p-1"]
+ICA10_SADDLE = ["-0x1.8c5aea033c621p-5", "0x1.c724f502011c2p-2", "-0x1.5b714701e9668p-4",
+                "0x1.45842e5bb2ea4p-2", "0x1.9096cb99377a2p-2", "-0x1.f085e781ed275p-3",
+                "-0x1.28dd85475e21ap-6", "0x1.6161f47f44f71p-1", "-0x1.7003edec900efp-5",
+                "-0x1.28cb5ba6755bfp-5"]
 # the CPU flags (as /proc/cpuinfo names them) that each OpenBLAS kernel runs on
 KERNEL_FLAGS = {"Haswell": {"avx2", "fma"}, "Prescott": {"pni"}, "Sandybridge": {"avx"}}
 
@@ -156,42 +160,80 @@ class TestGradientConsistency:
             assert np.allclose(stacked[i], p.agent_gradient(i, x[i]), atol=1e-14)
 
 
+def _ica_column_minimum(p, column):
+    """Newton's root, with the problem's own residual and Jacobian, from the
+    signed column `column` of A: a minimum of the sampled objective."""
+    return newton_root(p.newton_residual, p.newton_jacobian, column)
+
+
 class TestHessian:
     def test_symmetry(self, paper_problem, rng):
         for _ in range(10):
             theta = rng.uniform(paper_problem.lo, paper_problem.hi)
-            h = paper_problem.aggregated_hessian(theta)
+            basis, h = paper_problem.tangent_hessian(theta)
+            assert np.array_equal(basis, np.eye(2))
             assert np.abs(h - h.T).max() <= 1e-10
 
     def test_analytic_matches_finite_differences(self, paper_problem):
         theta = np.array([1.0, 1.0])
-        analytic = paper_problem.aggregated_hessian(theta)
+        analytic = paper_problem.tangent_hessian(theta)[1]
         fd = numdiff.hessian(lambda t: oracles.objective(paper_problem, t), theta, step=1e-4)
         assert np.abs(analytic - fd).max() <= 1e-4
 
-    def test_fallback_equals_the_finite_difference_oracle(self, paper_problem, rng):
-        # the fallback is numdiff.hessian_from_gradient folded into Problem,
-        # with the same steps: ICA everywhere, estimation outside the box
-        cases = [(paper_problem, paper_problem.hi + [0.3, 0.2]),
-                 (paper_problem, paper_problem.lo - [0.7, 0.0]),
-                 (paper_problem, paper_problem.hi + [2.0, -4.5])]
-        for d in (4, 10):
-            p = make_ica_problem(d=d, m=5, samples_per_agent=160, seed=99)
-            cases += [(p, p.nominal_saddle()), (p, p.retract(rng.standard_normal(d)))]
-        for p, theta in cases:
-            want = numdiff.hessian_from_gradient(p.aggregated_gradient, theta)
-            assert p.aggregated_hessian(theta).tobytes() == want.tobytes()
+    @pytest.mark.parametrize("d", [4, 10])
+    def test_ica_equals_the_finite_difference_oracle(self, d, rng):
+        # B^T J B, with J the central-difference Jacobian of the tangent
+        # gradient g - (u . g) u, is the Riemannian Hessian on the basis B
+        p = make_ica_problem(d=d, m=5, samples_per_agent=160, seed=99)
+        points = [p.known_saddle(), p.refined("maximum"), _ica_column_minimum(p, p.A[:, 0]),
+                  _ica_column_minimum(p, -p.A[:, 0])]
+        points += list(p.retract(rng.standard_normal((4, d))))
+        for u in points:
+            basis, h = p.tangent_hessian(u)
+            assert basis.shape == (d, d - 1)
+            assert np.allclose(basis.T @ basis, np.eye(d - 1), rtol=0.0, atol=1e-14)
+            assert np.abs(basis.T @ u).max() <= 1e-14
+            want = basis.T @ numdiff.jacobian(p.aggregated_gradient, u) @ basis
+            assert np.abs(h - want).max() <= 1e-7
+
+    def test_no_hessian_outside_the_box_or_off_the_sphere(self, paper_problem, ica4):
+        for theta in (paper_problem.hi + [0.3, 0.2], paper_problem.lo - [0.7, 0.0],
+                      paper_problem.hi + [2.0, -4.5]):
+            with pytest.raises(ProblemError, match="no analytic Hessian outside the box"):
+                paper_problem.tangent_hessian(theta)
+        with pytest.raises(ProblemError, match=r"\|\|u\|\| = 2\.0000000000 is not 1"):
+            ica4.tangent_hessian(2.0 * ica4.known_saddle())
 
     def test_singular_at_origin(self, paper_problem):
         with pytest.raises(ProblemError, match="analytic Hessian undefined at theta = 0"):
-            paper_problem.aggregated_hessian(np.zeros(2))
+            paper_problem.tangent_hessian(np.zeros(2))
 
     def test_eigenvalue_signs_at_refined_points(self, paper_problem):
-        h_min = paper_problem.aggregated_hessian(paper_problem.reference_minimum())
+        h_min = paper_problem.tangent_hessian(paper_problem.reference_minimum())[1]
         assert (np.linalg.eigvalsh(h_min) > 0).all()
-        h_sad = paper_problem.aggregated_hessian(paper_problem.known_saddle())
+        h_sad = paper_problem.tangent_hessian(paper_problem.known_saddle())[1]
         eig = np.linalg.eigvalsh(h_sad)
         assert eig[0] < -1e-3 and eig[-1] > 1e-3
+
+    @pytest.mark.parametrize("d, maximum, saddle", [
+        (4, (-5.38, -2.73), (-7.90, 4.31)),
+        (10, None, (-7.70, 6.01)),
+    ])
+    def test_ica_kinds_on_the_sphere(self, d, maximum, saddle):
+        # A 1/sqrt(d) refines to a maximum, A (a_1 + a_2)/sqrt(2) to a strict
+        # saddle and every +/- a_i to a minimum; the ranges are the tangent
+        # eigenvalues' smallest and largest
+        p = make_ica_problem(d=d, m=5, samples_per_agent=160, seed=99)
+
+        def kind_and_range(u):
+            eig = np.linalg.eigvalsh(p.tangent_hessian(u)[1])
+            return classify_stationary_point(p, u), (round(eig[0], 2), round(eig[-1], 2))
+
+        got_max, got_range = kind_and_range(p.refined("maximum"))
+        assert got_max == "maximum" and (maximum is None or got_range == maximum)
+        assert kind_and_range(p.known_saddle()) == ("strict_saddle", saddle)
+        for column in (*p.A.T, *-p.A.T):
+            assert kind_and_range(_ica_column_minimum(p, column))[0] == "minimum"
 
 
 class TestClassification:
@@ -404,12 +446,14 @@ class TestRefinedPoints:
         assert [v.hex() for v in paper_problem.reference_minimum()] == ESTIMATION_MIN
         assert [v.hex() for v in paper_problem.known_saddle()] == ESTIMATION_SADDLE
         assert [v.hex() for v in ica4.known_saddle()] == ICA4_SADDLE
+        assert [v.hex() for v in make_ica_problem(10, 5, 160, 99).known_saddle()] == ICA10_SADDLE
 
     @pytest.mark.parametrize("kernel", sorted(KERNEL_FLAGS))
     def test_ica_saddle_pinned_on_other_blas_kernels(self, kernel):
-        # the ICA instance, both problems' residuals and newton_root's solve
-        # sum in numpy's fixed order, so a process that runs another OpenBLAS
-        # kernel refines the estimation points and the ICA saddle to the same bits
+        # the ICA instance, both problems' residuals and Jacobians and
+        # newton_root's solve sum in numpy's fixed order, so a process that
+        # runs another OpenBLAS kernel refines the estimation points and the
+        # ICA saddles to the same bits
         try:
             flags = set(next(line for line in Path("/proc/cpuinfo").read_text().splitlines()
                              if line.startswith("flags")).split(":")[1].split())
@@ -421,11 +465,12 @@ class TestRefinedPoints:
         code = ("from dpdgd.problems import make_ica_problem, make_paper_estimation_problem\n"
                 "p = make_paper_estimation_problem()\n"
                 "print(*(v.hex() for v in [*p.reference_minimum(), *p.known_saddle(),\n"
-                "                          *make_ica_problem(4, 5, 160, 99).known_saddle()]))")
+                "                          *make_ica_problem(4, 5, 160, 99).known_saddle(),\n"
+                "                          *make_ica_problem(10, 5, 160, 99).known_saddle()]))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel))
         assert out.returncode == 0 and out.stderr == "", out.stderr
-        assert out.stdout.split() == ESTIMATION_MIN + ESTIMATION_SADDLE + ICA4_SADDLE
+        assert out.stdout.split() == ESTIMATION_MIN + ESTIMATION_SADDLE + ICA4_SADDLE + ICA10_SADDLE
 
     def test_fixed_order_solve_matches_lapack(self, rng):
         # newton_root's elimination against np.linalg.solve; the permutation
@@ -541,7 +586,7 @@ class TestIca:
         # the one-product error pass against every signed column's exact
         # distance: near a column (where 2 - 2 u^T a loses the distance to
         # cancellation), near a two-column tie, and at the d-column tie of the
-        # nominal saddle; each on both signs
+        # population maximum A 1/sqrt(d); each on both signs
         p = make_ica_problem(d=d, m=5, samples_per_agent=16, seed=d)
         a = p.A.T  # rows are the columns a_j
 
@@ -555,7 +600,7 @@ class TestIca:
         points = [on_sphere(a[j] + 1e-6 * tangent(a[j])) for j in range(d)]
         points += [on_sphere(a[0] + a[1] + 1e-9 * tangent(on_sphere(a[0] + a[1]))),
                    on_sphere(a[d - 1] - a[0] + 1e-12 * tangent(on_sphere(a[d - 1] - a[0]))),
-                   p.nominal_saddle()]
+                   np.array(p.known_points[0].coords)]
         points = np.array(points + [-u for u in points])
         want = [min(np.linalg.norm(u - s * col) for col in a for s in (1.0, -1.0)) for u in points]
         got = p.optimization_errors(np.broadcast_to(points[:, None], (len(points), p.m, d)))
@@ -599,14 +644,20 @@ class TestIca:
             u = p.known_saddle()
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
             assert np.linalg.norm(p.aggregated_gradient(u)) <= 1e-10
-            # close to, but not exactly, the population saddle direction
-            assert 0 < np.linalg.norm(u - p.nominal_saddle()) <= 0.15
+            # close to, but not exactly, the population saddle A (a_1 + a_2)/sqrt(2)
+            assert p.known_points[1].kind == "strict_saddle"
+            assert 0 < np.linalg.norm(u - np.array(p.known_points[1].coords)) <= 0.15
 
-    def test_far_saddle_refinement_refused(self):
-        # at d = 10 Newton's root from the nominal saddle lies 1.09 from it: some
-        # other stationary point, not the saddle that known_saddle promises
-        with pytest.raises(ProblemError, match=r"^saddle refinement ended 1\.09 > 0\.5 off"):
-            make_ica_problem(10, 5, 160, 99).known_saddle()
+    @pytest.mark.parametrize("d, seed", [(10, 1), (2, 99)])
+    def test_saddle_refinement_to_a_maximum_refused(self, d, seed):
+        # Newton's root from A (a_1 + a_2)/sqrt(2) is a maximum here (at d = 2
+        # that point is the population maximum): not the saddle that
+        # known_saddle promises
+        p = make_ica_problem(d, 5, 160, seed)
+        with pytest.raises(ProblemError, match=r"^Newton's root from the known strict_saddle "
+                                               r"classifies as 'maximum'$"):
+            p.known_saddle()
+        assert classify_stationary_point(p, p.refined("maximum")) == "maximum"
 
     @pytest.mark.parametrize("m", [5, 16])
     @pytest.mark.parametrize("runs", [1, 7, 200])
