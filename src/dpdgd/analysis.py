@@ -5,7 +5,7 @@ one mixing step shrinks disagreement by the spectral gap eta and injects at
 most eta * lambda_k ||g + N||. The coupling experiment drives paired
 trajectories from a strict saddle whose noises are mirror images along the
 most unstable direction e1 of the problem's tangent Hessian; with noise the
-pair separates and escapes, without noise both stay put.
+pair separates and escapes, without noise both stay put at a fixed point.
 """
 
 from __future__ import annotations
@@ -124,8 +124,9 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
 
     A run escapes at the first iteration where either trajectory's mean
     iterate leaves the escape_radius ball around the saddle; censored runs
-    record None. The starting point is polished to a numerical fixed point of
-    the noise-free update when one exists, so variance 0 yields no escapes.
+    record None. Variance 0 yields no escapes only where the start is polished
+    to a bitwise fixed point of the noise-free update (a flat problem, d <= 3,
+    on an exactly-averaging W); on ICA rounding alone can carry a pair out.
     """
     if not variance >= 0:
         raise AnalysisError(f"variance must be >= 0, got {variance}")
@@ -158,12 +159,12 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
             raise optimizer.NonFiniteState(k, "escape distance")
         return (dist > escape_radius).any(axis=-1)
 
-    out = optimizer.lockstep(
+    traces = optimizer.lockstep(
         problem, w.w, np.tile(start, (runs, 2, m, 1)), schedule, horizon, streams,
         [np.sqrt(variance)] * runs,
         noise_map=lambda n: np.stack([n, mirror_noise(n, e1)], axis=-3), stop=escaped,
     )
-    iterations = out.stopped_at
+    iterations = [t.stopped_at for t in traces]
     return CouplingResult(
         total_runs=runs,
         escape_count=sum(1 for it in iterations if it is not None),

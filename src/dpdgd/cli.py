@@ -340,15 +340,22 @@ def write_summary_json(path, trace, config):
 
 
 def cmd_run(args) -> int:
-    config, checked = build_run_config(
-        load_config(args.config), seed_override=args.seed, record_every_override=args.record_every
-    )
+    config, checked = build_run_config(load_config(args.config), seed_override=args.seed,
+                                       record_every_override=args.record_every)
+    _check_runs_memory(config, 1, config.noise_variance > 0)
     trace = run(config)
     trace_path, summary_path = output_paths(args.out, checked["output"])
     write_trace_csv(trace_path, trace)
     write_summary_json(summary_path, trace, config)
     print(f"wrote {trace_path} and {summary_path}")
     return 0
+
+
+def _check_runs_memory(config, runs, noisy):
+    """check_batch_memory for `runs` runs of `config`, `noisy` of them drawing noise;
+    a run also keeps its (m, d) state in each of its iterations // record_every + 2 rows."""
+    m, d, rows = config.problem.m, config.problem.d, config.iterations // config.record_every + 2
+    check_batch_memory((16 + 8 * rows) * runs * m * d + _STREAM_BYTES * noisy * m)
 
 
 def _table1_seeds(master_seed, cells, runs_per_cell):
@@ -380,9 +387,8 @@ def cmd_table1(args) -> int:
     if jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
     variances, runs_per_cell = checked["variances"].tolist(), checked["runs_per_cell"]
-    agents = config.problem.m
-    check_batch_memory(16 * len(variances) * runs_per_cell * agents * config.problem.d
-                       + _STREAM_BYTES * sum(v > 0 for v in variances) * runs_per_cell * agents)
+    _check_runs_memory(config, len(variances) * runs_per_cell,
+                       sum(v > 0 for v in variances) * runs_per_cell)
     # every (cell, run) pair in one lockstep batch, or in one contiguous chunk
     # per worker; a run's numbers do not depend on the batch it is in
     seeds = _table1_seeds(base["seed"], range(len(variances)), runs_per_cell)

@@ -125,8 +125,9 @@ class TraceRecord:
 
 @dataclass
 class RunTrace:
-    records: list
-    final_state: np.ndarray  # (m, d)
+    records: list  # TraceRecord rows (empty when not recording)
+    final_state: np.ndarray  # (m, d), or (2, m, d) for a coupling pair; a stopped run's at its stop
+    stopped_at: int | None = None  # the iteration at which `stop` ended the run
 
 
 @dataclass
@@ -246,8 +247,8 @@ def stream_keys(seeds, keys) -> np.ndarray:
 def check_batch_memory(need):
     """InvalidConfig when `need`, a lower bound on the bytes that a command's
     inputs ask for, exceeds physical memory. A lockstep batch needs 16 bytes
-    per state entry (the running and the final state) and _STREAM_BYTES per
-    noise stream."""
+    per state entry (the running and the final state), 8 more for each row
+    that records it, and _STREAM_BYTES per noise stream."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise InvalidConfig(f"the inputs need at least {need / 2**30:.4g} GiB, more than the "
@@ -282,18 +283,9 @@ def mixing_update(w_arr, x, gn, lam):
     return w_arr @ y
 
 
-@dataclass
-class Lockstep:
-    """What `lockstep` leaves behind, indexed by run."""
-
-    x: np.ndarray  # final states; a stopped run keeps its state at the stop
-    records: list  # TraceRecord rows per run (empty lists when not recording)
-    stopped_at: list  # iteration at which `stop` fired per run, else None
-
-
 @np.errstate(over="ignore", invalid="ignore")  # blow-ups raise NonFiniteState instead
 def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record_every=0,
-             keep_state=False, noise_map=None, stop=None) -> Lockstep:
+             keep_state=False, noise_map=None, stop=None) -> list:
     """Advance the R runs stacked in x (R, ..., m, d) by iterations steps
     from k = 0, every run by the same update.
 
@@ -306,19 +298,20 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
     iteration; noise_norm is that of the mapped noise. `stop(x, k)` returns a
     mask over the runs still advancing; a run whose mask is set stops there
     and draws no further noise. A state whose trailing shape is not the
-    problem's (m, d) raises ProblemError before any noise is drawn.
+    problem's (m, d) raises ProblemError before any noise is drawn. Returns
+    one RunTrace per run.
     """
     x = problem._check_state(np.array(x, dtype=float))
     runs = x.shape[0]
     m, d = x.shape[-2:]
     final = x.copy()
+    traces = [RunTrace([], final[r]) for r in range(runs)]  # views: final's rows fill in below
     active = np.arange(runs)
     fills = [None if rngs is None else [rng.standard_normal for rng in rngs] for rngs in streams]
     scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1)
     agent_gradients, retract = problem.agent_gradients, problem.retract
     isfinite, count_nonzero = np.isfinite, np.count_nonzero
     block = max(1, min(NOISE_BLOCK, _NOISE_BUFFER // max(1, runs * m * d)))
-    stopped_at = [None] * runs
     rows = []  # (run, k, lam, x, noise_norm, gn_norm, mean_gn); metrics come after the loop
     if record_every:
         lam = stepsize(schedule, 1)
@@ -363,7 +356,7 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
             if done.any():
                 final[active[done]] = x[done]
                 for r in active[done]:
-                    stopped_at[r] = k
+                    traces[r].stopped_at = k
                 keep = ~done
                 active, x, scales = active[keep], x[keep], scales[keep]
                 fills = [fill for fill, kept in zip(fills, keep) if kept]
@@ -374,12 +367,11 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
                 if not active.size:
                     break
     final[active] = x
-    records = [[] for _ in range(runs)]
     metrics = row_metrics(problem, [row[3] for row in rows])
     for (r, k, lam, xr, noise_norm, gn_norm, mean_gn), errors in zip(rows, metrics):
-        records[r].append(TraceRecord(k, lam, *errors, noise_norm, gn_norm,
-                                      xr if keep_state else None, mean_gn))
-    return Lockstep(x=final, records=records, stopped_at=stopped_at)
+        traces[r].records.append(TraceRecord(k, lam, *errors, noise_norm, gn_norm,
+                                             xr if keep_state else None, mean_gn))
+    return traces
 
 
 def _norm(v) -> float:
@@ -488,7 +480,7 @@ def run_batch(configs) -> list:
     # two key words do
     keys = stream_keys([c.seed for c in configs],
                        [(_NOISE_STREAM, j) for j in range(p.m)] + [(_INIT_STREAM, 0)])
-    out = lockstep(
+    return lockstep(
         p, c0.weights.w, np.stack([_initial_state(c, k[-1]) for c, k in zip(configs, keys)]),
         c0.schedule, c0.iterations,
         [[philox(key) for key in k[:-1]] if c.noise_variance > 0 else None
@@ -496,7 +488,6 @@ def run_batch(configs) -> list:
         [np.sqrt(c.noise_variance) for c in configs],
         record_every=c0.record_every, keep_state=c0.record_state,
     )
-    return [RunTrace(records, x) for records, x in zip(out.records, out.x)]
 
 
 def run(config: RunConfig) -> RunTrace:

@@ -100,19 +100,23 @@ class Problem:
         """newton_residual's Jacobian; the mean Hessian here, where the basis is the identity."""
         return self.tangent_hessian(theta)[1]
 
+    def starts(self, kind):
+        """Newton's starting points for `kind`, in the order `refined` tries them."""
+        return [pt.coords for pt in self.known_points if pt.kind == kind]
+
     def refined(self, kind) -> np.ndarray:
-        """Newton's root of newton_residual from the known point of `kind`, cached; ProblemError
-        without one, or if the root classifies as another kind."""
-        cache = vars(self).setdefault("_refined", {})
+        """Newton's root of newton_residual from the first of starts(kind) whose root
+        classifies as `kind`, cached; ProblemError when no start's root does."""
+        cache, tried = vars(self).setdefault("_refined", {}), 0
+        for start in () if kind in cache else self.starts(kind):
+            root, tried = newton_root(self.newton_residual, self.newton_jacobian, start), tried + 1
+            if (got := classify_stationary_point(self, root)) == kind:
+                cache[kind] = root
+                break
         if kind not in cache:
-            start = [pt.coords for pt in self.known_points if pt.kind == kind]
-            if not start:
-                raise ProblemError(f"{self.name} has no known {kind}")
-            root = newton_root(self.newton_residual, self.newton_jacobian, start[0])
-            got = classify_stationary_point(self, root)
-            if got != kind:
-                raise ProblemError(f"Newton's root from the known {kind} classifies as {got!r}")
-            cache[kind] = root
+            raise ProblemError(f"Newton's roots from all {tried} known {kind} starts are of other "
+                               f"kinds: the last classifies as {got!r}" if tried else
+                               f"{self.name} has no known {kind}")
         return cache[kind].copy()
 
     # -- hooks used by the optimizer ----------------------------------------

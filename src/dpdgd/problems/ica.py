@@ -9,9 +9,9 @@ column of A amounts to
 over the sphere. The points A v with v_i = +/-k^{-1/2} on k of the d entries
 are stationary for the population objective: the minima +/- a_i at k = 1, the
 maximum at k = d and strict saddles in between (Ge, Huang, Jin & Yuan, 2015).
-Newton's method refines the known points, k = d and k = 2, to the sampled
-objective's. The unit-norm constraint is handled by projecting gradients onto
-the tangent space and renormalizing after every mixing step.
+Newton's method refines k = d, and k = 2 points in turn until a root is a
+saddle, to the sampled objective's. The unit-norm constraint is handled by
+projecting gradients onto the tangent space and renormalizing after each step.
 
 The instance, the known points and their refinement (Newton's method, its
 linear solves by elimination) sum with np.add.reduce, in an order numpy
@@ -65,6 +65,14 @@ class IcaProblem(Problem):
             nu = max(nu, float(np.abs(np.linalg.eigvalsh(h)).max()))
         # 5% headroom over the sphere sample, same caveat as the other problems
         return ProblemConstants(nu=1.05 * nu, n_i=tuple([self.n_per_agent] * self.m))
+
+    def starts(self, kind):
+        """A saddle's d (d - 1) starts, built one at a time as `refined` reads them:
+        A (a_i + a_j)/sqrt(2) over the pairs i < j in order, then A (a_i - a_j)/sqrt(2)."""
+        if kind != "strict_saddle":
+            return super().starts(kind)
+        a, pairs = self.A, [(i, j) for i in range(self.d) for j in range(i + 1, self.d)]
+        return ((a[:, i] + s * a[:, j]) / np.sqrt(2.0) for s in (1.0, -1.0) for i, j in pairs)
 
     # -- objective / gradients -----------------------------------------------
 

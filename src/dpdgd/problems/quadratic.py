@@ -47,6 +47,4 @@ class QuadraticProblem(Problem):
         return rng.uniform(-3.0, 3.0, size=(self.m, self.d))
 
     def reference_minimum(self):
-        if (self.c > 0).all():
-            return self.offsets.mean(axis=0)
-        return None
+        return self.offsets.mean(axis=0) if (self.c > 0).all() else None

@@ -8,7 +8,6 @@ eta < 1, which requires the underlying graph to be connected.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,7 @@ class Graph:
         if self.m < 1:
             raise TopologyError(f"agent count must be positive, got {self.m}")
         norm = set()
-        for e in self.edges:
-            i, j = e
+        for i, j in self.edges:
             if i == j:
                 raise TopologyError(f"self loop ({i},{j}) not allowed")
             if not (0 <= i < self.m and 0 <= j < self.m):
@@ -54,21 +52,19 @@ class Graph:
         return deg
 
     def is_connected(self):
-        """Breadth-first reachability from agent 0."""
+        """Depth-first reachability from agent 0."""
         if self.m == 1:
             return True
         adj = [[] for _ in range(self.m)]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
+        seen, stack = {0}, [0]
+        while stack:
+            for v in adj[stack.pop()]:
                 if v not in seen:
                     seen.add(v)
-                    queue.append(v)
+                    stack.append(v)
         return len(seen) == self.m
 
 
@@ -149,9 +145,7 @@ def build_metropolis_weights(g: Graph) -> WeightMatrix:
     deg = g.degrees()
     w = np.zeros((g.m, g.m))
     for i, j in g.edges:
-        val = 1.0 / (1.0 + max(deg[i], deg[j]))
-        w[i, j] = val
-        w[j, i] = val
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     for i in range(g.m):
         w[i, i] = 1.0 - w[i].sum()
     return validate_weight_matrix(w)
@@ -168,13 +162,11 @@ def builtin_topology(name: str, m: int) -> Graph:
     edges = set()
     if name == "complete":
         edges = {(i, j) for i in range(m) for j in range(i + 1, m)}
-    elif name == "ring":
-        edges = {(i, (i + 1) % m) for i in range(m) if m > 1}
     elif name == "path":
         edges = {(i, i + 1) for i in range(m - 1)}
-    elif name == "ring_plus_chord":
+    elif name in ("ring", "ring_plus_chord"):
         edges = {(i, (i + 1) % m) for i in range(m) if m > 1}
-        if m // 2 != 0:
+        if name == "ring_plus_chord" and m // 2 != 0:
             edges.add((0, m // 2))
     else:
         raise TopologyError(f"unknown topology {name!r}; expected one of {BUILTIN_TOPOLOGIES}")

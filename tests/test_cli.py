@@ -743,19 +743,29 @@ class TestSchema:
         _assert_one_line_exit_one(["coupling", "--config", write_cfg(tmp_path, cfg), "--out",
                                    str(out)], out, capsys, "config error:", "3 agents")
 
-    def test_failed_ica_saddle_refinement_exit_one(self, tmp_path, capsys):
-        # on ica_d10.json's instance the at_saddle run starts at a refined
-        # saddle; with data seed 1, Newton's root from A (a_1 + a_2)/sqrt(2) is a maximum
+    @pytest.mark.parametrize("seed", [99, 1])
+    def test_ica_d10_saddle_run_exit_zero(self, tmp_path, seed):
+        # at_saddle on ica_d10.json's instance (data seed 99) starts at the root
+        # from A (a_1 + a_2)/sqrt(2); with data seed 1 that root is a maximum,
+        # and the run starts at the root from A (a_1 + a_4)/sqrt(2)
         cfg = json.loads(cli.bundled_config_path("ica_d10.json").read_text())
         cfg.update(init={"mode": "at_saddle"}, iterations=20)
+        cfg["problem"] = dict(cfg["problem"], seed=seed)
         assert cli.main(["run", "--config", write_cfg(tmp_path, cfg), "--out",
                          str(tmp_path / "ok")]) == 0
-        cfg["problem"] = dict(cfg["problem"], seed=1)
+        summary = json.loads((tmp_path / "ok" / "ica10_summary.json").read_text())
+        assert summary["final_metrics"]["k"] == 20
+
+    def test_failed_ica_saddle_refinement_exit_one(self, tmp_path, capsys):
+        # at d = 2 the roots from both pair starts A (a_1 +/- a_2)/sqrt(2) are maxima
+        cfg = json.loads(cli.bundled_config_path("ica_d10.json").read_text())
+        cfg.update(init={"mode": "at_saddle"}, iterations=20)
+        cfg["problem"] = dict(cfg["problem"], d=2)
         out = tmp_path / "out"
         _assert_one_line_exit_one(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)],
                                   out, capsys, "config error: [ProblemError]",
-                                  "Newton's root from the known strict_saddle classifies as "
-                                  "'maximum'")
+                                  "Newton's roots from all 2 known strict_saddle starts are of "
+                                  "other kinds: the last classifies as 'maximum'")
 
     def test_ica_explicit_init_off_the_sphere_exit_one(self, tmp_path, capsys, monkeypatch):
         # the initial state is checked once, before iteration 1, not first
@@ -837,8 +847,8 @@ _LIBRARY_FAILURES = {
     # at d = 2, A (a_1 + a_2)/sqrt(2) is the population maximum, and it refines to a maximum
     "ica-maximum-coupling": ({"problem": {"name": "ica", "d": 2, "m": 5, "samples_per_agent": 160,
                                           "seed": 99}},
-                             "[ProblemError] Newton's root from the known strict_saddle "
-                             "classifies as 'maximum'"),
+                             "[ProblemError] Newton's roots from all 2 known strict_saddle "
+                             "starts are of other kinds: the last classifies as 'maximum'"),
 }
 
 
@@ -1007,12 +1017,19 @@ class TestSharedParser:
 
 
 class TestSizeBounds:
-    """A sweep or coupling too large for its stream keys or for memory exits 1
-    before anything per run is built. The cases run in one fresh interpreter
+    """A run, sweep or coupling too large for its stream keys or for memory
+    exits 1 before anything per run is built. The cases run in one fresh interpreter
     whose address space is capped at 1 GB, so that a size that got past the
     check would fail fast instead of filling the machine."""
 
-    CASES = {  # name: (command, config edit, words of the one stderr line)
+    CASES = {  # name: (command, config edit, words of the one stderr line, flags...)
+        # a recorded row keeps its (m, d) state, so unbounded rows are refused up front
+        "run-rows-memory": ("run", {"iterations": 2**62, "record_every": 1}, "physical memory"),
+        "run-rows-memory-flag": ("run", {"iterations": 2**62, "record_every": 2**62},
+                                 "physical memory", "--record-every", "1"),
+        "table1-rows-memory": ("table1",
+                               {"base": dict(BASE_RUN_CFG, iterations=2**62, record_every=1)},
+                               "physical memory"),
         "table1-key": ("table1", {"runs_per_cell": 2**32 + 1},
                        "runs_per_cell must be at most 2**32"),
         "table1-memory": ("table1", {"runs_per_cell": 2**32}, "physical memory"),
@@ -1031,12 +1048,12 @@ class TestSizeBounds:
         """(the cases' directory, {name: [exit code, stderr]}) from one capped interpreter."""
         tmp = tmp_path_factory.mktemp("sizes")
         argvs = {}
-        for name, (command, edit, _) in self.CASES.items():
-            cfg = {"table1": TestTable1Command()._sweep_cfg(),
+        for name, (command, edit, _, *flags) in self.CASES.items():
+            cfg = {"run": BASE_RUN_CFG, "table1": TestTable1Command()._sweep_cfg(),
                    "coupling": TestCouplingCommand()._cfg(),
                    "privacy-report": TestPrivacyReportCommand()._cfg()}[command]
             path = write_cfg(tmp, dict(cfg, **edit), name + ".json")
-            argvs[name] = [command, "--config", path, "--out", str(tmp / name)]
+            argvs[name] = [command, "--config", path, "--out", str(tmp / name), *flags]
         script = textwrap.dedent("""
             import contextlib, io, json, sys
             from dpdgd.cli import main

@@ -44,7 +44,7 @@ def _agent_streams(seed, m):
 def _one_step(problem, w, x, lam):
     """x after one noise-free lockstep iteration at stepsize lam."""
     return lockstep(problem, w.w, np.asarray(x, dtype=float)[None],
-                    StepsizeSchedule("constant", lambda0=lam), 1, [None], [0.0]).x[0]
+                    StepsizeSchedule("constant", lambda0=lam), 1, [None], [0.0])[0].final_state
 
 
 def _saddle_init(problem, w):
@@ -546,11 +546,11 @@ class TestLockstep:
 
         def final(block):
             monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
-            out = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 200,
-                           [_agent_streams(s, 5) for s in (1, 2, 3)], [0.5, 1.0, 0.25],
-                           record_every=9)
-            return out.x, [[(r.k, r.noise_norm, r.opt_error_mean) for r in recs]
-                           for recs in out.records]
+            traces = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 200,
+                              [_agent_streams(s, 5) for s in (1, 2, 3)], [0.5, 1.0, 0.25],
+                              record_every=9)
+            return [t.final_state for t in traces], [
+                [(r.k, r.noise_norm, r.opt_error_mean) for r in t.records] for t in traces]
 
         x_default, rows_default = final(optimizer.NOISE_BLOCK)
         for block in (1, 7):
@@ -584,10 +584,11 @@ class TestLockstep:
             for block in (optimizer.NOISE_BLOCK, 1, 7):
                 monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
                 stopped = advance(300, stop=lambda x, k: when.get(k, [False] * len(x)))
-                assert stopped.stopped_at == [80, 50, None, 55]
-                assert np.array_equal(stopped.x[2], advance(300).x[2]), block
+                assert [t.stopped_at for t in stopped] == [80, 50, None, 55]
+                assert np.array_equal(stopped[2].final_state, advance(300)[2].final_state), block
                 for r, k in ((0, 80), (1, 50), (3, 55)):
-                    assert np.array_equal(stopped.x[r], advance(k).x[r]), (block, r)
+                    assert np.array_equal(stopped[r].final_state,
+                                          advance(k)[r].final_state), (block, r)
 
     def test_run_batch_draws_init_rng_and_noise_streams(self, paper_problem, rpc5):
         # seeds of one and two 32-bit words share a batch; one run draws no noise
@@ -600,7 +601,8 @@ class TestLockstep:
             streams = _agent_streams(config.seed, 5) if config.noise_variance else None
             want = lockstep(paper_problem, rpc5.w, x0[None], PAPER_SCHEDULE, 30, [streams],
                             [np.sqrt(config.noise_variance)])
-            assert np.array_equal(trace.final_state, want.x[0]), config.seed
+            assert np.array_equal(trace.final_state, want[0].final_state), config.seed
+            assert trace.stopped_at is None and want[0].stopped_at is None
 
     def test_run_batch_rejects_mixed_configs(self, paper_problem, rpc5):
         a = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
@@ -703,7 +705,7 @@ class TestDeferredRows:
         out = lockstep(problem, rpc5.w, x0[None], schedule, iterations, [_agent_streams(8, 5)],
                        [np.sqrt(0.3)], record_every=1, keep_state=keep_state)
         want = _restated_run(problem, rpc5.w, x0, schedule, iterations, 8, 0.3, keep_state)
-        _same_rows(out.records[0], want)
+        _same_rows(out[0].records, want)
 
     @pytest.mark.parametrize("name", ["estimation", "quadratic", "ica"])
     @pytest.mark.parametrize("keep_state", [False, True])
@@ -716,11 +718,11 @@ class TestDeferredRows:
         out = lockstep(problem, rpc5.w, x0, schedule, 40, [_agent_streams(s, 5) for s in seeds],
                        [np.sqrt(0.5)] * 3, record_every=1, keep_state=keep_state,
                        stop=lambda x, k: when.get(k, [False] * len(x)))
-        assert out.stopped_at == [20, 5, None]
-        for r, (seed, stop_k) in enumerate(zip(seeds, out.stopped_at)):
+        assert [t.stopped_at for t in out] == [20, 5, None]
+        for r, (seed, trace) in enumerate(zip(seeds, out)):
             want = _restated_run(problem, rpc5.w, x0[r], schedule, 40, seed, 0.5, keep_state,
-                                 stop_k)
-            _same_rows(out.records[r], want)
+                                 trace.stopped_at)
+            _same_rows(trace.records, want)
 
     def test_sparse_rows_are_the_dense_rows(self, problems, rpc5):
         # record_every 7 over 40 iterations keeps k = 0, 7, ..., 35 and the last step
@@ -728,7 +730,7 @@ class TestDeferredRows:
         x0 = problem.sample_init(_seed_sequence_stream(4, 2))[None]
         dense, sparse = (
             lockstep(problem, rpc5.w, x0, schedule, 40, [_agent_streams(4, 5)], [0.7],
-                     record_every=every).records[0]
+                     record_every=every)[0].records
             for every in (1, 7)
         )
         _same_rows(sparse, [row for row in dense if row.k % 7 == 0 or row.k == 40])

@@ -648,16 +648,35 @@ class TestIca:
             assert p.known_points[1].kind == "strict_saddle"
             assert 0 < np.linalg.norm(u - np.array(p.known_points[1].coords)) <= 0.15
 
-    @pytest.mark.parametrize("d, seed", [(10, 1), (2, 99)])
+    @pytest.mark.parametrize("d, seed", [(2, 99), (2, 1)])
     def test_saddle_refinement_to_a_maximum_refused(self, d, seed):
-        # Newton's root from A (a_1 + a_2)/sqrt(2) is a maximum here (at d = 2
-        # that point is the population maximum): not the saddle that
+        # at d = 2 both pair starts A (a_1 +/- a_2)/sqrt(2) are population
+        # maxima, and Newton's roots from them are maxima: not the saddle that
         # known_saddle promises
         p = make_ica_problem(d, 5, 160, seed)
-        with pytest.raises(ProblemError, match=r"^Newton's root from the known strict_saddle "
-                                               r"classifies as 'maximum'$"):
+        with pytest.raises(ProblemError, match=r"^Newton's roots from all 2 known strict_saddle "
+                                               r"starts are of other kinds: the last classifies "
+                                               r"as 'maximum'$"):
             p.known_saddle()
         assert classify_stationary_point(p, p.refined("maximum")) == "maximum"
+
+    def test_saddle_from_a_later_pair_start(self):
+        # data seed 1 at d = 10: the roots from A (a_1 + a_2)/sqrt(2) and
+        # A (a_1 + a_3)/sqrt(2) are maxima, the third start's, from
+        # A (a_1 + a_4)/sqrt(2), is the saddle that known_saddle returns
+        p = make_ica_problem(10, 5, 160, 1)
+        starts = list(p.starts("strict_saddle"))
+        assert len(starts) == 90 and np.array_equal(starts[0], p.known_points[1].coords)
+        assert np.array_equal(starts[2], (p.A[:, 0] + p.A[:, 3]) / np.sqrt(2.0))
+        roots = [newton_root(p.newton_residual, p.newton_jacobian, s) for s in starts[:3]]
+        kinds = [classify_stationary_point(p, r) for r in roots]
+        assert kinds == ["maximum", "maximum", "strict_saddle"]
+        u = p.known_saddle()
+        assert np.array_equal(u, roots[2])
+        assert np.linalg.norm(p.aggregated_gradient(u)) <= 1e-10
+        assert classify_stationary_point(p, u) == "strict_saddle"
+        # the minus pairs follow the plus pairs in the same order
+        assert np.array_equal(starts[45], (p.A[:, 0] - p.A[:, 1]) / np.sqrt(2.0))
 
     @pytest.mark.parametrize("m", [5, 16])
     @pytest.mark.parametrize("runs", [1, 7, 200])
