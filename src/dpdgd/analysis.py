@@ -137,8 +137,7 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
         raise AnalysisError(f"runs must be at most 2**32, so that a pair index fits its stream "
                             f"key's 32-bit word, got {runs}")
     m, d = problem.m, problem.d
-    optimizer.check_batch_memory(16 * runs * 2 * m * d
-                                 + optimizer._STREAM_BYTES * runs * m * (variance > 0))
+    optimizer.check_batch_memory(runs, 2 * m * d, streams=runs * m * (variance > 0))
     saddle = np.asarray(saddle, dtype=float)
     kind = classify_stationary_point(problem, saddle, grad_tol=1e-6, eig_tol=1e-6)
     if kind != "strict_saddle":

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis, privacy
 from .optimizer import (
-    _STREAM_BYTES,
+    _REPORT_ROW_BYTES,
     _TABLE1_STREAM,
     InvalidConfig,
     NonFiniteState,
@@ -288,7 +288,8 @@ def fingerprint(cfg) -> str:
 
 
 def build_run_config(cfg, seed_override=None, record_every_override=None):
-    """The RunConfig of a run config, and the config as checked by the schema."""
+    """The RunConfig of a run config, the config as checked by the schema, and
+    the fingerprint of the config with the overrides in."""
     resolved = _with_flags(cfg, seed=seed_override, record_every=record_every_override)
     checked = _walk(resolved, _RUN, "run config")
     problem = build_problem(resolved["problem"])
@@ -303,9 +304,8 @@ def build_run_config(cfg, seed_override=None, record_every_override=None):
         init_mode=init["mode"],
         init_coords=init.get("coords"),
         record_every=checked["record_every"],
-        fingerprint=fingerprint(resolved),
     )
-    return config, checked
+    return config, checked, fingerprint(resolved)
 
 
 def output_paths(flag_value, names):
@@ -323,10 +323,10 @@ def write_trace_csv(path, trace):
     Path(path).write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
 
 
-def write_summary_json(path, trace, config):
+def write_summary_json(path, trace, config, digest):
     final = trace.records[-1]
     payload = {
-        "config_fingerprint": config.fingerprint,
+        "config_fingerprint": digest,
         "seed": config.seed,
         "final_metrics": {
             "k": final.k,
@@ -340,22 +340,14 @@ def write_summary_json(path, trace, config):
 
 
 def cmd_run(args) -> int:
-    config, checked = build_run_config(load_config(args.config), seed_override=args.seed,
-                                       record_every_override=args.record_every)
-    _check_runs_memory(config, 1, config.noise_variance > 0)
+    config, checked, digest = build_run_config(load_config(args.config), seed_override=args.seed,
+                                               record_every_override=args.record_every)
     trace = run(config)
     trace_path, summary_path = output_paths(args.out, checked["output"])
     write_trace_csv(trace_path, trace)
-    write_summary_json(summary_path, trace, config)
+    write_summary_json(summary_path, trace, config, digest)
     print(f"wrote {trace_path} and {summary_path}")
     return 0
-
-
-def _check_runs_memory(config, runs, noisy):
-    """check_batch_memory for `runs` runs of `config`, `noisy` of them drawing noise;
-    a run also keeps its (m, d) state in each of its iterations // record_every + 2 rows."""
-    m, d, rows = config.problem.m, config.problem.d, config.iterations // config.record_every + 2
-    check_batch_memory((16 + 8 * rows) * runs * m * d + _STREAM_BYTES * noisy * m)
 
 
 def _table1_seeds(master_seed, cells, runs_per_cell):
@@ -366,43 +358,26 @@ def _table1_seeds(master_seed, cells, runs_per_cell):
     return stream_keys([master_seed], keys)[0, :, 0].tolist()
 
 
-def _table1_finals(payload):
-    """Final mean optimization errors of sweep runs, given as (variance,
-    seed) pairs over one base RunConfig, advanced as one lockstep batch."""
-    config, runs = payload
-    traces = run_batch(
-        [dataclasses.replace(config, noise_variance=v, seed=s) for v, s in runs]
-    )
-    return [trace.records[-1].opt_error_mean for trace in traces]
-
-
 def cmd_table1(args) -> int:
     cfg = load_config(args.config)
     if isinstance(cfg, dict) and "base" in cfg:  # --seed stands in for base.seed, as in `run`
         cfg = {**cfg, "base": _with_flags(cfg["base"], seed=args.seed)}
     checked = _walk(cfg, _TABLE1, "sweep config")
     # builds the base run once up front, so that the library's checks fail early
-    config, base = build_run_config(cfg["base"])
+    config, base, _ = build_run_config(cfg["base"])
     jobs = _flag(args.jobs, "--jobs")
     if jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
     variances, runs_per_cell = checked["variances"].tolist(), checked["runs_per_cell"]
-    _check_runs_memory(config, len(variances) * runs_per_cell,
-                       sum(v > 0 for v in variances) * runs_per_cell)
-    # every (cell, run) pair in one lockstep batch, or in one contiguous chunk
-    # per worker; a run's numbers do not depend on the batch it is in
+    m, d = config.problem.m, config.problem.d
+    check_batch_memory(len(variances) * runs_per_cell, m * d, config.rows,
+                       m * runs_per_cell * sum(v > 0 for v in variances))
+    # every (cell, run) pair of the sweep in one batch, which run_batch splits over `jobs`
     seeds = _table1_seeds(base["seed"], range(len(variances)), runs_per_cell)
-    runs = list(zip([v for v in variances for _ in range(runs_per_cell)], seeds))
-    jobs = min(jobs, len(runs))
-    bounds = [len(runs) * c // jobs for c in range(jobs + 1)]
-    chunks = [(config, runs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_table1_finals, chunks))
-    else:
-        parts = [_table1_finals(chunks[0])]
-    finals = [f for part in parts for f in part]
+    runs = zip([v for v in variances for _ in range(runs_per_cell)], seeds)
+    traces = run_batch([dataclasses.replace(config, noise_variance=v, seed=s) for v, s in runs],
+                       jobs)
+    finals = [trace.records[-1].opt_error_mean for trace in traces]
     path, = output_paths(args.out, checked["output"])
     lines = [TABLE1_HEADER]
     for i, v in enumerate(variances):
@@ -433,7 +408,7 @@ def cmd_coupling(args) -> int:
 def cmd_privacy_report(args) -> int:
     checked = _walk(load_config(args.config), _PRIVACY, "privacy config")
     delta, variance = checked["delta"], checked["variance"]
-    check_batch_memory(40 * checked["horizon"])  # the report's five 8-byte columns
+    check_batch_memory(rows=checked["horizon"], row_bytes=_REPORT_ROW_BYTES)
     report = privacy.per_iteration_report(
         StepsizeSchedule(**checked["schedule"]), variance=variance, nu=checked["nu"],
         n_i=checked["n_i"], delta=delta, horizon=checked["horizon"],

@@ -46,6 +46,8 @@ NOISE_BLOCK = 64  # iterations of noise drawn from a stream at a time
 _NOISE_BUFFER = 2**16  # cap on the doubles buffered across all streams (512 KB)
 RECORD_CHUNK = 32  # recorded states whose metrics are computed in one stacked call
 _STREAM_BYTES = 512  # less than one Philox generator holds (about 730 bytes measured)
+_ROW_BYTES = 1024  # a trace row's objects at their peak, beyond its state (651-667 measured)
+_REPORT_ROW_BYTES = 640  # a privacy-report row's columns, floats and CSV line (453 measured)
 
 
 class InvalidConfig(ValueError):
@@ -142,7 +144,6 @@ class RunConfig:
     init_coords: np.ndarray | None = None
     record_every: int = 1
     record_state: bool = False
-    fingerprint: str = ""
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -168,6 +169,11 @@ class RunConfig:
             # the problem's own check of a state (ICA's unit norm), here rather
             # than first on the k = 0 row's metrics after the whole run
             self.problem.optimization_errors(self.init_coords)
+
+    @property
+    def rows(self) -> int:
+        """The rows a run records: k = 0, each multiple of record_every, and the last k."""
+        return self.iterations // self.record_every + 1 + (self.iterations % self.record_every > 0)
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): a 4-word uint32 pool
@@ -244,11 +250,13 @@ def stream_keys(seeds, keys) -> np.ndarray:
     return out
 
 
-def check_batch_memory(need):
-    """InvalidConfig when `need`, a lower bound on the bytes that a command's
-    inputs ask for, exceeds physical memory. A lockstep batch needs 16 bytes
-    per state entry (the running and the final state), 8 more for each row
-    that records it, and _STREAM_BYTES per noise stream."""
+def check_batch_memory(runs=1, entries=0, rows=0, streams=0, row_bytes=_ROW_BYTES):
+    """InvalidConfig when `runs` runs of `entries` state entries, each
+    recording `rows` rows, and `streams` noise streams in all need more bytes
+    than physical memory holds: 16 per state entry (the running and the final
+    state), 8 per entry of a recorded row plus `row_bytes` for its objects,
+    and _STREAM_BYTES per stream."""
+    need = runs * (16 * entries + rows * (8 * entries + row_bytes)) + _STREAM_BYTES * streams
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise InvalidConfig(f"the inputs need at least {need / 2**30:.4g} GiB, more than the "
@@ -462,10 +470,13 @@ def _initial_state(config: RunConfig, init_key) -> np.ndarray:
     return p.sample_init(philox(init_key))
 
 
-def run_batch(configs) -> list:
+def run_batch(configs, jobs=1) -> list:
     """Execute runs that share problem, topology, schedule and recording, and
-    differ in seed, noise variance or initial state, in lockstep. Returns one
-    RunTrace per config, equal to what that config alone would give."""
+    differ in seed, noise variance or initial state, in lockstep, or with
+    jobs > 1 in that many contiguous chunks, one batch per worker process.
+    A batch that needs more than physical memory is refused first. Returns
+    one RunTrace per config, equal to what that config alone would give, so
+    `jobs` never changes the result."""
     def shared(c):
         return (c.problem, c.weights.w.tobytes(), c.schedule, c.iterations, c.record_every,
                 c.record_state)
@@ -474,6 +485,15 @@ def run_batch(configs) -> list:
     if any(shared(c) != shared(c0) for c in configs):
         raise InvalidConfig("batched runs must share problem, topology, schedule and recording")
     p = c0.problem
+    check_batch_memory(len(configs), p.m * p.d, c0.rows,
+                       p.m * sum(c.noise_variance > 0 for c in configs))
+    jobs = min(jobs, len(configs))
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        bounds = [len(configs) * c // jobs for c in range(jobs + 1)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = pool.map(run_batch, [configs[a:b] for a, b in zip(bounds, bounds[1:])])
+            return [trace for part in parts for trace in part]
     # every run's noise keys and init key in one pass; (_INIT_STREAM, 0) draws
     # what SeedSequence((seed, _INIT_STREAM)) draws, since SeedSequence
     # zero-pads entropy that fits its 4-word pool, as a seed below 2**64 and

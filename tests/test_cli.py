@@ -70,7 +70,7 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, BASE_RUN_CFG)
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
-        config, _ = cli.build_run_config(BASE_RUN_CFG)
+        config, _, _ = cli.build_run_config(BASE_RUN_CFG)
         assert summary["final_state"] == run(config).final_state.tolist()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch, capsys):
@@ -529,7 +529,7 @@ class TestBundledConfigs:
         for name in ("estimation_paper.json", "estimation_saddle.json", "ica_desk.json",
                      "ica_saddle.json", "ica_d10.json"):
             cfg = json.loads(cli.bundled_config_path(name).read_text())
-            config, _ = cli.build_run_config(cfg)
+            config, _, _ = cli.build_run_config(cfg)
             assert config.iterations >= 1
 
     def test_bundled_table1_base_validates(self):
@@ -1077,8 +1077,68 @@ class TestSizeBounds:
         assert err[0].startswith("config error:") and self.CASES[name][2] in err[0], err
         assert not (tmp / name).exists()
 
+    # bundled configs grown to many rows: {name: (command, config, edit)}
+    PEAKS = {
+        "estimation": ("run", "estimation_paper.json", {"iterations": 20000, "record_every": 1}),
+        "ica-d10-m5": ("run", "ica_d10.json", {"iterations": 20000, "record_every": 1}),
+        "privacy-report": ("privacy-report", "privacy_report.json", {"horizon": 200000}),
+    }
+
+    @pytest.fixture(scope="class")
+    def peaks(self, tmp_path_factory):
+        """{name: [tracemalloc peak, exit code and stderr with memory set to the peak less a byte]},
+        each case in a fresh interpreter, all started at once."""
+        tmp = tmp_path_factory.mktemp("peaks")
+        script = textwrap.dedent("""
+            import contextlib, io, json, os, sys, tracemalloc
+            from dpdgd import cli
+            argv, problem = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+            if problem:  # built once per process and shared by every run, so not per row
+                cli.build_problem(problem)
+            tracemalloc.start()
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            os.sysconf = {"SC_PHYS_PAGES": peak - 1, "SC_PAGE_SIZE": 1}.get
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            print(json.dumps([peak, code, err.getvalue()]))
+        """)
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+        env.pop("DPDGD_OUT", None)
+        procs = {}
+        for name, (command, bundled, edit) in self.PEAKS.items():
+            cfg = dict(json.loads(cli.bundled_config_path(bundled).read_text()), **edit)
+            cfg.pop("output")
+            argv = [command, "--config", write_cfg(tmp, cfg, name + ".json"), "--out", str(tmp)]
+            procs[name] = subprocess.Popen(
+                [sys.executable, "-c", script, json.dumps(argv), json.dumps(cfg.get("problem"))],
+                cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out = {}
+        for name, proc in procs.items():
+            stdout, stderr = proc.communicate(timeout=300)
+            assert proc.returncode == 0, stderr
+            out[name] = json.loads(stdout.splitlines()[-1])
+        return out
+
+    @pytest.mark.parametrize("name", PEAKS)
+    def test_need_covers_the_measured_peak(self, peaks, name):
+        # a need at or above the peak refuses the run when memory holds a byte less
+        peak, code, stderr = peaks[name]
+        assert peak > 20000 * 400  # the rows dominate what was traced
+        assert code == 1 and "physical memory" in stderr, (peak, stderr)
+
     def test_memory_bound_is_the_physical_memory(self):
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        optimizer.check_batch_memory(have)
+        optimizer.check_batch_memory(rows=1, row_bytes=have)
         with pytest.raises(optimizer.InvalidConfig, match="physical memory"):
-            optimizer.check_batch_memory(have + 1)
+            optimizer.check_batch_memory(rows=1, row_bytes=have + 1)
+
+    def test_need_counts_states_rows_and_streams(self, monkeypatch):
+        # 2 runs x (16 x 3 state bytes + 4 rows x (8 x 3 + 1024)) + 5 streams x 512 = 11040
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 11040, "SC_PAGE_SIZE": 1}.get)
+        optimizer.check_batch_memory(runs=2, entries=3, rows=4, streams=5)
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 11039, "SC_PAGE_SIZE": 1}.get)
+        with pytest.raises(optimizer.InvalidConfig, match="physical memory"):
+            optimizer.check_batch_memory(runs=2, entries=3, rows=4, streams=5)

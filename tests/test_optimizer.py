@@ -604,6 +604,31 @@ class TestLockstep:
             assert np.array_equal(trace.final_state, want[0].final_state), config.seed
             assert trace.stopped_at is None and want[0].stopped_at is None
 
+    def test_jobs_split_matches_one_batch(self, paper_problem, rpc5):
+        # two cells of three runs, the second noise-free: two chunks split at
+        # the cell boundary, three split inside both cells
+        configs = self._configs(paper_problem, rpc5, PAPER_SCHEDULE, [7, 8, 9, 10, 11, 12],
+                                [0.5, 0.5, 0.5, 0.0, 0.0, 0.0], iterations=80, record_every=30)
+        whole = run_batch(configs)
+        for jobs in (2, 3):
+            split = run_batch(configs, jobs)
+            assert len(split) == len(whole)
+            for a, b in zip(whole, split):
+                assert _records_equal(a, b) and a.stopped_at is b.stopped_at is None, jobs
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_divergence_in_a_worker_carries_its_iteration(self, jobs):
+        # |1 - 0.9 * 2 * 8| = 13.4: each run overflows at iteration 274, the
+        # noisy one too; with jobs = 2 each run diverges in its own worker
+        q = QuadraticProblem(diag=[8.0], m=2)
+        w = build_metropolis_weights(builtin_topology("complete", 2))
+        configs = self._configs(q, w, StepsizeSchedule("constant", lambda0=0.9), [1, 2],
+                                [0.0, 0.5], iterations=5000, init_mode="explicit",
+                                init_coords=np.array([1.0]))
+        with pytest.raises(NonFiniteState) as exc:
+            run_batch(configs, jobs)
+        assert exc.value.iteration == 274 and str(exc.value) == "non-finite state at iteration 274"
+
     def test_run_batch_rejects_mixed_configs(self, paper_problem, rpc5):
         a = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
                       noise_variance=0.5, iterations=10, seed=1)
