@@ -50,21 +50,16 @@ def assert_contraction(trace: optimizer.RunTrace, w: WeightMatrix, tol=1e-9) -> 
     rows (record_every=1), and raises AnalysisError otherwise.
     """
     eta = w.eta
-    recs = trace.records
-    pairs = [
-        (a, b) for a, b in zip(recs[:-1], recs[1:]) if b.k == a.k + 1
-    ]
-    if not pairs:
+    k, err = trace.k, trace.consensus_error
+    b = np.flatnonzero(k[1:] == k[:-1] + 1) + 1  # the later row of each consecutive pair
+    if not b.size:
         raise AnalysisError("contraction check needs consecutive iterations in the trace")
-    violations = []
-    for a, b in pairs:
-        lhs = b.consensus_error
-        rhs = eta * a.consensus_error + eta * b.lam * b.gn_norm + tol
-        if lhs > rhs:
-            violations.append(ContractionViolation(k=b.k, lhs=lhs, rhs=rhs))
-    return ContractionReport(
-        pairs_checked=len(pairs), violations=tuple(violations), eta=eta, tolerance=tol
-    )
+    lhs = err[b]
+    rhs = eta * err[b - 1] + eta * trace.lam[b] * trace.gn_norm[b] + tol
+    bad = lhs > rhs
+    violations = tuple(map(ContractionViolation, k[b][bad].tolist(), lhs[bad].tolist(),
+                           rhs[bad].tolist()))
+    return ContractionReport(pairs_checked=len(b), violations=violations, eta=eta, tolerance=tol)
 
 
 def min_eigvec(h) -> np.ndarray:

@@ -57,6 +57,7 @@ ENV_OUT_DIR = "DPDGD_OUT"
 TRACE_HEADER = "k,lambda,consensus_error,opt_error_mean,opt_error_max,noise_norm"
 TABLE1_HEADER = "sigma,mean_final_error,std_final_error,runs"
 PRIVACY_HEADER = "k,lambda,eps_sample,eps_gradient,eps_variable,delta,variance"
+CSV_ROWS = 1024  # rows of an output CSV formatted at a time
 
 # -- config schema: a table maps each key of a JSON object to a Field; an object
 # with variants (problem `name`, schedule `kind`, init `mode`, topology form) has
@@ -316,23 +317,26 @@ def output_paths(flag_value, names):
     return [out / name for key, name in names.items() if key != "dir"]
 
 
-def write_trace_csv(path, trace):
-    rows = ["%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (r.k, r.lam, r.consensus_error, r.opt_error_mean,
-                                                   r.opt_error_max, r.noise_norm)
-            for r in trace.records]
-    Path(path).write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
+def write_csv(path, header, row, columns):
+    """`header`, then one line `row % values` per row of `columns`, equal-length
+    arrays, formatted CSV_ROWS rows at a time so that no file holds a string per row."""
+    line = row + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for a in range(0, len(columns[0]), CSV_ROWS):
+            values = zip(*(np.asarray(c)[a:a + CSV_ROWS].tolist() for c in columns))
+            f.write("".join([line % v for v in values]))
 
 
 def write_summary_json(path, trace, config, digest):
-    final = trace.records[-1]
     payload = {
         "config_fingerprint": digest,
         "seed": config.seed,
         "final_metrics": {
-            "k": final.k,
-            "consensus_error": final.consensus_error,
-            "opt_error_mean": final.opt_error_mean,
-            "opt_error_max": final.opt_error_max,
+            "k": int(trace.k[-1]),
+            "consensus_error": float(trace.consensus_error[-1]),
+            "opt_error_mean": float(trace.opt_error_mean[-1]),
+            "opt_error_max": float(trace.opt_error_max[-1]),
         },
         "final_state": trace.final_state.tolist(),
     }
@@ -344,7 +348,9 @@ def cmd_run(args) -> int:
                                                record_every_override=args.record_every)
     trace = run(config)
     trace_path, summary_path = output_paths(args.out, checked["output"])
-    write_trace_csv(trace_path, trace)
+    write_csv(trace_path, TRACE_HEADER, "%d,%.17g,%.17g,%.17g,%.17g,%.17g",
+              (trace.k, trace.lam, trace.consensus_error, trace.opt_error_mean,
+               trace.opt_error_max, trace.noise_norm))
     write_summary_json(summary_path, trace, config, digest)
     print(f"wrote {trace_path} and {summary_path}")
     return 0
@@ -371,19 +377,16 @@ def cmd_table1(args) -> int:
     variances, runs_per_cell = checked["variances"].tolist(), checked["runs_per_cell"]
     m, d = config.problem.m, config.problem.d
     check_batch_memory(len(variances) * runs_per_cell, m * d, config.rows,
-                       m * runs_per_cell * sum(v > 0 for v in variances))
+                       m * runs_per_cell * sum(v > 0 for v in variances), config.row_bytes)
     # every (cell, run) pair of the sweep in one batch, which run_batch splits over `jobs`
     seeds = _table1_seeds(base["seed"], range(len(variances)), runs_per_cell)
     runs = zip([v for v in variances for _ in range(runs_per_cell)], seeds)
     traces = run_batch([dataclasses.replace(config, noise_variance=v, seed=s) for v, s in runs],
                        jobs)
-    finals = [trace.records[-1].opt_error_mean for trace in traces]
+    finals = np.array([trace.opt_error_mean[-1] for trace in traces]).reshape(-1, runs_per_cell)
     path, = output_paths(args.out, checked["output"])
-    lines = [TABLE1_HEADER]
-    for i, v in enumerate(variances):
-        cell = np.array(finals[i * runs_per_cell:(i + 1) * runs_per_cell])
-        lines.append("%.17g,%.17g,%.17g,%d" % (v, cell.mean(), cell.std(), len(cell)))
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, TABLE1_HEADER, "%.17g,%.17g,%.17g,%d",
+              (variances, finals.mean(axis=1), finals.std(axis=1), [runs_per_cell] * len(finals)))
     print(f"wrote {path}")
     return 0
 
@@ -415,9 +418,8 @@ def cmd_privacy_report(args) -> int:
     )
     path, = output_paths(args.out, checked["output"])
     row = "%d,%.17g,%.17g,%.17g,%.17g," + "%.17g,%.17g" % (delta, variance)
-    columns = (report.k, report.lam, report.eps_sample, report.eps_gradient, report.eps_variable)
-    rows = [row % r for r in zip(*(c.tolist() for c in columns))]
-    path.write_text("\n".join([PRIVACY_HEADER, *rows]) + "\n")
+    write_csv(path, PRIVACY_HEADER, row,
+              (report.k, report.lam, report.eps_sample, report.eps_gradient, report.eps_variable))
     print(f"wrote {path}")
     return 0
 

@@ -23,7 +23,6 @@ a run's numbers do not depend on the batch it shares.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -46,8 +45,8 @@ NOISE_BLOCK = 64  # iterations of noise drawn from a stream at a time
 _NOISE_BUFFER = 2**16  # cap on the doubles buffered across all streams (512 KB)
 RECORD_CHUNK = 32  # recorded states whose metrics are computed in one stacked call
 _STREAM_BYTES = 512  # less than one Philox generator holds (about 730 bytes measured)
-_ROW_BYTES = 1024  # a trace row's objects at their peak, beyond its state (651-667 measured)
-_REPORT_ROW_BYTES = 640  # a privacy-report row's columns, floats and CSV line (453 measured)
+_ROW_BYTES = 160  # a trace row's seven scalars and output share, beyond x and mean_gn (90 measured)
+_REPORT_ROW_BYTES = 96  # a privacy-report row's five columns and output share (57 measured)
 
 
 class InvalidConfig(ValueError):
@@ -113,21 +112,19 @@ def stepsizes(schedule: StepsizeSchedule, ks) -> np.ndarray:
 
 
 @dataclass
-class TraceRecord:
-    k: int
-    lam: float
-    consensus_error: float
-    opt_error_mean: float
-    opt_error_max: float
-    noise_norm: float
-    gn_norm: float
-    x: np.ndarray | None = None
-    mean_gn: np.ndarray | None = None
-
-
-@dataclass
 class RunTrace:
-    records: list  # TraceRecord rows (empty when not recording)
+    """A run's recorded rows as columns, row i at iteration k[i]. The k = 0 row
+    has no step behind it: its lam is lambda_1, and its norms and mean_gn are 0."""
+
+    k: np.ndarray  # (rows,) the iteration of each row
+    lam: np.ndarray  # (rows,) the stepsize of the step that produced the row
+    consensus_error: np.ndarray  # (rows,) ||x - mean||
+    opt_error_mean: np.ndarray  # (rows,) the mean of the agents' optimization errors
+    opt_error_max: np.ndarray  # (rows,) their max
+    noise_norm: np.ndarray  # (rows,) ||N|| of the step
+    gn_norm: np.ndarray  # (rows,) ||g + N|| of the step
+    x: np.ndarray  # (rows, m, d) the state
+    mean_gn: np.ndarray  # (rows, d) the agents' mean of g + N
     final_state: np.ndarray  # (m, d), or (2, m, d) for a coupling pair; a stopped run's at its stop
     stopped_at: int | None = None  # the iteration at which `stop` ended the run
 
@@ -143,7 +140,6 @@ class RunConfig:
     init_mode: str = "random_box"  # random_box | explicit | at_saddle
     init_coords: np.ndarray | None = None
     record_every: int = 1
-    record_state: bool = False
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -173,7 +169,12 @@ class RunConfig:
     @property
     def rows(self) -> int:
         """The rows a run records: k = 0, each multiple of record_every, and the last k."""
-        return self.iterations // self.record_every + 1 + (self.iterations % self.record_every > 0)
+        return -(-self.iterations // self.record_every) + 1  # ceil(iterations / record_every) + 1
+
+    @property
+    def row_bytes(self) -> int:
+        """What a recorded row costs: 8 per entry of its x and its mean_gn, and _ROW_BYTES."""
+        return 8 * (self.problem.m + 1) * self.problem.d + _ROW_BYTES
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): a 4-word uint32 pool
@@ -250,13 +251,11 @@ def stream_keys(seeds, keys) -> np.ndarray:
     return out
 
 
-def check_batch_memory(runs=1, entries=0, rows=0, streams=0, row_bytes=_ROW_BYTES):
-    """InvalidConfig when `runs` runs of `entries` state entries, each
-    recording `rows` rows, and `streams` noise streams in all need more bytes
-    than physical memory holds: 16 per state entry (the running and the final
-    state), 8 per entry of a recorded row plus `row_bytes` for its objects,
-    and _STREAM_BYTES per stream."""
-    need = runs * (16 * entries + rows * (8 * entries + row_bytes)) + _STREAM_BYTES * streams
+def check_batch_memory(runs=1, entries=0, rows=0, streams=0, row_bytes=0):
+    """InvalidConfig when `runs` runs of `entries` state entries and `rows` rows
+    each, and `streams` noise streams, need more bytes than physical memory holds: 16 per
+    state entry (the running and the final state), `row_bytes` per row, _STREAM_BYTES per stream."""
+    need = runs * (16 * entries + rows * row_bytes) + _STREAM_BYTES * streams
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise InvalidConfig(f"the inputs need at least {need / 2**30:.4g} GiB, more than the "
@@ -293,7 +292,7 @@ def mixing_update(w_arr, x, gn, lam):
 
 @np.errstate(over="ignore", invalid="ignore")  # blow-ups raise NonFiniteState instead
 def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record_every=0,
-             keep_state=False, noise_map=None, stop=None) -> list:
+             noise_map=None, stop=None) -> list:
     """Advance the R runs stacked in x (R, ..., m, d) by iterations steps
     from k = 0, every run by the same update.
 
@@ -303,27 +302,32 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
     once per block, onto (K, *x.shape). The update is x <- W (x - lam (g + N)).
     Any non-finite state raises NonFiniteState. With record_every > 0 each run
     records rows at k = 0, at every multiple of record_every and at the last
-    iteration; noise_norm is that of the mapped noise. `stop(x, k)` returns a
-    mask over the runs still advancing; a run whose mask is set stops there
-    and draws no further noise. A state whose trailing shape is not the
-    problem's (m, d) raises ProblemError before any noise is drawn. Returns
-    one RunTrace per run.
+    iteration, into columns allocated up front for the whole batch; noise_norm
+    is that of the mapped noise. `stop(x, k)` returns a mask over the runs
+    still advancing; a run whose mask is set stops there and draws no further
+    noise. A state whose trailing shape is not the problem's (m, d) raises
+    ProblemError before any noise is drawn. Returns one RunTrace per run.
     """
     x = problem._check_state(np.array(x, dtype=float))
     runs = x.shape[0]
     m, d = x.shape[-2:]
     final = x.copy()
-    traces = [RunTrace([], final[r]) for r in range(runs)]  # views: final's rows fill in below
+    stopped_at = [None] * runs
     active = np.arange(runs)
     fills = [None if rngs is None else [rng.standard_normal for rng in rngs] for rngs in streams]
     scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1)
     agent_gradients, retract = problem.agent_gradients, problem.retract
     isfinite, count_nonzero = np.isfinite, np.count_nonzero
     block = max(1, min(NOISE_BLOCK, _NOISE_BUFFER // max(1, runs * m * d)))
-    rows = []  # (run, k, lam, x, noise_norm, gn_norm, mean_gn); metrics come after the loop
+    # every run's rows, written at each recorded step for the runs still advancing (`sel`, a
+    # slice until a run stops); k and lam are shared, and the metrics come from xs after the loop
+    ks = np.r_[0:iterations:record_every, iterations] if record_every else np.arange(0)
+    counts, sel, row = np.full(runs, len(ks)), slice(None), 1
+    xs = np.empty((runs, len(ks), *x.shape[1:]))
+    squares = np.zeros((2, runs, len(ks)))  # ||N||^2 and ||g + N||^2, 0 at k = 0
+    sum_gn = np.zeros((runs, len(ks), *x.shape[1:-2], d))  # divided by m into mean_gn
     if record_every:
-        lam = stepsize(schedule, 1)
-        rows += [(r, 0, lam, x[r].copy(), 0.0, 0.0, None) for r in range(runs)]
+        xs[:, 0] = x
     buf, blk, pos = None, None, 0
     for k in range(1, iterations + 1):
         if blk is None or pos == len(blk):
@@ -354,19 +358,23 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
         if count_nonzero(isfinite(x)) != x.size:
             raise NonFiniteState(k)
         if record_every and (k % record_every == 0 or k == iterations):
-            rows += [
-                (r, k, lam, x[i].copy(), _norm(n[i]), _norm(gn[i]),
-                 gn[i].mean(axis=0) if keep_state else None)
-                for i, r in enumerate(active)
-            ]
+            # each run's squared norm is the dot of its flattened array, as in np.linalg.norm
+            xs[sel, row] = x
+            nf, gf = n.reshape(len(x), -1), gn.reshape(len(x), -1)
+            squares[0, sel, row] = np.vecdot(nf, nf)
+            squares[1, sel, row] = np.vecdot(gf, gf)
+            sum_gn[sel, row] = np.add.reduce(gn, axis=-2)
+            row += 1
         if stop is not None:
             done = np.asarray(stop(x, k), dtype=bool)
             if done.any():
                 final[active[done]] = x[done]
+                counts[active[done]] = row
                 for r in active[done]:
-                    traces[r].stopped_at = k
+                    stopped_at[r] = k
                 keep = ~done
-                active, x, scales = active[keep], x[keep], scales[keep]
+                sel = active = active[keep]
+                x, scales = x[keep], scales[keep]
                 fills = [fill for fill, kept in zip(fills, keep) if kept]
                 # the block stays whole: later steps gather the survivors'
                 # rows, and the next block is drawn for the survivors only
@@ -375,31 +383,26 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
                 if not active.size:
                     break
     final[active] = x
-    metrics = row_metrics(problem, [row[3] for row in rows])
-    for (r, k, lam, xr, noise_norm, gn_norm, mean_gn), errors in zip(rows, metrics):
-        traces[r].records.append(TraceRecord(k, lam, *errors, noise_norm, gn_norm,
-                                             xr if keep_state else None, mean_gn))
-    return traces
+    lam = stepsizes(schedule, ks)
+    ks.flags.writeable = lam.flags.writeable = False  # columns that every run's trace shares
+    noise_norm, gn_norm = np.sqrt(squares, out=squares)
+    mean_gn = np.divide(sum_gn, m, out=sum_gn)  # what gn.mean(axis=-2) divides
+    return [RunTrace(ks[:c], lam[:c], *row_metrics(problem, xs[r, :c]), noise_norm[r, :c],
+                     gn_norm[r, :c], xs[r, :c], mean_gn[r, :c], final[r], stopped_at[r])
+            for r, c in enumerate(counts.tolist())]
 
 
-def _norm(v) -> float:
-    """np.linalg.norm(v) by its own formula, without its wrapper."""
-    v = v.ravel("K")
-    return math.sqrt(v.dot(v))
-
-
-def row_metrics(problem, xs) -> list:
-    """(consensus_error, opt_error_mean, opt_error_max) of each state in xs, a
-    sequence of (m, d) states, RECORD_CHUNK states to a stacked call; each
-    triple is bitwise what the state alone gives."""
-    out = []
+def row_metrics(problem, xs) -> np.ndarray:
+    """The (consensus_error, opt_error_mean, opt_error_max) columns, a (3, n)
+    array, of the n (m, d) states in the array xs, RECORD_CHUNK states to a
+    stacked call; each state's triple is bitwise what the state alone gives."""
+    out = np.empty((3, len(xs)))
     for a in range(0, len(xs), RECORD_CHUNK):
-        x = np.array(xs[a:a + RECORD_CHUNK], dtype=float)
-        dev = (x - x.mean(axis=1, keepdims=True)).reshape(len(x), 1, -1)
-        # a (1, md) @ (md, 1) matmul is a dot, like the norm of one flattened state
-        consensus = np.sqrt(dev @ dev.swapaxes(1, 2)).reshape(-1)
+        x = xs[a:a + RECORD_CHUNK]
+        dev = (x - x.mean(axis=1, keepdims=True)).reshape(len(x), -1)
+        out[0, a:a + len(x)] = np.sqrt(np.vecdot(dev, dev))  # a flat state's dot, as in its norm
         errs = problem.optimization_errors(x).reshape(len(x), -1)
-        out += zip(consensus.tolist(), errs.mean(axis=1).tolist(), errs.max(axis=1).tolist())
+        out[1:, a:a + len(x)] = errs.mean(axis=1), errs.max(axis=1)
     return out
 
 
@@ -478,15 +481,14 @@ def run_batch(configs, jobs=1) -> list:
     one RunTrace per config, equal to what that config alone would give, so
     `jobs` never changes the result."""
     def shared(c):
-        return (c.problem, c.weights.w.tobytes(), c.schedule, c.iterations, c.record_every,
-                c.record_state)
+        return c.problem, c.weights.w.tobytes(), c.schedule, c.iterations, c.record_every
 
     c0 = configs[0]
     if any(shared(c) != shared(c0) for c in configs):
         raise InvalidConfig("batched runs must share problem, topology, schedule and recording")
     p = c0.problem
     check_batch_memory(len(configs), p.m * p.d, c0.rows,
-                       p.m * sum(c.noise_variance > 0 for c in configs))
+                       p.m * sum(c.noise_variance > 0 for c in configs), c0.row_bytes)
     jobs = min(jobs, len(configs))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -506,7 +508,7 @@ def run_batch(configs, jobs=1) -> list:
         [[philox(key) for key in k[:-1]] if c.noise_variance > 0 else None
          for c, k in zip(configs, keys)],
         [np.sqrt(c.noise_variance) for c in configs],
-        record_every=c0.record_every, keep_state=c0.record_state,
+        record_every=c0.record_every,
     )
 
 

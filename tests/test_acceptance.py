@@ -46,7 +46,7 @@ def saddle_runs(paper_problem, complete5):
         )
         for i in range(100)
     ]
-    return [trace.records[-1] for trace in run_batch(configs)]
+    return run_batch(configs)
 
 
 @pytest.mark.acceptance
@@ -72,7 +72,7 @@ def test_criterion_1_table1_sweep(tmp_path):
 
 @pytest.mark.acceptance
 def test_criterion_2_saddle_escape(paper_problem, complete5, saddle_runs):
-    reached = sum(1 for rec in saddle_runs if rec.opt_error_mean <= 0.3)
+    reached = sum(1 for trace in saddle_runs if trace.opt_error_mean[-1] <= 0.3)
 
     # zero-variance control: the same config must stay at the refined saddle;
     # noise draws are disabled, so distinct seeds must give one trajectory
@@ -81,11 +81,11 @@ def test_criterion_2_saddle_escape(paper_problem, complete5, saddle_runs):
         cfg = RunConfig(
             problem=paper_problem, weights=complete5, schedule=PAPER_SCHEDULE,
             noise_variance=0.0, iterations=3000, seed=seed,
-            init_mode="at_saddle", record_every=1, record_state=True,
+            init_mode="at_saddle", record_every=1,
         )
         trace = run(cfg)
-        saddle = trace.records[0].x[0]
-        devs.append(max(np.linalg.norm(r.x - saddle, axis=1).max() for r in trace.records))
+        saddle = trace.x[0, 0]
+        devs.append(np.linalg.norm(trace.x - saddle, axis=-1).max())
     ok = reached >= 95 and max(devs) <= 1e-6
     _report(
         "2 (saddle escape + trapped control)",
@@ -97,7 +97,7 @@ def test_criterion_2_saddle_escape(paper_problem, complete5, saddle_runs):
 
 @pytest.mark.acceptance
 def test_criterion_3_consensus(paper_problem, rpc5, saddle_runs):
-    consensual = sum(1 for rec in saddle_runs if rec.consensus_error <= 0.05)
+    consensual = sum(1 for trace in saddle_runs if trace.consensus_error[-1] <= 0.05)
 
     # mean-square consensus decay on the reference random-init configuration
     sq_100, sq_3000 = [], []
@@ -110,9 +110,9 @@ def test_criterion_3_consensus(paper_problem, rpc5, saddle_runs):
         for i in range(50)
     ]
     for trace in run_batch(configs):
-        by_k = {rec.k: rec for rec in trace.records}
-        sq_100.append(by_k[100].consensus_error ** 2)
-        sq_3000.append(by_k[3000].consensus_error ** 2)
+        by_k = dict(zip(trace.k.tolist(), trace.consensus_error.tolist()))
+        sq_100.append(by_k[100] ** 2)
+        sq_3000.append(by_k[3000] ** 2)
     ratio = float(np.mean(sq_3000) / np.mean(sq_100))
     ok = consensual >= 95 and ratio <= 0.10
     _report(
@@ -149,7 +149,7 @@ def test_criterion_4_contraction_inequality():
         cfg = RunConfig(
             problem=problem, weights=w, schedule=schedule,
             noise_variance=float(rng.uniform(0.0, 1.0)), iterations=200,
-            seed=int(rng.integers(2**32)), record_every=1, record_state=True,
+            seed=int(rng.integers(2**32)), record_every=1,
         )
         report = assert_contraction(run(cfg), w, tol=1e-9)
         violations += len(report.violations)
@@ -255,7 +255,7 @@ def test_criterion_7_ica_desk_scale(ica4, rpc5, complete5):
         for i in range(100)
     ]
     for trace in run_batch(configs):
-        if trace.records[-1].opt_error_max <= 0.3:
+        if trace.opt_error_max[-1] <= 0.3:
             random_ok += 1
 
     # saddle initialization, noisy runs escape
@@ -269,17 +269,17 @@ def test_criterion_7_ica_desk_scale(ica4, rpc5, complete5):
         for i in range(100)
     ]
     for trace in run_batch(configs):
-        if trace.records[-1].opt_error_max <= 0.3:
+        if trace.opt_error_max[-1] <= 0.3:
             saddle_ok += 1
 
     # zero-variance control stays on the refined saddle direction
     cfg = RunConfig(
         problem=ica4, weights=complete5, schedule=ICA_SCHEDULE, noise_variance=0.0,
-        iterations=3000, seed=0, init_mode="at_saddle", record_every=1, record_state=True,
+        iterations=3000, seed=0, init_mode="at_saddle", record_every=1,
     )
     trace = run(cfg)
-    u_star = trace.records[0].x[0]
-    control_dev = max(np.linalg.norm(r.x - u_star, axis=1).max() for r in trace.records)
+    u_star = trace.x[0, 0]
+    control_dev = np.linalg.norm(trace.x - u_star, axis=-1).max()
 
     # reference-scale instance (d = 10): error decreases, checked qualitatively
     p10 = make_ica_problem(d=10, m=5, samples_per_agent=160, seed=7)
@@ -293,7 +293,7 @@ def test_criterion_7_ica_desk_scale(ica4, rpc5, complete5):
         for i in range(5)
     ]
     for t in run_batch(configs):
-        drops.append(t.records[-1].opt_error_max / t.records[0].opt_error_max)
+        drops.append(t.opt_error_max[-1] / t.opt_error_max[0])
     qualitative_ok = float(np.median(drops)) < 0.7
 
     ok = random_ok >= 80 and saddle_ok >= 80 and control_dev <= 1e-3 and qualitative_ok

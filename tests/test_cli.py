@@ -504,6 +504,45 @@ class TestPrivacyReportCommand:
         assert len((tmp_path / "privacy_report.csv").read_text().splitlines()) == 51
 
 
+class TestCsvWriter:
+    """`cli.write_csv`, which formats CSV_ROWS rows at a time, writes what one
+    `row % values` line per row gives, across chunk boundaries and on values
+    whose text is easy to get wrong."""
+
+    FORMATS = {  # the three commands' rows: (header, row, kinds of its columns)
+        "trace": (cli.TRACE_HEADER, "%d,%.17g,%.17g,%.17g,%.17g,%.17g", "ifffff"),
+        "table1": (cli.TABLE1_HEADER, "%.17g,%.17g,%.17g,%d", "fffi"),
+        "privacy": (cli.PRIVACY_HEADER, "%d,%.17g,%.17g,%.17g,%.17g,0.050000000000000003,0.5",
+                    "iffff"),
+    }
+    SPECIAL = {"f": [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072009e-308, 1e300,
+                     0.1, 1 / 3],
+               "i": [2**62, -2**62, 0, 2**63 - 1, -1]}
+
+    @pytest.mark.parametrize("form", FORMATS)
+    @pytest.mark.parametrize("rows", [1, cli.CSV_ROWS - 1, cli.CSV_ROWS, cli.CSV_ROWS + 1,
+                                      2 * cli.CSV_ROWS + 1])
+    def test_rows_equal_the_per_row_format(self, tmp_path, form, rows):
+        header, row, kinds = self.FORMATS[form]
+        rng = np.random.default_rng(rows)
+        columns = []
+        for c, kind in enumerate(kinds):
+            dtype = np.int64 if kind == "i" else float
+            col = (rng.integers(-2**62, 2**62, rows) if kind == "i"
+                   else rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows))
+            col = col.astype(dtype)
+            # the special values at the chunk boundaries and the ends, shifted per column
+            at = sorted({0, rows - 1} | {a + o for a in range(cli.CSV_ROWS, rows, cli.CSV_ROWS)
+                                         for o in (-1, 0, 1) if a + o < rows})
+            for i, where in enumerate(at):
+                col[where] = self.SPECIAL[kind][(i + c) % len(self.SPECIAL[kind])]
+            columns.append(col)
+        path = tmp_path / "out.csv"
+        cli.write_csv(path, header, row, columns)
+        lines = [row % values for values in zip(*(c.tolist() for c in columns))]
+        assert path.read_text() == "\n".join([header, *lines]) + "\n"
+
+
 class TestVerifyCommand:
     def test_passes_and_prints_classifications(self, capsys):
         assert cli.main(["verify"]) == 0
@@ -1077,11 +1116,18 @@ class TestSizeBounds:
         assert err[0].startswith("config error:") and self.CASES[name][2] in err[0], err
         assert not (tmp / name).exists()
 
-    # bundled configs grown to many rows: {name: (command, config, edit)}
+    # bundled configs grown to many rows: {name: (command, config, edit, rows, the bytes
+    # that a row's columns occupy, the most that a row may cost at the peak)}
     PEAKS = {
-        "estimation": ("run", "estimation_paper.json", {"iterations": 20000, "record_every": 1}),
-        "ica-d10-m5": ("run", "ica_d10.json", {"iterations": 20000, "record_every": 1}),
-        "privacy-report": ("privacy-report", "privacy_report.json", {"horizon": 200000}),
+        # x (5, 2), mean_gn (2,), k, lam, three metrics and two norms: 19 doubles
+        "estimation": ("run", "estimation_paper.json", {"iterations": 20000, "record_every": 1},
+                       20001, 8 * 19, 250),
+        # x (5, 10), mean_gn (10,) and the same seven scalars: 67 doubles
+        "ica-d10-m5": ("run", "ica_d10.json", {"iterations": 20000, "record_every": 1},
+                       20001, 8 * 67, 650),
+        # k, lam and three epsilons
+        "privacy-report": ("privacy-report", "privacy_report.json", {"horizon": 200000},
+                           200000, 8 * 5, 80),
     }
 
     @pytest.fixture(scope="class")
@@ -1108,7 +1154,7 @@ class TestSizeBounds:
         env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
         env.pop("DPDGD_OUT", None)
         procs = {}
-        for name, (command, bundled, edit) in self.PEAKS.items():
+        for name, (command, bundled, edit, *_) in self.PEAKS.items():
             cfg = dict(json.loads(cli.bundled_config_path(bundled).read_text()), **edit)
             cfg.pop("output")
             argv = [command, "--config", write_cfg(tmp, cfg, name + ".json"), "--out", str(tmp)]
@@ -1126,8 +1172,16 @@ class TestSizeBounds:
     def test_need_covers_the_measured_peak(self, peaks, name):
         # a need at or above the peak refuses the run when memory holds a byte less
         peak, code, stderr = peaks[name]
-        assert peak > 20000 * 400  # the rows dominate what was traced
+        rows, columns = self.PEAKS[name][3:5]
+        assert peak >= rows * columns  # the recorded columns were traced
         assert code == 1 and "physical memory" in stderr, (peak, stderr)
+
+    @pytest.mark.parametrize("name", PEAKS)
+    def test_row_cost_is_bounded(self, peaks, name):
+        # a row costs its columns and a share of one fixed-size output chunk,
+        # not a Python object of its own
+        rows, _, bound = self.PEAKS[name][3:]
+        assert peaks[name][0] <= rows * bound, peaks[name][0] / rows
 
     def test_memory_bound_is_the_physical_memory(self):
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -1136,9 +1190,15 @@ class TestSizeBounds:
             optimizer.check_batch_memory(rows=1, row_bytes=have + 1)
 
     def test_need_counts_states_rows_and_streams(self, monkeypatch):
-        # 2 runs x (16 x 3 state bytes + 4 rows x (8 x 3 + 1024)) + 5 streams x 512 = 11040
-        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 11040, "SC_PAGE_SIZE": 1}.get)
-        optimizer.check_batch_memory(runs=2, entries=3, rows=4, streams=5)
-        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 11039, "SC_PAGE_SIZE": 1}.get)
+        config, _, _ = cli.build_run_config(BASE_RUN_CFG)
+        m, d = config.problem.m, config.problem.d
+        # a row holds x and mean_gn, 8 bytes an entry, and _ROW_BYTES of the rest
+        assert config.row_bytes == 8 * (m * d + d) + optimizer._ROW_BYTES
+        # 2 runs of 16 bytes a state entry and 4 rows, and 5 streams
+        need = 2 * (16 * m * d + 4 * config.row_bytes) + 5 * optimizer._STREAM_BYTES
+        counts = dict(runs=2, entries=m * d, rows=4, streams=5, row_bytes=config.row_bytes)
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need, "SC_PAGE_SIZE": 1}.get)
+        optimizer.check_batch_memory(**counts)
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}.get)
         with pytest.raises(optimizer.InvalidConfig, match="physical memory"):
-            optimizer.check_batch_memory(runs=2, entries=3, rows=4, streams=5)
+            optimizer.check_batch_memory(**counts)

@@ -14,7 +14,6 @@ from dpdgd.optimizer import (
     RECORD_CHUNK,
     RunConfig,
     StepsizeSchedule,
-    TraceRecord,
     lockstep,
     philox,
     polish_fixed_point,
@@ -54,16 +53,18 @@ def _saddle_init(problem, w):
     return optimizer._initial_state(config, None)[0]
 
 
-def _records_equal(a, b):
-    """Byte for byte, so that a NaN field (the opt_error columns of a problem
-    without a reference minimum) equals itself."""
-    def table(trace):
-        fields = ("k", "lam", "consensus_error", "opt_error_mean", "opt_error_max",
-                  "noise_norm", "gn_norm")
-        return np.array([[getattr(r, f) for f in fields] for r in trace.records]).tobytes()
+COLUMNS = ("k", "lam", "consensus_error", "opt_error_mean", "opt_error_max", "noise_norm",
+           "gn_norm", "x", "mean_gn")
 
-    return (table(a) == table(b) and a.final_state.shape == b.final_state.shape
-            and a.final_state.tobytes() == b.final_state.tobytes())
+
+def _records_equal(a, b):
+    """Every column and the final state, dtype, shape and bytes, so that a NaN
+    entry (the opt_error columns of a problem without a reference minimum)
+    equals itself."""
+    def same(u, v):
+        return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+    return all(same(getattr(a, c), getattr(b, c)) for c in COLUMNS + ("final_state",))
 
 
 class TestStepsize:
@@ -134,7 +135,7 @@ class TestStep:
                         init_coords=np.zeros((2, 2)))
         trace = run(cfg)
         assert np.array_equal(trace.final_state, np.zeros((2, 2)))
-        assert [rec.k for rec in trace.records] == [0, 1]
+        assert trace.k.tolist() == [0, 1]
 
     def test_single_agent_is_gradient_descent(self):
         q = QuadraticProblem(diag=[1.0, 2.0], m=1, offsets=[[1.0, -1.0]])
@@ -180,8 +181,7 @@ class TestRun:
         cfg = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
                         noise_variance=0.5, iterations=100, seed=5, record_every=7)
         trace = run(cfg)
-        ks = [rec.k for rec in trace.records]
-        assert ks == [0] + [k for k in range(1, 101) if k % 7 == 0] + [100]
+        assert trace.k.tolist() == [0] + [k for k in range(1, 101) if k % 7 == 0] + [100]
 
     def test_determinism_bitwise(self, paper_problem, rpc5):
         cfg = dict(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
@@ -199,18 +199,18 @@ class TestRun:
         # the agent mean follows x_mean <- x_mean - lambda * mean(g + n)
         cfg = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
                         noise_variance=0.5, iterations=120, seed=9,
-                        record_every=1, record_state=True)
+                        record_every=1)
         trace = run(cfg)
-        for prev, cur in zip(trace.records[:-1], trace.records[1:]):
-            predicted = prev.x.mean(axis=0) - cur.lam * cur.mean_gn
-            assert np.abs(cur.x.mean(axis=0) - predicted).max() <= 1e-10
+        means = trace.x.mean(axis=1)
+        predicted = means[:-1] - trace.lam[1:, None] * trace.mean_gn[1:]
+        assert np.abs(means[1:] - predicted).max() <= 1e-10
 
     def test_explicit_init_broadcast(self, paper_problem, rpc5):
         cfg = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
                         noise_variance=0.0, iterations=1, seed=0,
                         init_mode="explicit", init_coords=np.array([1.0, 1.0]))
         trace = run(cfg)
-        assert trace.records[0].consensus_error == 0.0
+        assert trace.consensus_error[0] == 0.0
 
     def test_invalid_configs(self, paper_problem, rpc5):
         with pytest.raises(InvalidConfig):
@@ -255,7 +255,7 @@ class TestRun:
                         init_mode="explicit", init_coords=np.array([1.0, 1.0]),
                         record_every=10_000)
         trace = run(cfg)
-        assert trace.records[-1].opt_error_mean <= 1e-3
+        assert trace.opt_error_mean[-1] <= 1e-3
 
 
 class TestNoiseStatistics:
@@ -462,10 +462,9 @@ class TestSaddleInit:
     def test_zero_variance_control_stays_short_horizon(self, paper_problem, complete5):
         cfg = RunConfig(problem=paper_problem, weights=complete5, schedule=PAPER_SCHEDULE,
                         noise_variance=0.0, iterations=600, seed=4,
-                        init_mode="at_saddle", record_every=1, record_state=True)
+                        init_mode="at_saddle", record_every=1)
         trace = run(cfg)
-        saddle = trace.records[0].x[0]
-        dev = max(np.linalg.norm(r.x - saddle, axis=1).max() for r in trace.records)
+        dev = np.linalg.norm(trace.x - trace.x[0, 0], axis=-1).max()
         assert dev <= 1e-9
 
 
@@ -510,7 +509,7 @@ class TestLockstep:
         q = QuadraticProblem(diag=[0.5, 1.0, 1.5], m=4, offsets=rng.standard_normal((4, 3)))
         w = build_metropolis_weights(builtin_topology("ring", 4))
         configs = self._configs(q, w, StepsizeSchedule("constant", lambda0=0.05), [1, 2, 3, 4, 5],
-                                [0.3, 0.3, 0.0, 1.0, 0.7], record_state=True, record_every=7)
+                                [0.3, 0.3, 0.0, 1.0, 0.7], record_every=7)
         self._assert_slices_match_single_runs(configs)
 
     @pytest.mark.parametrize("m", [16, 50])
@@ -537,7 +536,7 @@ class TestLockstep:
                                 [0.5 if s % 3 else 0.0 for s in seeds],
                                 iterations=30, record_every=10)
         batch = run_batch(configs)
-        assert np.isnan(batch[0].records[0].opt_error_mean)
+        assert np.isnan(batch[0].opt_error_mean[0])
         for config, trace in zip(configs, batch):
             assert _records_equal(trace, run(config))
 
@@ -550,7 +549,7 @@ class TestLockstep:
                               [_agent_streams(s, 5) for s in (1, 2, 3)], [0.5, 1.0, 0.25],
                               record_every=9)
             return [t.final_state for t in traces], [
-                [(r.k, r.noise_norm, r.opt_error_mean) for r in t.records] for t in traces]
+                (t.k.tolist(), t.noise_norm.tolist(), t.opt_error_mean.tolist()) for t in traces]
 
         x_default, rows_default = final(optimizer.NOISE_BLOCK)
         for block in (1, 7):
@@ -641,44 +640,39 @@ class TestLockstep:
                       noise_variance=-0.5, iterations=10, seed=1)
 
 
-def _restated_row(problem, x, k, lam, noise_norm, gn_norm, keep_state, mean_gn):
-    """One trace row computed from its own state alone."""
+def _restated_row(problem, x, k, lam, n, gn):
+    """One trace row computed from its own state alone, the noise n and g + N
+    of the step that produced it (zeros at k = 0)."""
     errs = problem.optimization_errors(x)
-    return TraceRecord(
-        k=k, lam=lam, consensus_error=float(np.linalg.norm(x - x.mean(axis=0))),
-        opt_error_mean=float(errs.mean()), opt_error_max=float(errs.max()),
-        noise_norm=noise_norm, gn_norm=gn_norm, x=x.copy() if keep_state else None,
-        mean_gn=mean_gn,
-    )
+    return dict(k=k, lam=lam, consensus_error=np.linalg.norm(x - x.mean(axis=0)),
+                opt_error_mean=errs.mean(), opt_error_max=errs.max(),
+                noise_norm=np.linalg.norm(n), gn_norm=np.linalg.norm(gn), x=x,
+                mean_gn=gn.mean(axis=0))
 
 
-def _restated_run(problem, w, x, schedule, iterations, seed, variance, keep_state, stop_k=None):
-    """One run's rows (record_every 1), one iteration and one row at a time."""
+def _restated_run(problem, w, x, schedule, iterations, seed, variance, stop_k=None):
+    """One run's columns (record_every 1), one iteration and one row at a time."""
     rngs = _agent_streams(seed, problem.m)
-    rows = [_restated_row(problem, x, 0, stepsize(schedule, 1), 0.0, 0.0, keep_state, None)]
+    zero = np.zeros_like(x)
+    rows = [_restated_row(problem, x, 0, stepsize(schedule, 1), zero, zero)]
     for k in range(1, iterations + 1):
         lam = stepsize(schedule, k)
         n = np.array([rng.standard_normal(problem.d) for rng in rngs]) * np.sqrt(variance)
         gn = problem.agent_gradients(x) + n
         x = problem.retract(w @ (x - lam * gn))
-        rows.append(_restated_row(problem, x, k, lam, float(np.linalg.norm(n)),
-                                  float(np.linalg.norm(gn)), keep_state,
-                                  gn.mean(axis=0) if keep_state else None))
+        rows.append(_restated_row(problem, x, k, lam, n, gn))
         if k == stop_k:
             break
-    return rows
+    return {c: np.array([row[c] for row in rows]) for c in COLUMNS}
 
 
 def _same_rows(got, want):
-    """Every TraceRecord field equal bit for bit (NaN included)."""
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for field in dataclasses.fields(TraceRecord):
-            va, vb = getattr(a, field.name), getattr(b, field.name)
-            assert (va is None) == (vb is None), field.name
-            if va is not None:
-                assert type(va) is type(vb), field.name
-                assert np.asarray(va).tobytes() == np.asarray(vb).tobytes(), field.name
+    """Every column of the trace `got` equal to the column of `want` in dtype,
+    shape and bytes (NaN included)."""
+    for c in COLUMNS:
+        a, b = getattr(got, c), want[c]
+        assert a.dtype == b.dtype and a.shape == b.shape, c
+        assert a.tobytes() == b.tobytes(), c
 
 
 def _row_problems():
@@ -709,45 +703,59 @@ class TestDeferredRows:
     @pytest.mark.parametrize("n_states", [1, RECORD_CHUNK - 1, RECORD_CHUNK, RECORD_CHUNK + 1])
     def test_row_metrics_equal_one_state_at_a_time(self, problems, name, n_states, rng):
         problem = problems[name][0]
-        xs = [problem.retract(rng.standard_normal((problem.m, problem.d)))
-              for _ in range(n_states)]
-        want = [_restated_row(problem, x, 0, 0.0, 0.0, 0.0, False, None) for x in xs]
+        xs = np.array([problem.retract(rng.standard_normal((problem.m, problem.d)))
+                       for _ in range(n_states)])
+        zero = np.zeros_like(xs[0])
+        want = [_restated_row(problem, x, 0, 0.0, zero, zero) for x in xs]
         got = row_metrics(problem, xs)
-        assert len(got) == n_states
-        for (ce, mean, mx), row in zip(got, want):
-            assert (np.array([ce, mean, mx]).tobytes()
-                    == np.array([row.consensus_error, row.opt_error_mean,
-                                 row.opt_error_max]).tobytes())
+        assert got.shape == (3, n_states)
+        for triple, row in zip(got.T, want):
+            assert (triple.tobytes()
+                    == np.array([row["consensus_error"], row["opt_error_mean"],
+                                 row["opt_error_max"]]).tobytes())
 
     @pytest.mark.parametrize("name", ["estimation", "quadratic", "saddle_quadratic", "ica"])
     @pytest.mark.parametrize("iterations", [1, RECORD_CHUNK - 2, RECORD_CHUNK - 1, RECORD_CHUNK])
-    @pytest.mark.parametrize("keep_state", [False, True])
-    def test_single_run_rows_equal_restatement(self, problems, rpc5, name, iterations,
-                                               keep_state):
+    def test_single_run_rows_equal_restatement(self, problems, rpc5, name, iterations):
         # record_every 1 gives iterations + 1 rows: 2, chunk - 1, chunk and chunk + 1
         problem, schedule = problems[name]
         x0 = problem.sample_init(_seed_sequence_stream(3, 2))
         out = lockstep(problem, rpc5.w, x0[None], schedule, iterations, [_agent_streams(8, 5)],
-                       [np.sqrt(0.3)], record_every=1, keep_state=keep_state)
-        want = _restated_run(problem, rpc5.w, x0, schedule, iterations, 8, 0.3, keep_state)
-        _same_rows(out[0].records, want)
+                       [np.sqrt(0.3)], record_every=1)
+        _same_rows(out[0], _restated_run(problem, rpc5.w, x0, schedule, iterations, 8, 0.3))
 
     @pytest.mark.parametrize("name", ["estimation", "quadratic", "ica"])
-    @pytest.mark.parametrize("keep_state", [False, True])
-    def test_batch_with_early_stops_equals_restatement(self, problems, rpc5, name, keep_state):
+    def test_batch_with_early_stops_equals_restatement(self, problems, rpc5, name):
         # 3 runs, 2 of them stopping early: 21 + 6 + 41 rows cross two chunk boundaries
         problem, schedule = problems[name]
         seeds = (21, 22, 23)
         x0 = np.stack([problem.sample_init(_seed_sequence_stream(s, 2)) for s in seeds])
         when = {5: [False, True, False], 20: [True, False]}
         out = lockstep(problem, rpc5.w, x0, schedule, 40, [_agent_streams(s, 5) for s in seeds],
-                       [np.sqrt(0.5)] * 3, record_every=1, keep_state=keep_state,
+                       [np.sqrt(0.5)] * 3, record_every=1,
                        stop=lambda x, k: when.get(k, [False] * len(x)))
         assert [t.stopped_at for t in out] == [20, 5, None]
         for r, (seed, trace) in enumerate(zip(seeds, out)):
-            want = _restated_run(problem, rpc5.w, x0[r], schedule, 40, seed, 0.5, keep_state,
-                                 trace.stopped_at)
-            _same_rows(trace.records, want)
+            _same_rows(trace, _restated_run(problem, rpc5.w, x0[r], schedule, 40, seed, 0.5,
+                                            trace.stopped_at))
+
+    @pytest.mark.parametrize("name", ["estimation", "quadratic", "saddle_quadratic", "ica"])
+    def test_columns_and_their_shapes(self, problems, rpc5, name):
+        # record_every 4 over 10 iterations keeps k = 0, 4, 8 and 10
+        problem, schedule = problems[name]
+        x0 = problem.sample_init(_seed_sequence_stream(5, 2))
+        trace = lockstep(problem, rpc5.w, x0[None], schedule, 10, [_agent_streams(5, 5)], [0.5],
+                         record_every=4)[0]
+        assert trace.k.dtype == np.int64 and trace.k.tolist() == [0, 4, 8, 10]
+        for c in COLUMNS[1:7]:
+            assert getattr(trace, c).dtype == np.float64 and getattr(trace, c).shape == (4,), c
+        assert trace.x.shape == (4, problem.m, problem.d) and trace.mean_gn.shape == (4, problem.d)
+        assert trace.lam.tolist() == [stepsize(schedule, k) for k in (1, 4, 8, 10)]
+        # k and lam are shared by the batch's traces, so they are read-only
+        assert not trace.k.flags.writeable and not trace.lam.flags.writeable
+        # the k = 0 row is the initial state, with no step behind it
+        assert np.array_equal(trace.x[0], x0) and np.array_equal(trace.x[-1], trace.final_state)
+        assert trace.noise_norm[0] == trace.gn_norm[0] == 0.0 and not trace.mean_gn[0].any()
 
     def test_sparse_rows_are_the_dense_rows(self, problems, rpc5):
         # record_every 7 over 40 iterations keeps k = 0, 7, ..., 35 and the last step
@@ -755,7 +763,8 @@ class TestDeferredRows:
         x0 = problem.sample_init(_seed_sequence_stream(4, 2))[None]
         dense, sparse = (
             lockstep(problem, rpc5.w, x0, schedule, 40, [_agent_streams(4, 5)], [0.7],
-                     record_every=every)[0].records
+                     record_every=every)[0]
             for every in (1, 7)
         )
-        _same_rows(sparse, [row for row in dense if row.k % 7 == 0 or row.k == 40])
+        kept = (dense.k % 7 == 0) | (dense.k == 40)
+        _same_rows(sparse, {c: getattr(dense, c)[kept] for c in COLUMNS})

@@ -489,8 +489,8 @@ class TestRefinedPoints:
         bare = EstimationProblem(p.M, p.Y, p.kappa, p.lo, p.hi)
         trace = run(RunConfig(problem=bare, **cfg))
         # without a known minimum the errors read NaN, without a saddle there is none
-        assert [r.k for r in trace.records] == list(range(11))
-        assert all(np.isnan(r.opt_error_mean) for r in trace.records)
+        assert trace.k.tolist() == list(range(11))
+        assert np.isnan(trace.opt_error_mean).all()
         with pytest.raises(ProblemError):
             bare.known_saddle()
         # given the factory's points, it refines to the factory's bits and runs as it does
@@ -500,7 +500,7 @@ class TestRefinedPoints:
         want = run(RunConfig(problem=p, **cfg))
         got = run(RunConfig(problem=known, **cfg))
         assert np.array_equal(got.final_state, trace.final_state)
-        assert [r.opt_error_mean for r in got.records] == [r.opt_error_mean for r in want.records]
+        assert got.opt_error_mean.tolist() == want.opt_error_mean.tolist()
 
 
 class TestOneGradientFormula:
