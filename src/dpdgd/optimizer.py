@@ -385,6 +385,11 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
     final[active] = x
     lam = stepsizes(schedule, ks)
     ks.flags.writeable = lam.flags.writeable = False  # columns that every run's trace shares
+    if not record_every:  # no rows, as in a coupling: every trace shares one set of empty columns
+        cols = (ks, lam, *np.empty((5, 0)), np.empty(xs.shape[1:]), np.empty(sum_gn.shape[1:]))
+        for col in cols:
+            col.flags.writeable = False
+        return [RunTrace(*cols, final[r], stopped_at[r]) for r in range(runs)]
     noise_norm, gn_norm = np.sqrt(squares, out=squares)
     mean_gn = np.divide(sum_gn, m, out=sum_gn)  # what gn.mean(axis=-2) divides
     return [RunTrace(ks[:c], lam[:c], *row_metrics(problem, xs[r, :c]), noise_norm[r, :c],

@@ -122,7 +122,8 @@ class Problem:
     # -- hooks used by the optimizer ----------------------------------------
 
     def retract(self, x) -> np.ndarray:
-        """Map per-agent iterates back onto the feasible set (identity here)."""
+        """Map per-agent iterates back onto the feasible set (identity here).
+        x is a fresh array that the caller gives up: a problem may map it in place."""
         return x
 
     def sample_init(self, rng) -> np.ndarray:

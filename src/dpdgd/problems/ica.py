@@ -17,6 +17,10 @@ The instance, the known points and their refinement (Newton's method, its
 linear solves by elimination) sum with np.add.reduce, in an order numpy
 fixes, so the refined points do not depend on the CPU's BLAS kernel. The
 constant nu (through LAPACK's eigvalsh) and the per-step products still do.
+
+A step's gradient is two contiguous gemvs per (run, agent) into work arrays kept
+while the state's shape holds (fresh batch-sized arrays cost page faults every
+step); the retraction normalizes the kernel's fresh state in place.
 """
 
 from __future__ import annotations
@@ -41,9 +45,10 @@ class IcaProblem(Problem):
         self.d = self.A.shape[0]
         self.m = self.samples.shape[0]
         self.n_per_agent = self.samples.shape[1]
-        # the back product's (m, n, d) samples carry the gradient's factor 4 / n,
+        # the back product's (m, d, n) samples carry the gradient's factor 4 / n,
         # so that no pass over the gradient divides by it
-        self._back = self.samples / (self.n_per_agent / 4)
+        self._back = self._samples_t / (self.n_per_agent / 4)
+        self._work = (None, None, None)  # agent_gradients' (state shape, proj, cube)
         ortho_err = np.abs(self.A.T @ self.A - np.eye(self.d)).max()
         if ortho_err > 1e-10:
             raise ProblemError(f"mixing matrix not orthonormal (error {ortho_err:.2e})")
@@ -85,14 +90,22 @@ class IcaProblem(Problem):
 
     def agent_gradients(self, x):
         """Tangent-space projections of the sample-average gradients, one
-        stacked-vector product per (run, agent) for each of: proj = x Y^T,
-        g = proj^3 (4 / n) Y and the tangent coefficient x . g."""
-        proj = np.vecmat(x, self._samples_t)  # (..., m, n)
-        cube = proj * proj
+        contiguous vector product per (run, agent) for each of: proj = x Y^T,
+        g = (4 / n) Y proj^3 and the tangent coefficient x . g; proj and its
+        cube go into the work arrays, rebuilt when x's shape changes."""
+        shape, proj, cube = self._work
+        if x.shape != shape:
+            proj, cube = np.empty((2, *x.shape[:-1], self.n_per_agent))
+            self._work = x.shape, proj, cube
+        np.vecmat(x, self._samples_t, out=proj)  # (..., m, n)
+        np.multiply(proj, proj, out=cube)
         cube *= proj
-        g = np.vecmat(cube, self._back)  # (..., m, d)
+        g = np.matvec(self._back, cube)  # (..., m, d)
         g -= np.vecdot(x, g)[..., None] * x
         return g
+
+    def __getstate__(self):
+        return {**vars(self), "_work": (None, None, None)}  # rebuilt at the first call
 
     def aggregated_euclidean_gradient(self, u):
         """4 mean((u^T y)^3 y) over all samples, summed in a fixed order."""
@@ -133,7 +146,8 @@ class IcaProblem(Problem):
     # -- optimizer hooks ----------------------------------------------------------
 
     def retract(self, x):
-        return x / np.sqrt(np.vecdot(x, x))[..., None]
+        x /= np.sqrt(np.vecdot(x, x))[..., None]
+        return x
 
     def sample_init(self, rng):
         x = rng.standard_normal((self.m, self.d))

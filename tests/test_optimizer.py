@@ -589,6 +589,23 @@ class TestLockstep:
                     assert np.array_equal(stopped[r].final_state,
                                           advance(k)[r].final_state), (block, r)
 
+    def test_without_rows_the_traces_share_empty_columns(self, paper_problem, rpc5, monkeypatch):
+        # a coupling's batch records nothing: no metrics pass, and one set of
+        # read-only empty columns of the state's shapes serves every pair
+        monkeypatch.setattr(optimizer, "row_metrics", None)
+        x0 = np.zeros((3, 2, 5, 2))
+        traces = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 40,
+                          [_agent_streams(s, 5) for s in (1, 2, 3)], [0.5] * 3,
+                          noise_map=lambda n: np.stack([n, n], axis=-3),
+                          stop=lambda x, k: [k == 30] + [False] * (len(x) - 1))
+        assert [t.stopped_at for t in traces] == [30, None, None]
+        shapes = {"x": (0, 2, 5, 2), "mean_gn": (0, 2, 2)}
+        for c in COLUMNS:
+            col = getattr(traces[0], c)
+            assert col.shape == shapes.get(c, (0,)) and not col.flags.writeable, c
+            assert all(getattr(t, c) is col for t in traces), c
+        assert all(t.final_state.shape == (2, 5, 2) for t in traces)
+
     def test_run_batch_draws_init_rng_and_noise_streams(self, paper_problem, rpc5):
         # seeds of one and two 32-bit words share a batch; one run draws no noise
         seeds, variances = [5, 2**40, 0, 2**64 - 1], [0.5, 0.0, 1.0, 0.25]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -678,8 +679,8 @@ class TestIca:
         # the minus pairs follow the plus pairs in the same order
         assert np.array_equal(starts[45], (p.A[:, 0] - p.A[:, 1]) / np.sqrt(2.0))
 
-    @pytest.mark.parametrize("m", [5, 16])
-    @pytest.mark.parametrize("runs", [1, 7, 200])
+    @pytest.mark.parametrize("m", [5, 16, 50])
+    @pytest.mark.parametrize("runs", [1, 7, 200, 600])
     def test_gradient_rows_of_a_batch_equal_single_runs(self, runs, m, rng):
         # every product keeps its per-(run, agent) shape, so a run's gradient
         # does not depend on the batch it is stacked in
@@ -688,6 +689,39 @@ class TestIca:
         got = p.agent_gradients(x)
         assert got.shape == x.shape
         assert all(got[r].tobytes() == p.agent_gradients(x[r]).tobytes() for r in range(runs))
+
+    def test_work_arrays_are_reused_while_the_shape_holds(self, rng):
+        p = make_ica_problem(d=10, m=5, samples_per_agent=160, seed=5)
+        x = p.retract(rng.standard_normal((18, 5, 10)))
+        first = p.agent_gradients(x)
+        shape, proj, cube = p._work
+        assert shape == x.shape and proj.shape == cube.shape == (18, 5, 160)
+        again = p.agent_gradients(x)
+        assert all(a is b for a, b in zip(p._work, (shape, proj, cube))) and again is not first
+        assert again.tobytes() == first.tobytes()
+
+    def test_a_shrinking_batch_gives_a_fresh_problems_bits(self, rng):
+        # as a coupling batch does when pairs stop: the work arrays are rebuilt
+        # for the survivors, and their gradients are those of a fresh problem
+        p = make_ica_problem(d=10, m=5, samples_per_agent=160, seed=5)
+        x = p.retract(rng.standard_normal((600, 2, 5, 10)))
+        p.agent_gradients(x)
+        for keep in (599, 200, 7, 1):
+            got = p.agent_gradients(x[:keep])
+            assert p._work[1].shape == (keep, 2, 5, 160)
+            fresh = make_ica_problem(d=10, m=5, samples_per_agent=160, seed=5)
+            assert got.tobytes() == fresh.agent_gradients(x[:keep]).tobytes(), keep
+
+    def test_a_pickled_problem_carries_no_work_arrays(self, rng):
+        # run_batch pickles the problem for each --jobs worker
+        p = make_ica_problem(d=10, m=5, samples_per_agent=160, seed=5)
+        x = p.retract(rng.standard_normal((600, 5, 10)))
+        size = len(pickle.dumps(p))
+        want = p.agent_gradients(x)
+        assert len(pickle.dumps(p)) == size
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy._work == (None, None, None) and p._work[0] == x.shape
+        assert copy.agent_gradients(x).tobytes() == want.tobytes()
 
     def test_retraction_normalizes(self, ica4, rng):
         x = rng.standard_normal((5, 4)) * 3
@@ -698,7 +732,9 @@ class TestIca:
         for shape, scale in (((5, 4), 3.0), ((7, 5, 4), 1e-150), ((2, 3, 5, 4), 1e150)):
             x = rng.standard_normal(shape) * scale
             want = np.array([row / np.linalg.norm(row) for row in x.reshape(-1, 4)])
-            assert ica4.retract(x).tobytes() == want.reshape(shape).tobytes()
+            got = ica4.retract(x)
+            assert got is x  # in place: the kernel hands retract a fresh state
+            assert got.tobytes() == want.reshape(shape).tobytes()
 
     @pytest.mark.parametrize("d", [2, 4, 10])
     def test_stacked_gradients_match_agent_gradient(self, d, rng):
