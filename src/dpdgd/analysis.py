@@ -76,31 +76,63 @@ def min_eigvec(h) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def mirror_noise(n, e1) -> np.ndarray:
+def mirror_noise(n, e1, out=None) -> np.ndarray:
     """Negate every agent's component along e1 (flips the aggregate too);
-    n is (..., m, d)."""
-    return n - 2.0 * (n @ e1)[..., None] * e1
+    n is (..., m, d), and `out`, when given, may be strided. Formed one
+    coordinate at a time over the whole block, with the two roundings of
+    the broadcast form n - 2 (n @ e1) e1, so no inner loop runs over d alone."""
+    c = n @ e1  # a BLAS product per (m, d) block, whose bits the 2-D form would move at d = 10
+    c *= 2.0
+    out = np.empty_like(n) if out is None else out
+    term = np.empty_like(c)
+    for i in range(n.shape[-1]):
+        np.multiply(c, e1[i], out=term)
+        np.subtract(n[..., i], term, out=out[..., i])
+    return out
 
 
-def agent_mean(x) -> np.ndarray:
-    """The agents' mean of x (..., m, d): the agent slices added one at a
-    time, then divided by m. That order does not depend on the leading axes,
-    so a run's mean does not depend on its batch. x.mean(axis=-2) gives the
-    same bits on the states the tests pin, in about twice the time on a
-    200-pair coupling batch."""
-    v = x[..., 0, :].copy()
-    for j in range(1, x.shape[-2]):
-        v += x[..., j, :]
-    v /= x.shape[-2]
+def mirror_pairs(n, e1) -> np.ndarray:
+    """The (K, R, 2, m, d) pair block of the (K, R, m, d) noise block n: each
+    pair's n and its mirror, written straight into the two halves (n as whole
+    (m, d) blocks, through a void view), bitwise what np.stack gave."""
+    k, r, m, d = n.shape
+    block = np.dtype((np.void, 8 * m * d))
+    pairs = np.empty((k, r, 2, m, d))
+    pairs.reshape(k, r, 2, -1).view(block)[:, :, 0, 0] = n.reshape(k, r, -1).view(block)[..., 0]
+    mirror_noise(n, e1, out=pairs[:, :, 1])
+    return pairs
+
+
+def _mean_by_coordinate(x) -> np.ndarray:
+    """The agents' mean of x (..., m, d) as a (d, n) array over the n leading
+    indices: x copied coordinate-major, (m, d, n), and the agents' (d, n)
+    slabs added in order, then divided by m. No batch size changes that
+    order, and every inner loop runs over all n, none over d entries alone."""
+    m, d = x.shape[-2:]
+    slabs = x.reshape(-1, m, d).transpose(1, 2, 0).copy()
+    v = slabs[0]
+    for slab in slabs[1:]:
+        v += slab
+    v /= m
     return v
 
 
+def agent_mean(x) -> np.ndarray:
+    """The agents' mean of x (..., m, d), with the bits of x.mean(axis=-2)
+    on the states the tests pin."""
+    return _mean_by_coordinate(x).T.reshape(x.shape[:-2] + x.shape[-1:])
+
+
 def escape_distances(x, saddle) -> np.ndarray:
-    """Distance from saddle of each agents' mean in x (..., m, d), by
-    np.linalg.norm's formula without its wrapper."""
-    v = agent_mean(x)
-    v -= saddle
-    return np.sqrt(np.add.reduce(v * v, axis=-1))
+    """Distance from saddle of each agents' mean in x (..., m, d), with the
+    bits of np.linalg.norm(agent_mean(x) - saddle, axis=-1): numpy's row
+    reduction adds fewer than 8 entries in order, as a reduction over the
+    (d, n) squares' outer axis does, and 8 or more pairwise, as rows."""
+    v = _mean_by_coordinate(x)
+    v -= np.asarray(saddle, dtype=float)[:, None]
+    v *= v
+    sq = np.add.reduce(v, axis=0) if len(v) < 8 else np.add.reduce(v.T.copy(), axis=-1)
+    return np.sqrt(sq, out=sq).reshape(x.shape[:-2])
 
 
 @dataclass
@@ -149,14 +181,15 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
     def escaped(x, k):
         # x is (pairs, 2, m, d); a pair escapes when either mean leaves the ball
         dist = escape_distances(x, saddle)
-        if not np.isfinite(dist).all():
+        if np.count_nonzero(np.isfinite(dist)) != dist.size:
             raise optimizer.NonFiniteState(k, "escape distance")
-        return (dist > escape_radius).any(axis=-1)
+        far = dist > escape_radius
+        return far[:, 0] | far[:, 1]
 
     traces = optimizer.lockstep(
         problem, w.w, np.tile(start, (runs, 2, m, 1)), schedule, horizon, streams,
         [np.sqrt(variance)] * runs,
-        noise_map=lambda n: np.stack([n, mirror_noise(n, e1)], axis=-3), stop=escaped,
+        noise_map=lambda n: mirror_pairs(n, e1), stop=escaped,
     )
     iterations = [t.stopped_at for t in traces]
     return CouplingResult(

@@ -312,10 +312,11 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
     runs = x.shape[0]
     m, d = x.shape[-2:]
     final = x.copy()
-    stopped_at = [None] * runs
+    stopped_at = np.zeros(runs, dtype=int)  # 0 while a run advances; k >= 1 once it stops
     active = np.arange(runs)
     fills = [None if rngs is None else [rng.standard_normal for rng in rngs] for rngs in streams]
-    scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1)
+    scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1, 1)
+    vector = np.dtype((np.void, 8 * d))  # one agent's d-vector, copied as a whole
     agent_gradients, retract = problem.agent_gradients, problem.retract
     isfinite, count_nonzero = np.isfinite, np.count_nonzero
     block = max(1, min(NOISE_BLOCK, _NOISE_BUFFER // max(1, runs * m * d)))
@@ -339,13 +340,16 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
                 buf = blk = noise = None  # release the old block before allocating
                 buf = np.zeros((len(active), m, size, d))
                 blk = np.empty((size, len(active), m, d))
-            for i, fill in enumerate(fills):
-                if fill is not None:
-                    for j in range(m):
-                        fill[j](out=buf[i, j])
-            # scaled into the iteration-major block, so that each step's
-            # (R, m, d) slice is contiguous; the same product per step
-            np.multiply(buf.transpose(2, 0, 1, 3), scales, out=blk)
+            for i, r in enumerate(active.tolist()):
+                if fills[r] is not None:
+                    for j, fill in enumerate(fills[r]):
+                        fill(out=buf[i, j])
+            # scaled in place (entrywise, the products a per-step scaling
+            # gives), then copied into the iteration-major block, so that each
+            # step's (R, m, d) slice is contiguous; the copy moves whole
+            # d-vectors, so no inner loop runs over d entries alone
+            np.multiply(buf, scales, out=buf)
+            blk.view(vector)[..., 0] = buf.view(vector)[..., 0].transpose(2, 0, 1)
             noise = blk if noise_map is None else noise_map(blk)
             lams = stepsizes(schedule, np.arange(k, k + size)).tolist()
             pos, survivors = 0, None
@@ -368,14 +372,11 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
         if stop is not None:
             done = np.asarray(stop(x, k), dtype=bool)
             if done.any():
-                final[active[done]] = x[done]
-                counts[active[done]] = row
-                for r in active[done]:
-                    stopped_at[r] = k
+                gone = active[done]
+                final[gone], counts[gone], stopped_at[gone] = x[done], row, k
                 keep = ~done
                 sel = active = active[keep]
                 x, scales = x[keep], scales[keep]
-                fills = [fill for fill, kept in zip(fills, keep) if kept]
                 # the block stays whole: later steps gather the survivors'
                 # rows, and the next block is drawn for the survivors only
                 survivors = np.flatnonzero(keep) if survivors is None else survivors[keep]
@@ -383,6 +384,7 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
                 if not active.size:
                     break
     final[active] = x
+    stopped_at = [s or None for s in stopped_at.tolist()]
     lam = stepsizes(schedule, ks)
     ks.flags.writeable = lam.flags.writeable = False  # columns that every run's trace shares
     if not record_every:  # no rows, as in a coupling: every trace shares one set of empty columns

@@ -24,6 +24,7 @@ from .base import KnownPoint, Problem, ProblemConstants, ProblemError
 WALL_SLOPE_FACTOR = 1.25
 # The distance past the box over which the extension's first-order term fades out.
 RAMP_RADIUS = 0.5
+_ONES = np.ones((2, 2))  # sums each row's two entries into both (see _gradients)
 
 
 def _smoothstep(t):
@@ -108,8 +109,10 @@ class EstimationProblem(Problem):
         and the rows' norms nt, at x's shape (each norm repeated along the row)
         or broadcasting to it. The linear term is one 2-D product over all
         rows, not one per (m, d) block; each row's numbers are the same."""
-        linear = (x.reshape(-1, self.d) @ self._2MtM).reshape(x.shape)
-        return data + linear + 3.0 * self.kappa * nt * x
+        g = (x.reshape(-1, self.d) @ self._2MtM).reshape(x.shape)
+        g += data
+        g += 3.0 * self.kappa * nt * x
+        return g
 
     def _inside_hessian(self, theta):
         """Hessian at theta (d,), or one per row of theta (..., d)."""
@@ -149,10 +152,13 @@ class EstimationProblem(Problem):
         terms -2 M^T Y_i of x's shape: the wall extension for agents outside
         the box, the closed form for the rest. The ufuncs are those that
         np.linalg.norm and np.clip run, without their Python wrappers; for
-        d = 2 the norm's reduction is one sum of the two squares, formed at x's
-        shape (a + b == b + a), so that no ufunc broadcasts."""
-        sq = x * x
-        nt = np.sqrt(sq + sq[..., ::-1])
+        d = 2 the norm's reduction is one sum of the two squares, formed for
+        both entries of each row by one product with the 2 x 2 matrix of ones.
+        Its two products are by 1, hence exact, so every order in which BLAS
+        may add them gives the one rounding of the sum: np.linalg.norm's bits,
+        at x's shape, with no ufunc broadcasting or looping over a row alone."""
+        rows = x.reshape(-1, 2)
+        nt = np.sqrt((rows * rows) @ _ONES).reshape(x.shape)
         g = self._inside_gradients(x, nt, data)
         outside = np.minimum(np.maximum(x, lo), hi) != x
         if np.count_nonzero(outside):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dpdgd import analysis
 from dpdgd.analysis import (
     AnalysisError,
     agent_mean,
@@ -10,6 +11,7 @@ from dpdgd.analysis import (
     escape_distances,
     min_eigvec,
     mirror_noise,
+    mirror_pairs,
     run_coupling_experiment,
 )
 from dpdgd.optimizer import (
@@ -120,6 +122,38 @@ class TestMirrorNoise:
         for k in range(7):
             assert mirrored[k].tobytes() == mirror_noise(block[k], e1).tobytes()
             assert mirrored[k].tobytes() == mirror_noise(fill[:, :, k], e1).tobytes()
+
+    @staticmethod
+    def _broadcast_mirror(n, e1):
+        """The mirror in its broadcast form, before it was formed by coordinate."""
+        return n - 2.0 * (n @ e1)[..., None] * e1
+
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_pair_block_is_the_stacked_form(self, rng, monkeypatch, d):
+        # each (K, R, m, d) block's pairs carry the bits of the stacked form,
+        # whatever the block's size, and mirror_noise runs once per block
+        e1 = rng.standard_normal(d)
+        e1 /= np.linalg.norm(e1)
+        calls = []
+        monkeypatch.setattr(analysis, "mirror_noise",
+                            lambda *a, **kw: calls.append(1) or mirror_noise(*a, **kw))
+        shapes = ((1, 1, 5, d), (7, 3, 5, d), (32, 200, 5, d), (5, 4, 16, d))
+        for shape in shapes:
+            n = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+            want = np.stack([n, self._broadcast_mirror(n, e1)], axis=-3)
+            assert mirror_pairs(n, e1).tobytes() == want.tobytes(), shape
+        assert len(calls) == len(shapes)
+
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_written_into_a_strided_half(self, rng, d):
+        e1 = rng.standard_normal(d)
+        e1 /= np.linalg.norm(e1)
+        n = rng.standard_normal((6, 4, 5, d))
+        out = np.full((6, 4, 2, 5, d), np.nan)
+        assert mirror_noise(n, e1, out=out[:, :, 1]) is not None
+        assert out[:, :, 1].tobytes() == self._broadcast_mirror(n, e1).tobytes()
+        assert np.isnan(out[:, :, 0]).all()  # the other half is left alone
+        assert mirror_noise(n, e1).tobytes() == self._broadcast_mirror(n, e1).tobytes()
 
     def test_one_step_difference_is_mixed_mirrored_noise(self, paper_problem, complete5, rng):
         # first-step hand expansion: x'1 - x''1 = -lam * W (N' - N'')
@@ -260,6 +294,28 @@ class TestEscapeTest:
             x, saddle = self._states(rng, lead, m, d), rng.standard_normal(d)
             want = np.linalg.norm(x.mean(axis=-2) - saddle, axis=-1)
             assert escape_distances(x, saddle).tobytes() == want.tobytes(), lead
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_every_width_gives_the_slice_sums(self, rng, d):
+        # the escape test as it was before it went coordinate-major, restated:
+        # agent slices added in order, divided by m, the saddle subtracted,
+        # and the squares reduced along each row. numpy's row reduction adds
+        # in order below 8 entries and pairwise from 8 on, so every width
+        # from 1 to 12 is compared; signed zeros included
+        for m in (1, 2, 9):
+            for lead in ((), (1,), (7, 2), (200, 2)):
+                x = self._states(rng, lead, m, d)
+                x[rng.random(x.shape) < 0.1] = -0.0
+                saddle = rng.standard_normal(d)
+                saddle[rng.random(d) < 0.2] = 0.0
+                v = x[..., 0, :].copy()
+                for j in range(1, m):
+                    v += x[..., j, :]
+                v /= m
+                assert agent_mean(x).tobytes() == v.tobytes(), (m, lead)
+                v -= saddle
+                want = np.sqrt(np.add.reduce(v * v, axis=-1))
+                assert escape_distances(x, saddle).tobytes() == want.tobytes(), (m, lead)
 
     def test_agent_mean_leaves_the_state_alone(self, rng):
         x = self._states(rng, (4, 2), 5, 2)

@@ -325,6 +325,26 @@ class TestCouplingCommand:
         assert payload["escape_count"] == 4
         assert len(payload["iterations_to_escape"]) == 4
 
+    # the bundled estimation_coupling.json's escape iterations and e1 (every
+    # pair escapes); a new layout of the coupling's noise blocks, pair blocks
+    # or escape test must leave them as they are
+    BUNDLED_ESCAPES = [
+        64, 77, 62, 58, 58, 88, 71, 78, 60, 88, 82, 60, 81, 81, 71, 57, 72, 94, 81, 66,
+        62, 68, 84, 96, 64, 54, 52, 81, 40, 81, 74, 90, 70, 89, 70, 71, 67, 58, 97, 66,
+        64, 62, 77, 102, 72, 107, 58, 59, 52, 76, 84, 77, 98, 134, 69, 58, 78, 68, 56, 103,
+        112, 94, 65, 84, 77, 66, 74, 71, 55, 88, 62, 92, 64, 85, 69, 54, 96, 83, 53, 60,
+        68, 56, 52, 86, 60, 66, 117, 50, 94, 128, 70, 70, 54, 106, 107, 64, 114, 67, 85, 83,
+    ]
+    BUNDLED_E1 = ("0x1.ff5893554197cp-1", "-0x1.9dec92b81054fp-5")
+
+    def test_bundled_config_pinned(self, tmp_path):
+        path = str(cli.bundled_config_path("estimation_coupling.json"))
+        assert cli.main(["coupling", "--config", path, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "coupling.json").read_text())
+        assert payload["iterations_to_escape"] == self.BUNDLED_ESCAPES
+        assert tuple(map(float.hex, payload["e1"])) == self.BUNDLED_E1
+        assert payload["escape_count"] == payload["total_runs"] == 100
+
     def test_ica_saddle_exit_zero(self, tmp_path):
         # ICA d = 4's refined k = 2 saddle is a strict saddle on the sphere
         problem = {"name": "ica", "d": 4, "m": 5, "samples_per_agent": 160, "seed": 99}

@@ -589,6 +589,44 @@ class TestLockstep:
                     assert np.array_equal(stopped[r].final_state,
                                           advance(k)[r].final_state), (block, r)
 
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_each_step_draws_its_own_scaled_stream_rows(self, d, monkeypatch):
+        # a problem whose gradient is a fresh zero array, kept by the test: the
+        # kernel adds the step's noise into it, so it ends holding that noise.
+        # Run r's agent j at step k must carry bitwise scales[r] times row
+        # k - 1 of standard_normal((K, d)) from a fresh copy of its stream
+        # (zero for the run without streams), whatever the block size, and
+        # also after runs stop inside a block and survivors cross blocks
+        m, seeds, scales = 3, (5, 6, 7, 8), [0.5, 1.0, 0.0, 2.0]
+        q = QuadraticProblem(diag=[1.0] * d, m=m)
+        w = build_metropolis_weights(builtin_topology("complete", m))
+        seen = []
+
+        def spy(x):
+            seen.append(np.zeros(x.shape))
+            return seen[-1]
+
+        monkeypatch.setattr(q, "agent_gradients", spy)
+        iterations, when = 150, {20: [False, True, False, False], 23: [True, False, False]}
+        draws = [np.stack([rng.standard_normal((iterations, d)) for rng in _agent_streams(s, m)])
+                 for s in seeds]
+        for block in (optimizer.NOISE_BLOCK, 1, 7):
+            monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
+            seen.clear()
+            traces = lockstep(q, w.w, np.zeros((4, m, d)), StepsizeSchedule("constant", lambda0=0.01),
+                              iterations, [_agent_streams(s, m) if v else None
+                                           for s, v in zip(seeds, scales)], scales,
+                              stop=lambda x, k: when.get(k, [False] * len(x)))
+            assert [t.stopped_at for t in traces] == [23, 20, None, None]
+            alive = [0, 1, 2, 3]
+            for k, n in enumerate(seen, start=1):
+                assert n.shape == (len(alive), m, d), (block, k)
+                for row, r in zip(n, alive):
+                    want = scales[r] * draws[r][:, k - 1] if scales[r] else np.zeros((m, d))
+                    assert row.tobytes() == want.tobytes(), (block, k, r)
+                alive = [r for r in alive if traces[r].stopped_at != k]
+            assert len(seen) == iterations
+
     def test_without_rows_the_traces_share_empty_columns(self, paper_problem, rpc5, monkeypatch):
         # a coupling's batch records nothing: no metrics pass, and one set of
         # read-only empty columns of the state's shapes serves every pair
