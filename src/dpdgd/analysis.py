@@ -117,15 +117,9 @@ def _mean_by_coordinate(x) -> np.ndarray:
     return v
 
 
-def agent_mean(x) -> np.ndarray:
-    """The agents' mean of x (..., m, d), with the bits of x.mean(axis=-2)
-    on the states the tests pin."""
-    return _mean_by_coordinate(x).T.reshape(x.shape[:-2] + x.shape[-1:])
-
-
 def escape_distances(x, saddle) -> np.ndarray:
     """Distance from saddle of each agents' mean in x (..., m, d), with the
-    bits of np.linalg.norm(agent_mean(x) - saddle, axis=-1): numpy's row
+    bits of np.linalg.norm(x.mean(axis=-2) - saddle, axis=-1): numpy's row
     reduction adds fewer than 8 entries in order, as a reduction over the
     (d, n) squares' outer axis does, and 8 or more pairwise, as rows."""
     v = _mean_by_coordinate(x)
@@ -164,7 +158,9 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
         raise AnalysisError(f"runs must be at most 2**32, so that a pair index fits its stream "
                             f"key's 32-bit word, got {runs}")
     m, d = problem.m, problem.d
-    optimizer.check_batch_memory(runs, 2 * m * d, streams=runs * m * (variance > 0))
+    # a pair's state and its m stream keys (16 bytes, as a state entry), which
+    # are computed at variance 0 too, where no stream is built from them
+    optimizer.check_batch_memory(runs, 2 * m * d + m, streams=runs * m * (variance > 0))
     saddle = np.asarray(saddle, dtype=float)
     kind = classify_stationary_point(problem, saddle, grad_tol=1e-6, eig_tol=1e-6)
     if kind != "strict_saddle":
@@ -172,11 +168,8 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
     basis, h = problem.tangent_hessian(saddle)
     e1 = basis @ min_eigvec(h)
     start = optimizer.polish_fixed_point(problem, w, optimizer.stepsize(schedule, 1), saddle)
-    streams = [None] * runs
-    if variance > 0:
-        keys = optimizer.stream_keys([seed], [(optimizer._COUPLING_STREAM, r, j)
-                                              for r in range(runs) for j in range(m)])
-        streams = [[optimizer.philox(key) for key in pair] for pair in keys.reshape(runs, m, 2)]
+    keys = optimizer.stream_keys([seed], [(optimizer._COUPLING_STREAM, r, j)
+                                          for r in range(runs) for j in range(m)])
 
     def escaped(x, k):
         # x is (pairs, 2, m, d); a pair escapes when either mean leaves the ball
@@ -187,8 +180,8 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
         return far[:, 0] | far[:, 1]
 
     traces = optimizer.lockstep(
-        problem, w.w, np.tile(start, (runs, 2, m, 1)), schedule, horizon, streams,
-        [np.sqrt(variance)] * runs,
+        problem, w.w, np.tile(start, (runs, 2, m, 1)), schedule, horizon,
+        keys.reshape(runs, m, 2), [np.sqrt(variance)] * runs,
         noise_map=lambda n: mirror_pairs(n, e1), stop=escaped,
     )
     iterations = [t.stopped_at for t in traces]

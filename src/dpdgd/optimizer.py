@@ -291,59 +291,65 @@ def mixing_update(w_arr, x, gn, lam):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # blow-ups raise NonFiniteState instead
-def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record_every=0,
+def lockstep(problem, w_arr, x, schedule, iterations, keys, scales, *, record_every=0,
              noise_map=None, stop=None) -> list:
     """Advance the R runs stacked in x (R, ..., m, d) by iterations steps
     from k = 0, every run by the same update.
 
-    Run r's noise for agent j is drawn from streams[r][j], in blocks of up to
-    NOISE_BLOCK iterations, and scaled by scales[r]; a run with streams[r] None
-    draws nothing and gets zero noise. `noise_map` maps a (K, R, m, d) block,
-    once per block, onto (K, *x.shape). The update is x <- W (x - lam (g + N)).
-    Any non-finite state raises NonFiniteState. With record_every > 0 each run
-    records rows at k = 0, at every multiple of record_every and at the last
-    iteration, into columns allocated up front for the whole batch; noise_norm
-    is that of the mapped noise. `stop(x, k)` returns a mask over the runs
-    still advancing; a run whose mask is set stops there and draws no further
-    noise. A state whose trailing shape is not the problem's (m, d) raises
-    ProblemError before any noise is drawn. Returns one RunTrace per run.
+    Run r's noise for agent j is drawn from philox(keys[r, j]), keys being an
+    (R, m, 2) array of `stream_keys` rows, in blocks of up to NOISE_BLOCK
+    iterations into buffers allocated once, and scaled by scales[r]; a run of
+    scale 0 builds no stream and gets zero noise. `noise_map` maps a
+    (K, R, m, d) block, once per block, onto (K, *x.shape). The update is
+    x <- W (x - lam (g + N)). Any non-finite state raises NonFiniteState.
+    With record_every > 0 each run records rows at k = 0, at every multiple
+    of record_every and at the last iteration, into columns allocated up
+    front for the whole batch; noise_norm is that of the mapped noise.
+    `stop(x, k)` returns a mask over the runs still advancing; a run whose
+    mask is set stops there and draws no further noise. A stop takes no
+    rows: stop with record_every > 0 raises InvalidConfig. A state whose
+    trailing shape is not the problem's (m, d) raises ProblemError before
+    any stream is built. Returns one RunTrace per run.
     """
+    if stop is not None and record_every:
+        raise InvalidConfig("a batch that can stop records no rows: pass stop or record_every > 0")
     x = problem._check_state(np.array(x, dtype=float))
     runs = x.shape[0]
     m, d = x.shape[-2:]
     final = x.copy()
     stopped_at = np.zeros(runs, dtype=int)  # 0 while a run advances; k >= 1 once it stops
     active = np.arange(runs)
-    fills = [None if rngs is None else [rng.standard_normal for rng in rngs] for rngs in streams]
     scales = np.asarray(scales, dtype=float).reshape(runs, 1, 1, 1)
+    quiet = ~(scales[:, 0, 0, 0] > 0)  # the runs that draw nothing
+    fills = [[] if q else [philox(key).standard_normal for key in k]
+             for q, k in zip(quiet.tolist(), keys)]
     vector = np.dtype((np.void, 8 * d))  # one agent's d-vector, copied as a whole
     agent_gradients, retract = problem.agent_gradients, problem.retract
     isfinite, count_nonzero = np.isfinite, np.count_nonzero
     block = max(1, min(NOISE_BLOCK, _NOISE_BUFFER // max(1, runs * m * d)))
-    # every run's rows, written at each recorded step for the runs still advancing (`sel`, a
-    # slice until a run stops); k and lam are shared, and the metrics come from xs after the loop
+    # the (R, m, K, d) fill buffer and the (K, R, m, d) block, flat, sized once
+    bufs = np.empty((2, runs * m * min(block, iterations) * d))
+    # every run's rows; k and lam are shared, and the metrics come from xs after the loop
     ks = np.r_[0:iterations:record_every, iterations] if record_every else np.arange(0)
-    counts, sel, row = np.full(runs, len(ks)), slice(None), 1
     xs = np.empty((runs, len(ks), *x.shape[1:]))
     squares = np.zeros((2, runs, len(ks)))  # ||N||^2 and ||g + N||^2, 0 at k = 0
     sum_gn = np.zeros((runs, len(ks), *x.shape[1:-2], d))  # divided by m into mean_gn
     if record_every:
         xs[:, 0] = x
-    buf, blk, pos = None, None, 0
+    row, pos, size = 1, 0, 0
     for k in range(1, iterations + 1):
-        if blk is None or pos == len(blk):
+        if pos == size:
             # (run, agent, iteration, coordinate): each stream fills a
-            # contiguous (K, d) slab, the same numbers as K draws of d;
-            # rows of runs without streams stay zero
+            # contiguous (K, d) slab, the same numbers as K draws of d; the
+            # buffer's rows of quiet runs are zeroed, since they may hold
+            # another run's noise from an earlier block
             size = min(block, iterations - k + 1)
-            if buf is None or buf.shape[2] != size:
-                buf = blk = noise = None  # release the old block before allocating
-                buf = np.zeros((len(active), m, size, d))
-                blk = np.empty((size, len(active), m, d))
+            buf = bufs[0, :len(active) * m * size * d].reshape(len(active), m, size, d)
+            blk = bufs[1, :buf.size].reshape(size, len(active), m, d)
+            buf[quiet[active]] = 0.0
             for i, r in enumerate(active.tolist()):
-                if fills[r] is not None:
-                    for j, fill in enumerate(fills[r]):
-                        fill(out=buf[i, j])
+                for j, fill in enumerate(fills[r]):
+                    fill(out=buf[i, j])
             # scaled in place (entrywise, the products a per-step scaling
             # gives), then copied into the iteration-major block, so that each
             # step's (R, m, d) slice is contiguous; the copy moves whole
@@ -363,24 +369,22 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
             raise NonFiniteState(k)
         if record_every and (k % record_every == 0 or k == iterations):
             # each run's squared norm is the dot of its flattened array, as in np.linalg.norm
-            xs[sel, row] = x
+            xs[:, row] = x
             nf, gf = n.reshape(len(x), -1), gn.reshape(len(x), -1)
-            squares[0, sel, row] = np.vecdot(nf, nf)
-            squares[1, sel, row] = np.vecdot(gf, gf)
-            sum_gn[sel, row] = np.add.reduce(gn, axis=-2)
+            squares[0, :, row] = np.vecdot(nf, nf)
+            squares[1, :, row] = np.vecdot(gf, gf)
+            sum_gn[:, row] = np.add.reduce(gn, axis=-2)
             row += 1
         if stop is not None:
             done = np.asarray(stop(x, k), dtype=bool)
             if done.any():
                 gone = active[done]
-                final[gone], counts[gone], stopped_at[gone] = x[done], row, k
+                final[gone], stopped_at[gone] = x[done], k
                 keep = ~done
-                sel = active = active[keep]
-                x, scales = x[keep], scales[keep]
+                active, x, scales = active[keep], x[keep], scales[keep]
                 # the block stays whole: later steps gather the survivors'
                 # rows, and the next block is drawn for the survivors only
                 survivors = np.flatnonzero(keep) if survivors is None else survivors[keep]
-                buf = None
                 if not active.size:
                     break
     final[active] = x
@@ -394,9 +398,8 @@ def lockstep(problem, w_arr, x, schedule, iterations, streams, scales, *, record
         return [RunTrace(*cols, final[r], stopped_at[r]) for r in range(runs)]
     noise_norm, gn_norm = np.sqrt(squares, out=squares)
     mean_gn = np.divide(sum_gn, m, out=sum_gn)  # what gn.mean(axis=-2) divides
-    return [RunTrace(ks[:c], lam[:c], *row_metrics(problem, xs[r, :c]), noise_norm[r, :c],
-                     gn_norm[r, :c], xs[r, :c], mean_gn[r, :c], final[r], stopped_at[r])
-            for r, c in enumerate(counts.tolist())]
+    return [RunTrace(ks, lam, *row_metrics(problem, xs[r]), noise_norm[r], gn_norm[r], xs[r],
+                     mean_gn[r], final[r]) for r in range(runs)]
 
 
 def row_metrics(problem, xs) -> np.ndarray:
@@ -512,9 +515,7 @@ def run_batch(configs, jobs=1) -> list:
     return lockstep(
         p, c0.weights.w, np.stack([_initial_state(c, k[-1]) for c, k in zip(configs, keys)]),
         c0.schedule, c0.iterations,
-        [[philox(key) for key in k[:-1]] if c.noise_variance > 0 else None
-         for c, k in zip(configs, keys)],
-        [np.sqrt(c.noise_variance) for c in configs],
+        keys[:, :-1], [np.sqrt(c.noise_variance) for c in configs],
         record_every=c0.record_every,
     )
 

@@ -3,10 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dpdgd import analysis
+from dpdgd import analysis, optimizer
 from dpdgd.analysis import (
     AnalysisError,
-    agent_mean,
     assert_contraction,
     escape_distances,
     min_eigvec,
@@ -178,6 +177,18 @@ class TestCouplingExperiment:
         assert res.escape_count == 0
         assert res.iterations_to_escape == [None, None, None]
 
+    def test_zero_variance_builds_no_stream(self, paper_problem, complete5, monkeypatch):
+        # the pairs' keys are computed, but a scale of 0 builds no stream from them
+        def unbuilt(key):
+            raise AssertionError("stream built")
+
+        monkeypatch.setattr(optimizer, "philox", unbuilt)
+        res = run_coupling_experiment(
+            paper_problem, complete5, paper_problem.known_saddle(), PAPER_SCHEDULE,
+            variance=0.0, runs=3, horizon=100, escape_radius=0.5, seed=77,
+        )
+        assert res.iterations_to_escape == [None, None, None]
+
     def test_noise_escapes_quickly(self, paper_problem, complete5):
         res = run_coupling_experiment(
             paper_problem, complete5, paper_problem.known_saddle(), PAPER_SCHEDULE,
@@ -279,17 +290,11 @@ class TestEscapeTest:
         shape = lead + (m, d)
         return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
 
-    @pytest.mark.parametrize("m", [2, 5, 16, 50])
-    @pytest.mark.parametrize("d", [2, 10])
-    def test_agent_mean_is_numpy_mean(self, rng, m, d):
-        for lead in self.LEADING:
-            for _ in range(3):
-                x = self._states(rng, lead, m, d)
-                assert agent_mean(x).tobytes() == x.mean(axis=-2).tobytes(), lead
-
-    @pytest.mark.parametrize("m, d", [(5, 2), (20, 2), (50, 10)])
+    @pytest.mark.parametrize("m, d", [(5, 2), (20, 2), (50, 10), (2, 2), (16, 2), (50, 2),
+                                      (2, 10), (5, 10), (16, 10), (20, 10)])
     def test_escape_distances_are_the_old_formula(self, rng, m, d):
-        # the escape test before it was unwrapped, restated
+        # the escape test before it was unwrapped, restated; it pins the bits
+        # of the agents' mean, x.mean(axis=-2), at every m and d listed
         for lead in self.LEADING:
             x, saddle = self._states(rng, lead, m, d), rng.standard_normal(d)
             want = np.linalg.norm(x.mean(axis=-2) - saddle, axis=-1)
@@ -312,15 +317,14 @@ class TestEscapeTest:
                 for j in range(1, m):
                     v += x[..., j, :]
                 v /= m
-                assert agent_mean(x).tobytes() == v.tobytes(), (m, lead)
                 v -= saddle
                 want = np.sqrt(np.add.reduce(v * v, axis=-1))
                 assert escape_distances(x, saddle).tobytes() == want.tobytes(), (m, lead)
 
-    def test_agent_mean_leaves_the_state_alone(self, rng):
+    def test_escape_distances_leave_the_state_alone(self, rng):
         x = self._states(rng, (4, 2), 5, 2)
         before = x.copy()
-        agent_mean(x)
+        escape_distances(x, np.zeros(2))
         assert x.tobytes() == before.tobytes()
 
 

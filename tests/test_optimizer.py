@@ -40,10 +40,21 @@ def _agent_streams(seed, m):
     return [_seed_sequence_stream(seed, 1, j) for j in range(m)]
 
 
+def _agent_keys(seed, m):
+    """The (m, 2) Philox keys of the noise streams (seed, 1, j) of agents j < m."""
+    return stream_keys([seed], [(1, j) for j in range(m)])[0]
+
+
+def _unbuilt(key):
+    """A stand-in for `optimizer.philox` in tests that no stream may be built in."""
+    raise AssertionError("stream built")
+
+
 def _one_step(problem, w, x, lam):
     """x after one noise-free lockstep iteration at stepsize lam."""
     return lockstep(problem, w.w, np.asarray(x, dtype=float)[None],
-                    StepsizeSchedule("constant", lambda0=lam), 1, [None], [0.0])[0].final_state
+                    StepsizeSchedule("constant", lambda0=lam), 1,
+                    _agent_keys(0, problem.m)[None], [0.0])[0].final_state
 
 
 def _saddle_init(problem, w):
@@ -482,16 +493,14 @@ class TestLockstep:
             assert _records_equal(trace, run(config))
 
     @pytest.mark.parametrize("shape", [(1, 5, 3), (2, 4, 2), (3, 2)])
-    def test_state_of_another_shape_raises_before_any_draw(self, paper_problem, rpc5, shape):
+    def test_state_of_another_shape_raises_before_any_draw(self, paper_problem, rpc5, shape,
+                                                           monkeypatch):
         # the kernel checks the state's trailing (m, d) once, at its entry;
         # the problem's agent_gradients does not check it again
-        class Undrawn:
-            def standard_normal(self, out):
-                raise AssertionError("noise drawn")
-
+        monkeypatch.setattr(optimizer, "philox", _unbuilt)
         with pytest.raises(ProblemError, match=r"state has shape .*, expected \(\.\.\., 5, 2\)"):
             lockstep(paper_problem, rpc5.w, np.zeros(shape), PAPER_SCHEDULE, 5,
-                     [[Undrawn()] * 5] * shape[0], [1.0] * shape[0])
+                     np.stack([_agent_keys(1, 5)] * shape[0]), [1.0] * shape[0])
 
     def test_estimation_batch_slices_match_single_runs(self, paper_problem, rpc5):
         self._assert_slices_match_single_runs(
@@ -546,7 +555,7 @@ class TestLockstep:
         def final(block):
             monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
             traces = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 200,
-                              [_agent_streams(s, 5) for s in (1, 2, 3)], [0.5, 1.0, 0.25],
+                              [_agent_keys(s, 5) for s in (1, 2, 3)], [0.5, 1.0, 0.25],
                               record_every=9)
             return [t.final_state for t in traces], [
                 (t.k.tolist(), t.noise_norm.tolist(), t.opt_error_mean.tolist()) for t in traces]
@@ -577,7 +586,7 @@ class TestLockstep:
         for start, noise_map in ((x0, None), mirrored):
             def advance(iterations, **kwargs):
                 return lockstep(paper_problem, rpc5.w, start, schedule, iterations,
-                                [_agent_streams(s, 5) for s in seeds], [0.5] * 4,
+                                [_agent_keys(s, 5) for s in seeds], [0.5] * 4,
                                 noise_map=noise_map, **kwargs)
 
             for block in (optimizer.NOISE_BLOCK, 1, 7):
@@ -591,19 +600,22 @@ class TestLockstep:
 
     @pytest.mark.parametrize("d", [2, 10])
     def test_each_step_draws_its_own_scaled_stream_rows(self, d, monkeypatch):
-        # a problem whose gradient is a fresh zero array, kept by the test: the
-        # kernel adds the step's noise into it, so it ends holding that noise.
-        # Run r's agent j at step k must carry bitwise scales[r] times row
-        # k - 1 of standard_normal((K, d)) from a fresh copy of its stream
-        # (zero for the run without streams), whatever the block size, and
-        # also after runs stop inside a block and survivors cross blocks
+        # a problem whose gradient is a fresh array of -0.0, kept by the test:
+        # the kernel adds the step's noise into it, so it ends holding that
+        # noise's bits, signed zeros included. Run r's agent j at step k must
+        # carry bitwise scales[r] times row k - 1 of standard_normal((K, d))
+        # from a fresh copy of its stream, whatever the block size, and also
+        # after runs stop inside a block and survivors cross blocks. The
+        # noiseless run 2 must carry +0.0, also once the stops move it into
+        # buffer rows that held run 0's noise, whose zero-scaled negative
+        # entries would read -0.0
         m, seeds, scales = 3, (5, 6, 7, 8), [0.5, 1.0, 0.0, 2.0]
         q = QuadraticProblem(diag=[1.0] * d, m=m)
         w = build_metropolis_weights(builtin_topology("complete", m))
         seen = []
 
         def spy(x):
-            seen.append(np.zeros(x.shape))
+            seen.append(np.full(x.shape, -0.0))
             return seen[-1]
 
         monkeypatch.setattr(q, "agent_gradients", spy)
@@ -614,8 +626,7 @@ class TestLockstep:
             monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
             seen.clear()
             traces = lockstep(q, w.w, np.zeros((4, m, d)), StepsizeSchedule("constant", lambda0=0.01),
-                              iterations, [_agent_streams(s, m) if v else None
-                                           for s, v in zip(seeds, scales)], scales,
+                              iterations, [_agent_keys(s, m) for s in seeds], scales,
                               stop=lambda x, k: when.get(k, [False] * len(x)))
             assert [t.stopped_at for t in traces] == [23, 20, None, None]
             alive = [0, 1, 2, 3]
@@ -627,13 +638,59 @@ class TestLockstep:
                 alive = [r for r in alive if traces[r].stopped_at != k]
             assert len(seen) == iterations
 
+    def test_streams_are_built_for_runs_of_positive_scale_only(self, paper_problem, rpc5,
+                                                               monkeypatch):
+        # scale 0 is the one mark of a noiseless run: its keys build no stream
+        built = []
+
+        def spy(key):
+            built.append(key.tolist())
+            return philox(key)
+
+        monkeypatch.setattr(optimizer, "philox", spy)
+        keys = np.stack([_agent_keys(s, 5) for s in (1, 2, 3, 4)])
+        x0 = np.stack([paper_problem.sample_init(_seed_sequence_stream(s, 2)) for s in (1, 2, 3, 4)])
+        lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 3, keys, [0.5, 0.0, 1.0, 0.0])
+        assert built == keys[[0, 2]].reshape(-1, 2).tolist()
+
+    def test_noise_buffers_are_allocated_once(self, paper_problem, rpc5, monkeypatch):
+        # the fill buffer and the block are sized at the first block, and every
+        # later block slices them: after stops and at the short last block too
+        sizes = []
+
+        class CountingNumpy:
+            """numpy, noting the entries of every array np.empty or np.zeros allocates."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape, *args, **kwargs):
+                sizes.append(int(np.prod(shape)))
+                return np.empty(shape, *args, **kwargs)
+
+            def zeros(self, shape, *args, **kwargs):
+                sizes.append(int(np.prod(shape)))
+                return np.zeros(shape, *args, **kwargs)
+
+        seeds, block = (1, 2, 3, 4), 7
+        x0 = np.stack([paper_problem.sample_init(_seed_sequence_stream(s, 2)) for s in seeds])
+        when = {3: [False, True, False, False], 10: [True, False, False], 17: [False, True]}
+        monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
+        monkeypatch.setattr(optimizer, "np", CountingNumpy())
+        traces = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 40,
+                          [_agent_keys(s, 5) for s in seeds], [0.5, 0.0, 1.0, 0.5],
+                          stop=lambda x, k: when.get(k, [False] * len(x)))
+        assert [t.stopped_at for t in traces] == [10, 3, None, 17]
+        # one run's (m, K, d) slab or more: the two buffers' one allocation
+        assert [n for n in sizes if n >= 5 * block * 2] == [2 * len(seeds) * 5 * block * 2]
+
     def test_without_rows_the_traces_share_empty_columns(self, paper_problem, rpc5, monkeypatch):
         # a coupling's batch records nothing: no metrics pass, and one set of
         # read-only empty columns of the state's shapes serves every pair
         monkeypatch.setattr(optimizer, "row_metrics", None)
         x0 = np.zeros((3, 2, 5, 2))
         traces = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 40,
-                          [_agent_streams(s, 5) for s in (1, 2, 3)], [0.5] * 3,
+                          [_agent_keys(s, 5) for s in (1, 2, 3)], [0.5] * 3,
                           noise_map=lambda n: np.stack([n, n], axis=-3),
                           stop=lambda x, k: [k == 30] + [False] * (len(x) - 1))
         assert [t.stopped_at for t in traces] == [30, None, None]
@@ -652,9 +709,8 @@ class TestLockstep:
                    for s, v in zip(seeds, variances)]
         for config, trace in zip(configs, run_batch(configs)):
             x0 = paper_problem.sample_init(_seed_sequence_stream(config.seed, 2))
-            streams = _agent_streams(config.seed, 5) if config.noise_variance else None
-            want = lockstep(paper_problem, rpc5.w, x0[None], PAPER_SCHEDULE, 30, [streams],
-                            [np.sqrt(config.noise_variance)])
+            want = lockstep(paper_problem, rpc5.w, x0[None], PAPER_SCHEDULE, 30,
+                            _agent_keys(config.seed, 5)[None], [np.sqrt(config.noise_variance)])
             assert np.array_equal(trace.final_state, want[0].final_state), config.seed
             assert trace.stopped_at is None and want[0].stopped_at is None
 
@@ -705,7 +761,7 @@ def _restated_row(problem, x, k, lam, n, gn):
                 mean_gn=gn.mean(axis=0))
 
 
-def _restated_run(problem, w, x, schedule, iterations, seed, variance, stop_k=None):
+def _restated_run(problem, w, x, schedule, iterations, seed, variance):
     """One run's columns (record_every 1), one iteration and one row at a time."""
     rngs = _agent_streams(seed, problem.m)
     zero = np.zeros_like(x)
@@ -716,8 +772,6 @@ def _restated_run(problem, w, x, schedule, iterations, seed, variance, stop_k=No
         gn = problem.agent_gradients(x) + n
         x = problem.retract(w @ (x - lam * gn))
         rows.append(_restated_row(problem, x, k, lam, n, gn))
-        if k == stop_k:
-            break
     return {c: np.array([row[c] for row in rows]) for c in COLUMNS}
 
 
@@ -775,31 +829,26 @@ class TestDeferredRows:
         # record_every 1 gives iterations + 1 rows: 2, chunk - 1, chunk and chunk + 1
         problem, schedule = problems[name]
         x0 = problem.sample_init(_seed_sequence_stream(3, 2))
-        out = lockstep(problem, rpc5.w, x0[None], schedule, iterations, [_agent_streams(8, 5)],
+        out = lockstep(problem, rpc5.w, x0[None], schedule, iterations, _agent_keys(8, 5)[None],
                        [np.sqrt(0.3)], record_every=1)
         _same_rows(out[0], _restated_run(problem, rpc5.w, x0, schedule, iterations, 8, 0.3))
 
-    @pytest.mark.parametrize("name", ["estimation", "quadratic", "ica"])
-    def test_batch_with_early_stops_equals_restatement(self, problems, rpc5, name):
-        # 3 runs, 2 of them stopping early: 21 + 6 + 41 rows cross two chunk boundaries
-        problem, schedule = problems[name]
-        seeds = (21, 22, 23)
-        x0 = np.stack([problem.sample_init(_seed_sequence_stream(s, 2)) for s in seeds])
-        when = {5: [False, True, False], 20: [True, False]}
-        out = lockstep(problem, rpc5.w, x0, schedule, 40, [_agent_streams(s, 5) for s in seeds],
-                       [np.sqrt(0.5)] * 3, record_every=1,
-                       stop=lambda x, k: when.get(k, [False] * len(x)))
-        assert [t.stopped_at for t in out] == [20, 5, None]
-        for r, (seed, trace) in enumerate(zip(seeds, out)):
-            _same_rows(trace, _restated_run(problem, rpc5.w, x0[r], schedule, 40, seed, 0.5,
-                                            trace.stopped_at))
+    def test_a_batch_that_can_stop_records_no_rows(self, problems, rpc5, monkeypatch):
+        # no command records the rows of runs that stop, so the kernel refuses
+        # stop with record_every > 0, before it builds any stream
+        monkeypatch.setattr(optimizer, "philox", _unbuilt)
+        problem, schedule = problems["estimation"]
+        x0 = np.stack([problem.sample_init(_seed_sequence_stream(s, 2)) for s in (21, 22)])
+        with pytest.raises(InvalidConfig, match="records no rows"):
+            lockstep(problem, rpc5.w, x0, schedule, 40, [_agent_keys(s, 5) for s in (21, 22)],
+                     [np.sqrt(0.5)] * 2, record_every=1, stop=lambda x, k: [False] * len(x))
 
     @pytest.mark.parametrize("name", ["estimation", "quadratic", "saddle_quadratic", "ica"])
     def test_columns_and_their_shapes(self, problems, rpc5, name):
         # record_every 4 over 10 iterations keeps k = 0, 4, 8 and 10
         problem, schedule = problems[name]
         x0 = problem.sample_init(_seed_sequence_stream(5, 2))
-        trace = lockstep(problem, rpc5.w, x0[None], schedule, 10, [_agent_streams(5, 5)], [0.5],
+        trace = lockstep(problem, rpc5.w, x0[None], schedule, 10, _agent_keys(5, 5)[None], [0.5],
                          record_every=4)[0]
         assert trace.k.dtype == np.int64 and trace.k.tolist() == [0, 4, 8, 10]
         for c in COLUMNS[1:7]:
@@ -817,7 +866,7 @@ class TestDeferredRows:
         problem, schedule = problems["estimation"]
         x0 = problem.sample_init(_seed_sequence_stream(4, 2))[None]
         dense, sparse = (
-            lockstep(problem, rpc5.w, x0, schedule, 40, [_agent_streams(4, 5)], [0.7],
+            lockstep(problem, rpc5.w, x0, schedule, 40, _agent_keys(4, 5)[None], [0.7],
                      record_every=every)[0]
             for every in (1, 7)
         )
