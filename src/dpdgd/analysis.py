@@ -91,18 +91,6 @@ def mirror_noise(n, e1, out=None) -> np.ndarray:
     return out
 
 
-def mirror_pairs(n, e1) -> np.ndarray:
-    """The (K, R, 2, m, d) pair block of the (K, R, m, d) noise block n: each
-    pair's n and its mirror, written straight into the two halves (n as whole
-    (m, d) blocks, through a void view), bitwise what np.stack gave."""
-    k, r, m, d = n.shape
-    block = np.dtype((np.void, 8 * m * d))
-    pairs = np.empty((k, r, 2, m, d))
-    pairs.reshape(k, r, 2, -1).view(block)[:, :, 0, 0] = n.reshape(k, r, -1).view(block)[..., 0]
-    mirror_noise(n, e1, out=pairs[:, :, 1])
-    return pairs
-
-
 def _mean_by_coordinate(x) -> np.ndarray:
     """The agents' mean of x (..., m, d) as a (d, n) array over the n leading
     indices: x copied coordinate-major, (m, d, n), and the agents' (d, n)
@@ -171,7 +159,7 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
     keys = optimizer.stream_keys([seed], [(optimizer._COUPLING_STREAM, r, j)
                                           for r in range(runs) for j in range(m)])
 
-    def escaped(x, k):
+    def escaped(k, x, n, gn):
         # x is (pairs, 2, m, d); a pair escapes when either mean leaves the ball
         dist = escape_distances(x, saddle)
         if np.count_nonzero(np.isfinite(dist)) != dist.size:
@@ -179,12 +167,12 @@ def run_coupling_experiment(problem, w: WeightMatrix, saddle, schedule, variance
         far = dist > escape_radius
         return far[:, 0] | far[:, 1]
 
-    traces = optimizer.lockstep(
+    # each pair's noise in its first half and, mapped in place, its mirror in the second
+    _, iterations = optimizer.lockstep(
         problem, w.w, np.tile(start, (runs, 2, m, 1)), schedule, horizon,
-        keys.reshape(runs, m, 2), [np.sqrt(variance)] * runs,
-        noise_map=lambda n: mirror_pairs(n, e1), stop=escaped,
+        keys.reshape(runs, m, 2), [np.sqrt(variance)] * runs, escaped,
+        noise_map=lambda n: mirror_noise(n[:, :, 0], e1, out=n[:, :, 1]),
     )
-    iterations = [t.stopped_at for t in traces]
     return CouplingResult(
         total_runs=runs,
         escape_count=sum(1 for it in iterations if it is not None),

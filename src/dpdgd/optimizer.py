@@ -125,8 +125,7 @@ class RunTrace:
     gn_norm: np.ndarray  # (rows,) ||g + N|| of the step
     x: np.ndarray  # (rows, m, d) the state
     mean_gn: np.ndarray  # (rows, d) the agents' mean of g + N
-    final_state: np.ndarray  # (m, d), or (2, m, d) for a coupling pair; a stopped run's at its stop
-    stopped_at: int | None = None  # the iteration at which `stop` ended the run
+    final_state: np.ndarray  # (m, d) the last state
 
 
 @dataclass
@@ -291,29 +290,29 @@ def mixing_update(w_arr, x, gn, lam):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # blow-ups raise NonFiniteState instead
-def lockstep(problem, w_arr, x, schedule, iterations, keys, scales, *, record_every=0,
-             noise_map=None, stop=None) -> list:
-    """Advance the R runs stacked in x (R, ..., m, d) by iterations steps
-    from k = 0, every run by the same update.
+def lockstep(problem, w_arr, x, schedule, iterations, keys, scales, observe, *,
+             noise_map=None) -> tuple:
+    """Advance the R runs stacked in x (R, *mid, m, d) by iterations steps
+    from k = 0, every run by the same update x <- W (x - lam (g + N)): draw,
+    step, check finiteness, observe, compact.
 
     Run r's noise for agent j is drawn from philox(keys[r, j]), keys being an
     (R, m, 2) array of `stream_keys` rows, in blocks of up to NOISE_BLOCK
     iterations into buffers allocated once, and scaled by scales[r]; a run of
-    scale 0 builds no stream and gets zero noise. `noise_map` maps a
-    (K, R, m, d) block, once per block, onto (K, *x.shape). The update is
-    x <- W (x - lam (g + N)). Any non-finite state raises NonFiniteState.
-    With record_every > 0 each run records rows at k = 0, at every multiple
-    of record_every and at the last iteration, into columns allocated up
-    front for the whole batch; noise_norm is that of the mapped noise.
-    `stop(x, k)` returns a mask over the runs still advancing; a run whose
-    mask is set stops there and draws no further noise. A stop takes no
-    rows: stop with record_every > 0 raises InvalidConfig. A state whose
-    trailing shape is not the problem's (m, d) raises ProblemError before
-    any stream is built. Returns one RunTrace per run.
+    scale 0 builds no stream and gets zero noise. The draws fill each run's
+    first middle slot of a (K, *x.shape) block, and `noise_map(block)`, once
+    per block, fills the rest in place; a state with middle axes needs one.
+    Any non-finite state raises NonFiniteState. After that check,
+    `observe(k, x, n, gn)` sees the state, mapped noise and g + N of the runs
+    still advancing, and returns None or a boolean mask over them: a run whose
+    mask is set stops there and draws no further noise. A state whose trailing
+    shape is not the problem's (m, d) raises ProblemError before any stream is
+    built. Returns the final states, a stopped run's at its stop, and each
+    run's stop iteration (None for a run that never stopped).
     """
-    if stop is not None and record_every:
-        raise InvalidConfig("a batch that can stop records no rows: pass stop or record_every > 0")
     x = problem._check_state(np.array(x, dtype=float))
+    if x.ndim > 3 and noise_map is None:
+        raise InvalidConfig("a state with middle axes needs a noise map to fill their noise")
     runs = x.shape[0]
     m, d = x.shape[-2:]
     final = x.copy()
@@ -327,16 +326,10 @@ def lockstep(problem, w_arr, x, schedule, iterations, keys, scales, *, record_ev
     agent_gradients, retract = problem.agent_gradients, problem.retract
     isfinite, count_nonzero = np.isfinite, np.count_nonzero
     block = max(1, min(NOISE_BLOCK, _NOISE_BUFFER // max(1, runs * m * d)))
-    # the (R, m, K, d) fill buffer and the (K, R, m, d) block, flat, sized once
-    bufs = np.empty((2, runs * m * min(block, iterations) * d))
-    # every run's rows; k and lam are shared, and the metrics come from xs after the loop
-    ks = np.r_[0:iterations:record_every, iterations] if record_every else np.arange(0)
-    xs = np.empty((runs, len(ks), *x.shape[1:]))
-    squares = np.zeros((2, runs, len(ks)))  # ||N||^2 and ||g + N||^2, 0 at k = 0
-    sum_gn = np.zeros((runs, len(ks), *x.shape[1:-2], d))  # divided by m into mean_gn
-    if record_every:
-        xs[:, 0] = x
-    row, pos, size = 1, 0, 0
+    # the (R, m, K, d) fill buffer and the (K, R, *mid, m, d) block, flat, sized once
+    lead = runs * m * min(block, iterations) * d
+    bufs = np.empty(lead + x.size * min(block, iterations))
+    pos = size = 0
     for k in range(1, iterations + 1):
         if pos == size:
             # (run, agent, iteration, coordinate): each stream fills a
@@ -344,19 +337,21 @@ def lockstep(problem, w_arr, x, schedule, iterations, keys, scales, *, record_ev
             # buffer's rows of quiet runs are zeroed, since they may hold
             # another run's noise from an earlier block
             size = min(block, iterations - k + 1)
-            buf = bufs[0, :len(active) * m * size * d].reshape(len(active), m, size, d)
-            blk = bufs[1, :buf.size].reshape(size, len(active), m, d)
+            buf = bufs[:len(active) * m * size * d].reshape(len(active), m, size, d)
+            noise = bufs[lead:lead + size * x.size].reshape(size, *x.shape)
             buf[quiet[active]] = 0.0
             for i, r in enumerate(active.tolist()):
                 for j, fill in enumerate(fills[r]):
                     fill(out=buf[i, j])
             # scaled in place (entrywise, the products a per-step scaling
-            # gives), then copied into the iteration-major block, so that each
-            # step's (R, m, d) slice is contiguous; the copy moves whole
-            # d-vectors, so no inner loop runs over d entries alone
+            # gives), then copied as whole d-vectors into each run's first
+            # middle slot of the iteration-major block, so that each step's
+            # slice is contiguous and no inner loop runs over d entries alone
             np.multiply(buf, scales, out=buf)
-            blk.view(vector)[..., 0] = buf.view(vector)[..., 0].transpose(2, 0, 1)
-            noise = blk if noise_map is None else noise_map(blk)
+            first = noise.reshape(size, len(active), -1, m, d)[:, :, 0]
+            first.view(vector)[..., 0] = buf.view(vector)[..., 0].transpose(2, 0, 1)
+            if noise_map is not None:
+                noise_map(noise)
             lams = stepsizes(schedule, np.arange(k, k + size)).tolist()
             pos, survivors = 0, None
         n = noise[pos] if survivors is None else noise[pos, survivors]
@@ -367,39 +362,19 @@ def lockstep(problem, w_arr, x, schedule, iterations, keys, scales, *, record_ev
         x = retract(mixing_update(w_arr, x, gn, lam))
         if count_nonzero(isfinite(x)) != x.size:
             raise NonFiniteState(k)
-        if record_every and (k % record_every == 0 or k == iterations):
-            # each run's squared norm is the dot of its flattened array, as in np.linalg.norm
-            xs[:, row] = x
-            nf, gf = n.reshape(len(x), -1), gn.reshape(len(x), -1)
-            squares[0, :, row] = np.vecdot(nf, nf)
-            squares[1, :, row] = np.vecdot(gf, gf)
-            sum_gn[:, row] = np.add.reduce(gn, axis=-2)
-            row += 1
-        if stop is not None:
-            done = np.asarray(stop(x, k), dtype=bool)
-            if done.any():
-                gone = active[done]
-                final[gone], stopped_at[gone] = x[done], k
-                keep = ~done
-                active, x, scales = active[keep], x[keep], scales[keep]
-                # the block stays whole: later steps gather the survivors'
-                # rows, and the next block is drawn for the survivors only
-                survivors = np.flatnonzero(keep) if survivors is None else survivors[keep]
-                if not active.size:
-                    break
+        done = observe(k, x, n, gn)
+        if done is not None and done.any():
+            gone = active[done]
+            final[gone], stopped_at[gone] = x[done], k
+            keep = ~done
+            active, x, scales = active[keep], x[keep], scales[keep]
+            # the block stays whole: later steps gather the survivors'
+            # rows, and the next block is drawn for the survivors only
+            survivors = np.flatnonzero(keep) if survivors is None else survivors[keep]
+            if not active.size:
+                break
     final[active] = x
-    stopped_at = [s or None for s in stopped_at.tolist()]
-    lam = stepsizes(schedule, ks)
-    ks.flags.writeable = lam.flags.writeable = False  # columns that every run's trace shares
-    if not record_every:  # no rows, as in a coupling: every trace shares one set of empty columns
-        cols = (ks, lam, *np.empty((5, 0)), np.empty(xs.shape[1:]), np.empty(sum_gn.shape[1:]))
-        for col in cols:
-            col.flags.writeable = False
-        return [RunTrace(*cols, final[r], stopped_at[r]) for r in range(runs)]
-    noise_norm, gn_norm = np.sqrt(squares, out=squares)
-    mean_gn = np.divide(sum_gn, m, out=sum_gn)  # what gn.mean(axis=-2) divides
-    return [RunTrace(ks, lam, *row_metrics(problem, xs[r]), noise_norm[r], gn_norm[r], xs[r],
-                     mean_gn[r], final[r]) for r in range(runs)]
+    return final, [s or None for s in stopped_at.tolist()]
 
 
 def row_metrics(problem, xs) -> np.ndarray:
@@ -489,14 +464,15 @@ def run_batch(configs, jobs=1) -> list:
     jobs > 1 in that many contiguous chunks, one batch per worker process.
     A batch that needs more than physical memory is refused first. Returns
     one RunTrace per config, equal to what that config alone would give, so
-    `jobs` never changes the result."""
+    `jobs` never changes the result. Rows are recorded at k = 0, at every
+    multiple of record_every and at the last k, by the kernel's per-step hook."""
     def shared(c):
         return c.problem, c.weights.w.tobytes(), c.schedule, c.iterations, c.record_every
 
     c0 = configs[0]
     if any(shared(c) != shared(c0) for c in configs):
         raise InvalidConfig("batched runs must share problem, topology, schedule and recording")
-    p = c0.problem
+    p, every, iterations = c0.problem, c0.record_every, c0.iterations
     check_batch_memory(len(configs), p.m * p.d, c0.rows,
                        p.m * sum(c.noise_variance > 0 for c in configs), c0.row_bytes)
     jobs = min(jobs, len(configs))
@@ -512,12 +488,32 @@ def run_batch(configs, jobs=1) -> list:
     # two key words do
     keys = stream_keys([c.seed for c in configs],
                        [(_NOISE_STREAM, j) for j in range(p.m)] + [(_INIT_STREAM, 0)])
-    return lockstep(
-        p, c0.weights.w, np.stack([_initial_state(c, k[-1]) for c, k in zip(configs, keys)]),
-        c0.schedule, c0.iterations,
-        keys[:, :-1], [np.sqrt(c.noise_variance) for c in configs],
-        record_every=c0.record_every,
-    )
+    x0 = np.stack([_initial_state(c, k[-1]) for c, k in zip(configs, keys)])
+    # every run's rows; k and lam are shared, and the metrics come from xs after the loop
+    ks = np.r_[0:iterations:every, iterations]
+    xs = np.empty((len(configs), len(ks), p.m, p.d))
+    squares = np.zeros((2, len(configs), len(ks)))  # ||N||^2 and ||g + N||^2, 0 at k = 0
+    sum_gn = np.zeros((len(configs), len(ks), p.d))  # divided by m into mean_gn
+    xs[:, 0] = x0
+
+    def record(k, x, n, gn):
+        if k % every == 0 or k == iterations:
+            row = -(-k // every)  # the last row's index is rounded up
+            # each run's squared norm is the dot of its flattened array, as in np.linalg.norm
+            xs[:, row] = x
+            nf, gf = n.reshape(len(x), -1), gn.reshape(len(x), -1)
+            squares[0, :, row] = np.vecdot(nf, nf)
+            squares[1, :, row] = np.vecdot(gf, gf)
+            sum_gn[:, row] = np.add.reduce(gn, axis=-2)
+
+    final, _ = lockstep(p, c0.weights.w, x0, c0.schedule, iterations, keys[:, :-1],
+                        [np.sqrt(c.noise_variance) for c in configs], record)
+    lam = stepsizes(c0.schedule, ks)
+    ks.flags.writeable = lam.flags.writeable = False  # columns that every run's trace shares
+    noise_norm, gn_norm = np.sqrt(squares, out=squares)
+    mean_gn = np.divide(sum_gn, p.m, out=sum_gn)  # what gn.mean(axis=-2) divides
+    return [RunTrace(ks, lam, *row_metrics(p, xs[r]), noise_norm[r], gn_norm[r], xs[r],
+                     mean_gn[r], final[r]) for r in range(len(configs))]
 
 
 def run(config: RunConfig) -> RunTrace:

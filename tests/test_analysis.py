@@ -10,7 +10,6 @@ from dpdgd.analysis import (
     escape_distances,
     min_eigvec,
     mirror_noise,
-    mirror_pairs,
     run_coupling_experiment,
 )
 from dpdgd.optimizer import (
@@ -22,8 +21,10 @@ from dpdgd.optimizer import (
     run,
     stepsize,
 )
-from dpdgd.problems import QuadraticProblem
+from dpdgd.problems import QuadraticProblem, make_ica_problem
 from dpdgd.topology import build_metropolis_weights, builtin_topology
+
+from blas import KERNEL_FLAGS, run_on_kernel
 
 PAPER_SCHEDULE = StepsizeSchedule("piecewise_paper", lambda0=0.02, switch_k=500, scale=1.0)
 
@@ -127,20 +128,36 @@ class TestMirrorNoise:
         """The mirror in its broadcast form, before it was formed by coordinate."""
         return n - 2.0 * (n @ e1)[..., None] * e1
 
-    @pytest.mark.parametrize("d", [2, 10])
-    def test_pair_block_is_the_stacked_form(self, rng, monkeypatch, d):
-        # each (K, R, m, d) block's pairs carry the bits of the stacked form,
-        # whatever the block's size, and mirror_noise runs once per block
-        e1 = rng.standard_normal(d)
-        e1 /= np.linalg.norm(e1)
+    @pytest.mark.parametrize("d", [2, 4, 10])
+    def test_pair_block_is_the_stacked_form(self, paper_problem, ica4, complete5, rng,
+                                            monkeypatch, d):
+        # coupling's noise map completes a kernel-shaped (K, R, 2, m, d) block
+        # in place: it writes the mirror of each pair's first half, a strided
+        # view, into its second with the bits of the stacked form, whatever
+        # the block's size, and calls mirror_noise once per block. At d = 10
+        # the n @ e1 product is where bits could move
+        problem = {2: paper_problem, 4: ica4}.get(d) or make_ica_problem(10, 5, 160, 99)
+        maps = []
+
+        def kernel(*args, noise_map):
+            maps.append(noise_map)
+            return None, [None] * len(args[2])
+
+        monkeypatch.setattr(optimizer, "lockstep", kernel)
+        e1 = run_coupling_experiment(problem, complete5, problem.known_saddle(), PAPER_SCHEDULE,
+                                     variance=0.5, runs=2, horizon=1, escape_radius=0.5,
+                                     seed=1).e1
         calls = []
         monkeypatch.setattr(analysis, "mirror_noise",
                             lambda *a, **kw: calls.append(1) or mirror_noise(*a, **kw))
         shapes = ((1, 1, 5, d), (7, 3, 5, d), (32, 200, 5, d), (5, 4, 16, d))
         for shape in shapes:
             n = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+            block = np.full((*shape[:2], 2, *shape[2:]), np.nan)
+            block[:, :, 0] = n
+            maps[0](block)
             want = np.stack([n, self._broadcast_mirror(n, e1)], axis=-3)
-            assert mirror_pairs(n, e1).tobytes() == want.tobytes(), shape
+            assert block.tobytes() == want.tobytes(), shape
         assert len(calls) == len(shapes)
 
     @pytest.mark.parametrize("d", [2, 10])
@@ -240,6 +257,37 @@ class TestCouplingExperiment:
                                              runs=runs, **kw) for runs in (3, 40))
         assert few.iterations_to_escape == many.iterations_to_escape[:3] == [299, 330, 1257]
         assert np.array_equal(few.e1, quiet.e1) and many.escape_count == 40
+
+    # the escape iterations of a short ICA d = 10 coupling, which every
+    # OpenBLAS kernel gives; ICA10_COUPLING is that run as a script, for a
+    # subprocess on another kernel
+    ICA10_ESCAPES = [675, 470, 385, 462, 277, 554, 411, 447, 725, 337, 468, 432]
+    ICA10_COUPLING = (
+        "from dpdgd.analysis import run_coupling_experiment\n"
+        "from dpdgd.optimizer import StepsizeSchedule\n"
+        "from dpdgd.problems import make_ica_problem\n"
+        "from dpdgd.topology import build_metropolis_weights, builtin_topology\n"
+        "p = make_ica_problem(10, 5, 160, 99)\n"
+        "res = run_coupling_experiment(\n"
+        "    p, build_metropolis_weights(builtin_topology('complete', 5)), p.known_saddle(),\n"
+        "    StepsizeSchedule('piecewise_paper', lambda0=0.003, switch_k=100, scale=0.3),\n"
+        "    variance=1.0, runs=12, horizon=1000, escape_radius=0.5, seed=7)\n"
+        "print(*res.iterations_to_escape)\n"
+    )
+
+    def test_ica_d10_escapes_pinned(self, complete5):
+        # at d = 10 the mirror's n @ e1 and the ICA gradient are BLAS products
+        p = make_ica_problem(10, 5, 160, 99)
+        res = run_coupling_experiment(
+            p, complete5, p.known_saddle(),
+            StepsizeSchedule("piecewise_paper", lambda0=0.003, switch_k=100, scale=0.3),
+            variance=1.0, runs=12, horizon=1000, escape_radius=0.5, seed=7)
+        assert res.iterations_to_escape == self.ICA10_ESCAPES
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_FLAGS))
+    def test_ica_d10_escapes_pinned_on_other_blas_kernels(self, kernel):
+        hits = run_on_kernel(self.ICA10_COUPLING, kernel).split()
+        assert list(map(int, hits)) == self.ICA10_ESCAPES
 
     def test_deterministic(self, paper_problem, complete5):
         kw = dict(variance=0.5, runs=4, horizon=600, escape_radius=0.5, seed=9)

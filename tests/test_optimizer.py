@@ -50,11 +50,27 @@ def _unbuilt(key):
     raise AssertionError("stream built")
 
 
+def _unobserved(k, x, n, gn):
+    """A per-step hook that sees nothing and stops no run."""
+
+
+def _stops(when):
+    """A per-step hook that stops the runs of mask when[k] at each k listed."""
+    return lambda k, x, n, gn: np.array(when[k]) if k in when else None
+
+
+def _explicit(problem, w, schedule, x0, iterations, seed, variance, record_every):
+    """The config of a run from the explicit initial state x0."""
+    return RunConfig(problem=problem, weights=w, schedule=schedule, noise_variance=variance,
+                     iterations=iterations, seed=seed, init_mode="explicit", init_coords=x0,
+                     record_every=record_every)
+
+
 def _one_step(problem, w, x, lam):
     """x after one noise-free lockstep iteration at stepsize lam."""
     return lockstep(problem, w.w, np.asarray(x, dtype=float)[None],
                     StepsizeSchedule("constant", lambda0=lam), 1,
-                    _agent_keys(0, problem.m)[None], [0.0])[0].final_state
+                    _agent_keys(0, problem.m)[None], [0.0], _unobserved)[0][0]
 
 
 def _saddle_init(problem, w):
@@ -500,7 +516,16 @@ class TestLockstep:
         monkeypatch.setattr(optimizer, "philox", _unbuilt)
         with pytest.raises(ProblemError, match=r"state has shape .*, expected \(\.\.\., 5, 2\)"):
             lockstep(paper_problem, rpc5.w, np.zeros(shape), PAPER_SCHEDULE, 5,
-                     np.stack([_agent_keys(1, 5)] * shape[0]), [1.0] * shape[0])
+                     np.stack([_agent_keys(1, 5)] * shape[0]), [1.0] * shape[0], _unobserved)
+
+    def test_middle_axes_without_a_noise_map_raise_before_any_draw(self, paper_problem, rpc5,
+                                                                      monkeypatch):
+        # the draws fill only each run's first middle slot; without a map to
+        # fill the rest, the other slots would hold whatever the buffer held
+        monkeypatch.setattr(optimizer, "philox", _unbuilt)
+        with pytest.raises(InvalidConfig, match="middle axes needs a noise map"):
+            lockstep(paper_problem, rpc5.w, np.zeros((3, 2, 5, 2)), PAPER_SCHEDULE, 5,
+                     np.stack([_agent_keys(1, 5)] * 3), [1.0] * 3, _unobserved)
 
     def test_estimation_batch_slices_match_single_runs(self, paper_problem, rpc5):
         self._assert_slices_match_single_runs(
@@ -550,13 +575,13 @@ class TestLockstep:
             assert _records_equal(trace, run(config))
 
     def test_block_size_does_not_change_trajectories(self, paper_problem, rpc5, monkeypatch):
-        x0 = np.stack([paper_problem.sample_init(_seed_sequence_stream(s, 2)) for s in (1, 2, 3)])
+        configs = [_explicit(paper_problem, rpc5, PAPER_SCHEDULE,
+                             paper_problem.sample_init(_seed_sequence_stream(s, 2)), 200, s, v, 9)
+                   for s, v in ((1, 0.25), (2, 1.0), (3, 0.0625))]
 
         def final(block):
             monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
-            traces = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 200,
-                              [_agent_keys(s, 5) for s in (1, 2, 3)], [0.5, 1.0, 0.25],
-                              record_every=9)
+            traces = run_batch(configs)
             return [t.final_state for t in traces], [
                 (t.k.tolist(), t.noise_norm.tolist(), t.opt_error_mean.tolist()) for t in traces]
 
@@ -573,7 +598,7 @@ class TestLockstep:
         # (R, 2, m, d) state
         e1 = min_eigvec(paper_problem.tangent_hessian(paper_problem.known_saddle())[1])
         mirrored = (np.stack([x0, x0], axis=1),
-                    lambda n: np.stack([n, mirror_noise(n, e1)], axis=-3))
+                    lambda n: mirror_noise(n[:, :, 0], e1, out=n[:, :, 1]))
 
         # lambda_k changes at every step past k = 20, so a step misaligned
         # with its noise block's stepsizes shows
@@ -584,19 +609,18 @@ class TestLockstep:
         # later block boundaries (300 > the default block)
         when = {50: [False, True, False, False], 55: [False, False, True], 80: [True, False]}
         for start, noise_map in ((x0, None), mirrored):
-            def advance(iterations, **kwargs):
+            def advance(iterations, observe=_unobserved):
                 return lockstep(paper_problem, rpc5.w, start, schedule, iterations,
-                                [_agent_keys(s, 5) for s in seeds], [0.5] * 4,
-                                noise_map=noise_map, **kwargs)
+                                [_agent_keys(s, 5) for s in seeds], [0.5] * 4, observe,
+                                noise_map=noise_map)
 
             for block in (optimizer.NOISE_BLOCK, 1, 7):
                 monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
-                stopped = advance(300, stop=lambda x, k: when.get(k, [False] * len(x)))
-                assert [t.stopped_at for t in stopped] == [80, 50, None, 55]
-                assert np.array_equal(stopped[2].final_state, advance(300)[2].final_state), block
+                final, stopped_at = advance(300, _stops(when))
+                assert stopped_at == [80, 50, None, 55]
+                assert np.array_equal(final[2], advance(300)[0][2]), block
                 for r, k in ((0, 80), (1, 50), (3, 55)):
-                    assert np.array_equal(stopped[r].final_state,
-                                          advance(k)[r].final_state), (block, r)
+                    assert np.array_equal(final[r], advance(k)[0][r]), (block, r)
 
     @pytest.mark.parametrize("d", [2, 10])
     def test_each_step_draws_its_own_scaled_stream_rows(self, d, monkeypatch):
@@ -625,17 +649,17 @@ class TestLockstep:
         for block in (optimizer.NOISE_BLOCK, 1, 7):
             monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
             seen.clear()
-            traces = lockstep(q, w.w, np.zeros((4, m, d)), StepsizeSchedule("constant", lambda0=0.01),
-                              iterations, [_agent_keys(s, m) for s in seeds], scales,
-                              stop=lambda x, k: when.get(k, [False] * len(x)))
-            assert [t.stopped_at for t in traces] == [23, 20, None, None]
+            _, stopped_at = lockstep(q, w.w, np.zeros((4, m, d)),
+                                     StepsizeSchedule("constant", lambda0=0.01), iterations,
+                                     [_agent_keys(s, m) for s in seeds], scales, _stops(when))
+            assert stopped_at == [23, 20, None, None]
             alive = [0, 1, 2, 3]
             for k, n in enumerate(seen, start=1):
                 assert n.shape == (len(alive), m, d), (block, k)
                 for row, r in zip(n, alive):
                     want = scales[r] * draws[r][:, k - 1] if scales[r] else np.zeros((m, d))
                     assert row.tobytes() == want.tobytes(), (block, k, r)
-                alive = [r for r in alive if traces[r].stopped_at != k]
+                alive = [r for r in alive if stopped_at[r] != k]
             assert len(seen) == iterations
 
     def test_streams_are_built_for_runs_of_positive_scale_only(self, paper_problem, rpc5,
@@ -650,7 +674,8 @@ class TestLockstep:
         monkeypatch.setattr(optimizer, "philox", spy)
         keys = np.stack([_agent_keys(s, 5) for s in (1, 2, 3, 4)])
         x0 = np.stack([paper_problem.sample_init(_seed_sequence_stream(s, 2)) for s in (1, 2, 3, 4)])
-        lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 3, keys, [0.5, 0.0, 1.0, 0.0])
+        lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 3, keys, [0.5, 0.0, 1.0, 0.0],
+                 _unobserved)
         assert built == keys[[0, 2]].reshape(-1, 2).tolist()
 
     def test_noise_buffers_are_allocated_once(self, paper_problem, rpc5, monkeypatch):
@@ -677,29 +702,69 @@ class TestLockstep:
         when = {3: [False, True, False, False], 10: [True, False, False], 17: [False, True]}
         monkeypatch.setattr(optimizer, "NOISE_BLOCK", block)
         monkeypatch.setattr(optimizer, "np", CountingNumpy())
-        traces = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 40,
-                          [_agent_keys(s, 5) for s in seeds], [0.5, 0.0, 1.0, 0.5],
-                          stop=lambda x, k: when.get(k, [False] * len(x)))
-        assert [t.stopped_at for t in traces] == [10, 3, None, 17]
+        _, stopped_at = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 40,
+                                 [_agent_keys(s, 5) for s in seeds], [0.5, 0.0, 1.0, 0.5],
+                                 _stops(when))
+        assert stopped_at == [10, 3, None, 17]
         # one run's (m, K, d) slab or more: the two buffers' one allocation
         assert [n for n in sizes if n >= 5 * block * 2] == [2 * len(seeds) * 5 * block * 2]
 
-    def test_without_rows_the_traces_share_empty_columns(self, paper_problem, rpc5, monkeypatch):
-        # a coupling's batch records nothing: no metrics pass, and one set of
-        # read-only empty columns of the state's shapes serves every pair
-        monkeypatch.setattr(optimizer, "row_metrics", None)
-        x0 = np.zeros((3, 2, 5, 2))
-        traces = lockstep(paper_problem, rpc5.w, x0, PAPER_SCHEDULE, 40,
-                          [_agent_keys(s, 5) for s in (1, 2, 3)], [0.5] * 3,
-                          noise_map=lambda n: np.stack([n, n], axis=-3),
-                          stop=lambda x, k: [k == 30] + [False] * (len(x) - 1))
-        assert [t.stopped_at for t in traces] == [30, None, None]
-        shapes = {"x": (0, 2, 5, 2), "mean_gn": (0, 2, 2)}
-        for c in COLUMNS:
-            col = getattr(traces[0], c)
-            assert col.shape == shapes.get(c, (0,)) and not col.flags.writeable, c
-            assert all(getattr(t, c) is col for t in traces), c
-        assert all(t.final_state.shape == (2, 5, 2) for t in traces)
+    def test_the_hook_sees_each_step_after_its_check(self, rng, monkeypatch):
+        # observe(k, x, n, gn) is called once for each k = 1..T, after the
+        # step's finiteness check, with the survivors' state, their noise as
+        # the map left it and g + N; a mask it returns stops exactly the runs
+        # it sets. Pairs whose second half the map fills with -3 times the
+        # first, across blocks of 7 and after stops inside them
+        m, d, seeds, scales = 3, 2, (5, 6, 7, 8), [0.5, 1.0, 0.0, 2.0]
+        q = QuadraticProblem(diag=[1.0, -0.5], m=m, offsets=rng.standard_normal((m, d)))
+        w = build_metropolis_weights(builtin_topology("complete", m))
+        schedule = StepsizeSchedule("piecewise_paper", lambda0=0.02, switch_k=20, scale=0.4)
+        x = rng.standard_normal((4, 2, m, d))
+        grads, seen, gradients = [], [], q.agent_gradients
+
+        def spy(x):
+            grads.append(gradients(x))
+            return grads[-1].copy()
+
+        def observe(k, x, n, gn):
+            seen.append((k, x.copy(), n.copy(), gn.copy()))
+            return np.array(when[k]) if k in when else None
+
+        monkeypatch.setattr(q, "agent_gradients", spy)
+        monkeypatch.setattr(optimizer, "NOISE_BLOCK", 7)
+        when = {5: [False, True, False, False], 9: [True, False, False]}
+        final, stopped_at = lockstep(q, w.w, x, schedule, 40, [_agent_keys(s, m) for s in seeds],
+                                     scales, observe,
+                                     noise_map=lambda n: np.multiply(n[:, :, 0], -3.0,
+                                                                     out=n[:, :, 1]))
+        assert stopped_at == [9, 5, None, None]
+        assert [step[0] for step in seen] == list(range(1, 41))
+        draws = [np.stack([r.standard_normal((40, d)) for r in _agent_streams(s, m)])
+                 for s in seeds]
+        alive, last = [0, 1, 2, 3], {}
+        for (k, xk, n, gn), g in zip(seen, grads):
+            assert xk.shape == n.shape == gn.shape == (len(alive), 2, m, d), k
+            for pair, r in zip(n, alive):
+                want = scales[r] * draws[r][:, k - 1] if scales[r] else np.zeros((m, d))
+                assert pair[0].tobytes() == want.tobytes(), (k, r)
+                assert pair[1].tobytes() == (-3.0 * want).tobytes(), (k, r)
+            assert gn.tobytes() == (g + n).tobytes(), k
+            x = w.w @ (x - stepsize(schedule, k) * gn)
+            assert xk.tobytes() == x.tobytes(), k
+            last.update(zip(alive, xk))
+            if k in when:
+                alive = [r for r, done in zip(alive, when[k]) if not done]
+                x = x[~np.array(when[k])]
+        assert all(np.array_equal(final[r], last[r]) for r in range(4))
+
+        # a non-finite step raises before the hook sees it: |1 - 0.9 * 2 * 8|
+        # = 13.4 overflows the noiseless run at iteration 274
+        steps = []
+        with pytest.raises(NonFiniteState, match="at iteration 274"):
+            lockstep(QuadraticProblem(diag=[8.0], m=2), np.full((2, 2), 0.5), np.ones((1, 2, 1)),
+                     StepsizeSchedule("constant", lambda0=0.9), 5000, _agent_keys(1, 2)[None],
+                     [0.0], lambda k, x, n, gn: steps.append(k))
+        assert steps == list(range(1, 274))
 
     def test_run_batch_draws_init_rng_and_noise_streams(self, paper_problem, rpc5):
         # seeds of one and two 32-bit words share a batch; one run draws no noise
@@ -709,10 +774,8 @@ class TestLockstep:
                    for s, v in zip(seeds, variances)]
         for config, trace in zip(configs, run_batch(configs)):
             x0 = paper_problem.sample_init(_seed_sequence_stream(config.seed, 2))
-            want = lockstep(paper_problem, rpc5.w, x0[None], PAPER_SCHEDULE, 30,
-                            _agent_keys(config.seed, 5)[None], [np.sqrt(config.noise_variance)])
-            assert np.array_equal(trace.final_state, want[0].final_state), config.seed
-            assert trace.stopped_at is None and want[0].stopped_at is None
+            want = run(dataclasses.replace(config, init_mode="explicit", init_coords=x0))
+            assert _records_equal(trace, want), config.seed
 
     def test_jobs_split_matches_one_batch(self, paper_problem, rpc5):
         # two cells of three runs, the second noise-free: two chunks split at
@@ -724,7 +787,7 @@ class TestLockstep:
             split = run_batch(configs, jobs)
             assert len(split) == len(whole)
             for a, b in zip(whole, split):
-                assert _records_equal(a, b) and a.stopped_at is b.stopped_at is None, jobs
+                assert _records_equal(a, b), jobs
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_divergence_in_a_worker_carries_its_iteration(self, jobs):
@@ -800,9 +863,9 @@ def _row_problems():
 
 
 class TestDeferredRows:
-    """The kernel keeps each recorded state and computes the row metrics after
-    the loop, RECORD_CHUNK states at a time; the rows must equal the per-row
-    formulas exactly."""
+    """`run_batch` keeps each recorded state, through the kernel's per-step
+    hook, and computes the row metrics after the loop, RECORD_CHUNK states at
+    a time; the rows must equal the per-row formulas exactly."""
 
     @pytest.fixture(scope="class")
     def problems(self):
@@ -829,27 +892,15 @@ class TestDeferredRows:
         # record_every 1 gives iterations + 1 rows: 2, chunk - 1, chunk and chunk + 1
         problem, schedule = problems[name]
         x0 = problem.sample_init(_seed_sequence_stream(3, 2))
-        out = lockstep(problem, rpc5.w, x0[None], schedule, iterations, _agent_keys(8, 5)[None],
-                       [np.sqrt(0.3)], record_every=1)
-        _same_rows(out[0], _restated_run(problem, rpc5.w, x0, schedule, iterations, 8, 0.3))
-
-    def test_a_batch_that_can_stop_records_no_rows(self, problems, rpc5, monkeypatch):
-        # no command records the rows of runs that stop, so the kernel refuses
-        # stop with record_every > 0, before it builds any stream
-        monkeypatch.setattr(optimizer, "philox", _unbuilt)
-        problem, schedule = problems["estimation"]
-        x0 = np.stack([problem.sample_init(_seed_sequence_stream(s, 2)) for s in (21, 22)])
-        with pytest.raises(InvalidConfig, match="records no rows"):
-            lockstep(problem, rpc5.w, x0, schedule, 40, [_agent_keys(s, 5) for s in (21, 22)],
-                     [np.sqrt(0.5)] * 2, record_every=1, stop=lambda x, k: [False] * len(x))
+        trace = run(_explicit(problem, rpc5, schedule, x0, iterations, 8, 0.3, 1))
+        _same_rows(trace, _restated_run(problem, rpc5.w, x0, schedule, iterations, 8, 0.3))
 
     @pytest.mark.parametrize("name", ["estimation", "quadratic", "saddle_quadratic", "ica"])
     def test_columns_and_their_shapes(self, problems, rpc5, name):
         # record_every 4 over 10 iterations keeps k = 0, 4, 8 and 10
         problem, schedule = problems[name]
         x0 = problem.sample_init(_seed_sequence_stream(5, 2))
-        trace = lockstep(problem, rpc5.w, x0[None], schedule, 10, _agent_keys(5, 5)[None], [0.5],
-                         record_every=4)[0]
+        trace = run(_explicit(problem, rpc5, schedule, x0, 10, 5, 0.25, 4))
         assert trace.k.dtype == np.int64 and trace.k.tolist() == [0, 4, 8, 10]
         for c in COLUMNS[1:7]:
             assert getattr(trace, c).dtype == np.float64 and getattr(trace, c).shape == (4,), c
@@ -864,11 +915,8 @@ class TestDeferredRows:
     def test_sparse_rows_are_the_dense_rows(self, problems, rpc5):
         # record_every 7 over 40 iterations keeps k = 0, 7, ..., 35 and the last step
         problem, schedule = problems["estimation"]
-        x0 = problem.sample_init(_seed_sequence_stream(4, 2))[None]
-        dense, sparse = (
-            lockstep(problem, rpc5.w, x0, schedule, 40, _agent_keys(4, 5)[None], [0.7],
-                     record_every=every)[0]
-            for every in (1, 7)
-        )
+        x0 = problem.sample_init(_seed_sequence_stream(4, 2))
+        dense, sparse = (run(_explicit(problem, rpc5, schedule, x0, 40, 4, 0.49, every))
+                         for every in (1, 7))
         kept = (dense.k % 7 == 0) | (dense.k == 40)
         _same_rows(sparse, {c: getattr(dense, c)[kept] for c in COLUMNS})

@@ -1,10 +1,6 @@
 from __future__ import annotations
 
-import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +20,7 @@ from dpdgd.problems.estimation import RAMP_RADIUS
 
 import numdiff
 import oracles
+from blas import KERNEL_FLAGS, run_on_kernel
 
 PRINTED_MIN = np.array([1.3478, 1.0690])
 PRINTED_SADDLE = np.array([-7.4336, 1.3959])
@@ -37,8 +34,6 @@ ICA10_SADDLE = ["-0x1.8c5aea033c621p-5", "0x1.c724f502011c2p-2", "-0x1.5b714701e
                 "0x1.45842e5bb2ea4p-2", "0x1.9096cb99377a2p-2", "-0x1.f085e781ed275p-3",
                 "-0x1.28dd85475e21ap-6", "0x1.6161f47f44f71p-1", "-0x1.7003edec900efp-5",
                 "-0x1.28cb5ba6755bfp-5"]
-# the CPU flags (as /proc/cpuinfo names them) that each OpenBLAS kernel runs on
-KERNEL_FLAGS = {"Haswell": {"avx2", "fma"}, "Prescott": {"pni"}, "Sandybridge": {"avx"}}
 
 
 def _extension_gradient(p, agent, theta):
@@ -455,23 +450,13 @@ class TestRefinedPoints:
         # newton_root's solve sum in numpy's fixed order, so a process that
         # runs another OpenBLAS kernel refines the estimation points and the
         # ICA saddles to the same bits
-        try:
-            flags = set(next(line for line in Path("/proc/cpuinfo").read_text().splitlines()
-                             if line.startswith("flags")).split(":")[1].split())
-        except (OSError, StopIteration):
-            pytest.skip("no /proc/cpuinfo flags to tell which kernels this CPU runs")
-        if not KERNEL_FLAGS[kernel] <= flags:
-            pytest.skip(f"this CPU lacks the {kernel} kernel's instructions")
-        src = str(Path(__file__).resolve().parents[1] / "src")
         code = ("from dpdgd.problems import make_ica_problem, make_paper_estimation_problem\n"
                 "p = make_paper_estimation_problem()\n"
                 "print(*(v.hex() for v in [*p.reference_minimum(), *p.known_saddle(),\n"
                 "                          *make_ica_problem(4, 5, 160, 99).known_saddle(),\n"
                 "                          *make_ica_problem(10, 5, 160, 99).known_saddle()]))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel))
-        assert out.returncode == 0 and out.stderr == "", out.stderr
-        assert out.stdout.split() == ESTIMATION_MIN + ESTIMATION_SADDLE + ICA4_SADDLE + ICA10_SADDLE
+        assert (run_on_kernel(code, kernel).split()
+                == ESTIMATION_MIN + ESTIMATION_SADDLE + ICA4_SADDLE + ICA10_SADDLE)
 
     def test_fixed_order_solve_matches_lapack(self, rng):
         # newton_root's elimination against np.linalg.solve; the permutation
