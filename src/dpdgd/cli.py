@@ -26,7 +26,6 @@ import numpy as np
 
 from . import analysis, privacy
 from .optimizer import (
-    _REPORT_ROW_BYTES,
     _TABLE1_STREAM,
     InvalidConfig,
     NonFiniteState,
@@ -57,6 +56,7 @@ ENV_OUT_DIR = "DPDGD_OUT"
 TRACE_HEADER = "k,lambda,consensus_error,opt_error_mean,opt_error_max,noise_norm"
 TABLE1_HEADER = "sigma,mean_final_error,std_final_error,runs"
 PRIVACY_HEADER = "k,lambda,eps_sample,eps_gradient,eps_variable,delta,variance"
+_REPORT_ROW_BYTES = 96  # a privacy-report row's five columns and output share (57 measured)
 CSV_ROWS = 1024  # rows of an output CSV formatted at a time
 
 # -- config schema: a table maps each key of a JSON object to a Field; an object
@@ -166,7 +166,7 @@ def _output(**files):
 
 _INT, _REAL = Field("int", True), Field("real", True)
 
-# an all-zero diag has no curvature to bound: the problem's nu would be 0
+# an all-zero diag makes every gradient 0: a run would be noise alone, with nothing to optimize
 _DIAG = Field("array", True, checks=((lambda c: np.isfinite(c).all() and c.any(),
                                       "finite with a nonzero entry"),))
 _PROBLEM = _Variants(  # the keys are the parameters of _PROBLEM_MAKERS
@@ -250,8 +250,8 @@ def load_config(path):
 
 
 def build_problem(spec):
-    # instances are shared per spec within a process (constants estimation is
-    # the expensive part); callers must treat them as immutable
+    # instances are shared per spec within a process, so that construction and the
+    # refined points an instance caches are paid once; callers must treat them as immutable
     key = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     if key not in _PROBLEM_CACHE:
         params = _walk(spec, _PROBLEM, "problem")
@@ -369,8 +369,10 @@ def cmd_table1(args) -> int:
     if isinstance(cfg, dict) and "base" in cfg:  # --seed stands in for base.seed, as in `run`
         cfg = {**cfg, "base": _with_flags(cfg["base"], seed=args.seed)}
     checked = _walk(cfg, _TABLE1, "sweep config")
-    # builds the base run once up front, so that the library's checks fail early
+    # builds the base run once up front, so that the library's checks fail early; each run
+    # records k = 0 and its last row, which the sweep reads, whatever base.record_every says
     config, base, _ = build_run_config(cfg["base"])
+    config = dataclasses.replace(config, record_every=config.iterations)
     jobs = _flag(args.jobs, "--jobs")
     if jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")

@@ -46,7 +46,6 @@ _NOISE_BUFFER = 2**16  # cap on the doubles buffered across all streams (512 KB)
 RECORD_CHUNK = 32  # recorded states whose metrics are computed in one stacked call
 _STREAM_BYTES = 512  # less than one Philox generator holds (about 730 bytes measured)
 _ROW_BYTES = 160  # a trace row's seven scalars and output share, beyond x and mean_gn (90 measured)
-_REPORT_ROW_BYTES = 96  # a privacy-report row's five columns and output share (57 measured)
 
 
 class InvalidConfig(ValueError):

@@ -10,12 +10,14 @@ quantity:
     gradient  S = lambda_k              (the gradient enters M scaled by it)
     variable  S = 1                     (x_i enters M directly)
 
-The `sample` row assumes nu also bounds how fast one summand of the gradient
-moves with its data sample. That holds for the estimation problem, whose nu is
-at least nu_data = 2 ||M^T|| (exact). custom_quadratic has no data, so the row
-means nothing there. For ICA it is false: the per-sample Jacobian
-4 (u^T y)^3 I + 12 (u^T y)^2 y u^T reaches several times the Hessian-based nu
-(above 100 against nu = 32.4 on make_ica_problem(4, 5, 160, 99)).
+nu and n_i are the caller's (`privacy-report` takes them from its config); no
+problem computes them. The `sample` row holds when nu bounds how fast one
+summand of the gradient moves with its data sample. For the estimation
+problem that needs nu >= 2 ||M^T||_1 (4 on the paper instance), the exact
+data-direction bound. custom_quadratic has no data, so the row means nothing
+there. No nu is known for ICA: the per-sample Jacobian
+4 (u^T y)^3 I + 12 (u^T y)^2 y u^T reaches above 100 on
+make_ica_problem(4, 5, 160, 99).
 
 Calibration uses the standard Gaussian-mechanism bound
 sigma^2 >= 2 ln(1.25/delta) S^2 / eps^2, stated for the variance of the raw

@@ -4,7 +4,6 @@ from .base import (
     CLASSIFICATIONS,
     KnownPoint,
     Problem,
-    ProblemConstants,
     ProblemError,
     classify_stationary_point,
 )

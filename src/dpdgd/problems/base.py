@@ -2,8 +2,9 @@
 
 A problem distributes a nonconvex objective F(theta) = (1/m) sum_i f_i(theta)
 over m agents; each agent only ever evaluates its own gradient. Problems also
-carry the gradient-Lipschitz constant used by the privacy calibration and the
-known stationary points used by the experiment harnesses.
+carry the known stationary points used by the experiment harnesses. They carry
+no sensitivity constant: the privacy calibration takes nu and n_i from its own
+config, and a problem's nu would be a bound to prove, not one to sample.
 """
 
 from __future__ import annotations
@@ -17,29 +18,6 @@ CLASSIFICATIONS = ("minimum", "maximum", "strict_saddle", "degenerate", "not_sta
 
 class ProblemError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ProblemConstants:
-    """Gradient Lipschitz constant nu and per-agent sample counts n_i.
-
-    For the built-in problems nu is estimated numerically over the working
-    region (a documented upper-ish bound, not claimed tight). The `sample`
-    sensitivity also reads nu as the data-direction Lipschitz constant. That
-    holds only for estimation, whose nu is at least nu_data = 2 ||M^T|| (exact).
-    custom_quadratic has no data, so it means nothing there. For ICA it is
-    false: the per-sample Jacobian reaches several times nu (above 100 against
-    nu = 32.4 on make_ica_problem(4, 5, 160, 99)).
-    """
-
-    nu: float
-    n_i: tuple
-
-    def __post_init__(self):
-        if not self.nu > 0:
-            raise ProblemError("constant nu must be positive")
-        if any(n < 1 for n in self.n_i):
-            raise ProblemError("per-agent sample counts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -62,7 +40,6 @@ class Problem:
     name = "problem"
     d: int
     m: int
-    constants: ProblemConstants
     known_points: tuple = ()
 
     # -- per-agent surface -------------------------------------------------

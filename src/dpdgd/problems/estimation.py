@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KnownPoint, Problem, ProblemConstants, ProblemError
+from .base import KnownPoint, Problem, ProblemError
 
 # The extension slope is this multiple of the largest per-agent gradient norm
 # on the box boundary; > 1 keeps the radial derivative strictly positive
@@ -67,7 +67,6 @@ class EstimationProblem(Problem):
         self._MtY = self.Y @ self.M  # row i = (M^T Y_i)
         self._shaped = ((),)  # (shape, lo, hi, data); see _at_shape
         self.wall_slope = WALL_SLOPE_FACTOR * self._boundary_gradient_bound()
-        self.constants = self._estimate_constants()
         self.known_points = tuple(known_points)  # Newton's starting points, by kind
 
     # -- construction-time constants ----------------------------------------
@@ -81,21 +80,6 @@ class EstimationProblem(Problem):
         pts = np.vstack([a + (b - a) * ts for a, b in zip(corners[:-1], corners[1:])])
         g = self.agent_gradients(np.broadcast_to(pts[:, None, :], (len(pts), self.m, self.d)))
         return float(np.linalg.norm(g, axis=-1).max())
-
-    def _estimate_constants(self):
-        # grid over the region: gradient-Lipschitz nu from Hessian norms
-        axes = [np.linspace(self.lo[j], self.hi[j], 41) for j in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        pts = pts[np.linalg.norm(pts, axis=1) > 1e-9]
-        nu_theta = float(np.abs(np.linalg.eigvalsh(self._inside_hessian(pts))).max())
-        # data-direction Lipschitz constant of the per-sample gradient:
-        # grad difference is -2 M^T (Y - Y'), so the l1->l1 operator norm of
-        # 2 M^T bounds it exactly
-        nu_data = 2.0 * float(np.abs(self.M.T).sum(axis=0).max())
-        # 5% headroom: grid sampling slightly undershoots suprema (e.g. the
-        # Hessian norm approaches its bound only near the cubic's singularity)
-        return ProblemConstants(nu=max(1.05 * nu_theta, nu_data), n_i=tuple([1] * self.m))
 
     # -- inside-region closed forms ------------------------------------------
 
@@ -199,6 +183,9 @@ class EstimationProblem(Problem):
 
     def agent_gradients(self, x):
         return self._gradients(x, *self._at_shape(x.shape))
+
+    def __getstate__(self):
+        return {**vars(self), "_shaped": ((),)}  # laid out anew at the first call, not pickled
 
     def agent_gradient_for_observation(self, agent, theta, y):
         """Gradient with agent's observation replaced by y (sensitivity probes):

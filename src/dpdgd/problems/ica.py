@@ -16,7 +16,7 @@ projecting gradients onto the tangent space and renormalizing after each step.
 The instance, the known points and their refinement (Newton's method, its
 linear solves by elimination) sum with np.add.reduce, in an order numpy
 fixes, so the refined points do not depend on the CPU's BLAS kernel. The
-constant nu (through LAPACK's eigvalsh) and the per-step products still do.
+per-step products still do.
 
 A step's gradient is two contiguous gemvs per (run, agent) into work arrays kept
 while the state's shape holds (fresh batch-sized arrays cost page faults every
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KnownPoint, Problem, ProblemConstants, ProblemError, dots
+from .base import KnownPoint, Problem, ProblemError, dots
 
 UNIT_NORM_TOL = 1e-8
 
@@ -52,24 +52,9 @@ class IcaProblem(Problem):
         ortho_err = np.abs(self.A.T @ self.A - np.eye(self.d)).max()
         if ortho_err > 1e-10:
             raise ProblemError(f"mixing matrix not orthonormal (error {ortho_err:.2e})")
-        self.constants = self._estimate_constants()
         a, d = self.A, self.d  # A v at v = d^{-1/2} (1, ..., 1) and 2^{-1/2} (1, 1, 0, ..., 0)
         self.known_points = (KnownPoint(tuple(np.add.reduce(a, axis=1) / np.sqrt(d)), "maximum"),
                              KnownPoint(tuple((a[:, 0] + a[:, 1]) / np.sqrt(2.0)), "strict_saddle"))
-
-    def _estimate_constants(self):
-        rng = np.random.default_rng(0x1CA)
-        us = rng.standard_normal((64, self.d))
-        us /= np.linalg.norm(us, axis=1, keepdims=True)
-        flat = self.samples.reshape(-1, self.d)
-        nu = 0.0
-        for u in us:
-            proj = flat @ u
-            # euclidean Hessian 12 * mean (u^T y)^2 y y^T; spectral norm bound
-            h = 12.0 * (flat * (proj**2)[:, None]).T @ flat / flat.shape[0]
-            nu = max(nu, float(np.abs(np.linalg.eigvalsh(h)).max()))
-        # 5% headroom over the sphere sample, same caveat as the other problems
-        return ProblemConstants(nu=1.05 * nu, n_i=tuple([self.n_per_agent] * self.m))
 
     def starts(self, kind):
         """A saddle's d (d - 1) starts, built one at a time as `refined` reads them:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KnownPoint, Problem, ProblemConstants, ProblemError
+from .base import KnownPoint, Problem, ProblemError
 
 
 class QuadraticProblem(Problem):
@@ -26,8 +26,6 @@ class QuadraticProblem(Problem):
         self.offsets = np.array(offsets, dtype=float)
         if self.offsets.shape != (self.m, self.d):
             raise ProblemError(f"offsets must have shape ({self.m}, {self.d})")
-        self.constants = ProblemConstants(nu=2.0 * float(np.abs(self.c).max()),
-                                          n_i=tuple([1] * self.m))
         if (self.c > 0).any() and (self.c < 0).any() and self.c.all() and not self.offsets.any():
             self.known_points = (KnownPoint(coords=tuple(np.zeros(self.d)), kind="strict_saddle"),)
 

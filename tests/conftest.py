@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from dpdgd import cli
 from dpdgd.problems import make_ica_problem, make_paper_estimation_problem
 from dpdgd.topology import build_metropolis_weights, builtin_topology
 
@@ -10,6 +13,12 @@ from dpdgd.topology import build_metropolis_weights, builtin_topology
 @pytest.fixture(scope="session")
 def paper_problem():
     return make_paper_estimation_problem()
+
+
+@pytest.fixture(scope="session")
+def config_nu():
+    """nu of the bundled privacy-report config: the sensitivity constant's one source."""
+    return json.loads(cli.bundled_config_path("privacy_report.json").read_text())["nu"]
 
 
 @pytest.fixture(scope="session")

@@ -189,7 +189,7 @@ def test_criterion_5_stationary_point_fidelity(paper_problem):
 
 
 @pytest.mark.acceptance
-def test_criterion_6_privacy_calibration(paper_problem):
+def test_criterion_6_privacy_calibration(paper_problem, config_nu):
     # round trips on a 1000-point grid
     worst_rt = 0.0
     for eps in np.linspace(0.05, 0.95, 10):
@@ -205,7 +205,7 @@ def test_criterion_6_privacy_calibration(paper_problem):
     rng = np.random.default_rng(0x5EED)
     lam = 0.02
     theta = np.array([0.7, -1.2])
-    bound, _ = sensitivity("sample", paper_problem.constants.nu, lam, 1)
+    bound, _ = sensitivity("sample", config_nu, lam, 1)
     worst_emp = 0.0
     for _ in range(1000):
         agent = int(rng.integers(paper_problem.m))

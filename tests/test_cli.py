@@ -245,6 +245,23 @@ class TestTable1Command:
             tmp_path / "3" / "table1.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_records_only_the_row_it_reads(self, tmp_path, monkeypatch, record_every):
+        # each run records k = 0 and its last row, whatever base.record_every says, and
+        # the CSV is that of a sweep recording every row or every 7th
+        batches, run_batch = [], cli.run_batch
+        monkeypatch.setattr(cli, "run_batch",
+                            lambda configs, jobs: batches.append(configs) or run_batch(configs, jobs))
+        cfg = self._sweep_cfg(runs_per_cell=2)
+        given = dict(cfg, base=dict(cfg["base"], record_every=record_every))
+        csv = []
+        for name, c in (("read", cfg), ("given", given)):
+            path = write_cfg(tmp_path, c, name=f"{name}.json")
+            assert cli.main(["table1", "--config", path, "--out", str(tmp_path / name)]) == 0
+            csv.append((tmp_path / name / "table1.csv").read_bytes())
+        assert csv[0] == csv[1]
+        assert {(c.record_every, c.rows) for configs in batches for c in configs} == {(60, 2)}
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_divergence_exit_two(self, tmp_path, capsys, jobs):
         # |1 - 0.9 * 2 * 8| = 13.4: every run overflows at iteration 274; with
@@ -1086,9 +1103,6 @@ class TestSizeBounds:
         "run-rows-memory": ("run", {"iterations": 2**62, "record_every": 1}, "physical memory"),
         "run-rows-memory-flag": ("run", {"iterations": 2**62, "record_every": 2**62},
                                  "physical memory", "--record-every", "1"),
-        "table1-rows-memory": ("table1",
-                               {"base": dict(BASE_RUN_CFG, iterations=2**62, record_every=1)},
-                               "physical memory"),
         "table1-key": ("table1", {"runs_per_cell": 2**32 + 1},
                        "runs_per_cell must be at most 2**32"),
         "table1-memory": ("table1", {"runs_per_cell": 2**32}, "physical memory"),

@@ -218,13 +218,13 @@ class TestPerIterationReport:
 
 
 class TestEmpiricalSensitivity:
-    def test_formula_dominates_adjacent_observations(self, paper_problem, rng):
+    def test_formula_dominates_adjacent_observations(self, paper_problem, config_nu, rng):
         # shared message M = theta - lambda * grad f_i; perturb the agent's
         # observation within unit l1 distance and compare l1 message change
         p = paper_problem
         lam = 0.02
         theta = np.array([0.7, -1.2])
-        bound, _ = sensitivity("sample", p.constants.nu, lam, 1)
+        bound, _ = sensitivity("sample", config_nu, lam, 1)
         worst = 0.0
         for _ in range(1000):
             agent = int(rng.integers(p.m))
