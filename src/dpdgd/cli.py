@@ -379,7 +379,7 @@ def cmd_table1(args) -> int:
     variances, runs_per_cell = checked["variances"].tolist(), checked["runs_per_cell"]
     m, d = config.problem.m, config.problem.d
     check_batch_memory(len(variances) * runs_per_cell, m * d, config.rows,
-                       m * runs_per_cell * sum(v > 0 for v in variances), config.row_bytes)
+                       m * runs_per_cell * sum(v > 0 for v in variances))
     # every (cell, run) pair of the sweep in one batch, which run_batch splits over `jobs`
     seeds = _table1_seeds(base["seed"], range(len(variances)), runs_per_cell)
     runs = zip([v for v in variances for _ in range(runs_per_cell)], seeds)

@@ -43,9 +43,9 @@ _TABLE1_STREAM = 10  # (seed, 10, cell, run): the run seeds of the `table1` comm
 
 NOISE_BLOCK = 64  # iterations of noise drawn from a stream at a time
 _NOISE_BUFFER = 2**16  # cap on the doubles buffered across all streams (512 KB)
-RECORD_CHUNK = 32  # recorded states whose metrics are computed in one stacked call
+RECORD_CHUNK = 32  # recorded states held until their metrics are formed in one stacked call
 _STREAM_BYTES = 512  # less than one Philox generator holds (about 730 bytes measured)
-_ROW_BYTES = 160  # a trace row's seven scalars and output share, beyond x and mean_gn (90 measured)
+_ROW_BYTES = 160  # a trace row's seven scalars and its output share (about 75 measured)
 
 
 class InvalidConfig(ValueError):
@@ -112,8 +112,8 @@ def stepsizes(schedule: StepsizeSchedule, ks) -> np.ndarray:
 
 @dataclass
 class RunTrace:
-    """A run's recorded rows as columns, row i at iteration k[i]. The k = 0 row
-    has no step behind it: its lam is lambda_1, and its norms and mean_gn are 0."""
+    """A run's recorded rows as columns, row i at iteration k[i], and its last
+    state. The k = 0 row has no step behind it: its lam is lambda_1 and its norms are 0."""
 
     k: np.ndarray  # (rows,) the iteration of each row
     lam: np.ndarray  # (rows,) the stepsize of the step that produced the row
@@ -122,8 +122,6 @@ class RunTrace:
     opt_error_max: np.ndarray  # (rows,) their max
     noise_norm: np.ndarray  # (rows,) ||N|| of the step
     gn_norm: np.ndarray  # (rows,) ||g + N|| of the step
-    x: np.ndarray  # (rows, m, d) the state
-    mean_gn: np.ndarray  # (rows, d) the agents' mean of g + N
     final_state: np.ndarray  # (m, d) the last state
 
 
@@ -168,11 +166,6 @@ class RunConfig:
     def rows(self) -> int:
         """The rows a run records: k = 0, each multiple of record_every, and the last k."""
         return -(-self.iterations // self.record_every) + 1  # ceil(iterations / record_every) + 1
-
-    @property
-    def row_bytes(self) -> int:
-        """What a recorded row costs: 8 per entry of its x and its mean_gn, and _ROW_BYTES."""
-        return 8 * (self.problem.m + 1) * self.problem.d + _ROW_BYTES
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): a 4-word uint32 pool
@@ -249,10 +242,11 @@ def stream_keys(seeds, keys) -> np.ndarray:
     return out
 
 
-def check_batch_memory(runs=1, entries=0, rows=0, streams=0, row_bytes=0):
+def check_batch_memory(runs=1, entries=0, rows=0, streams=0, row_bytes=_ROW_BYTES):
     """InvalidConfig when `runs` runs of `entries` state entries and `rows` rows
     each, and `streams` noise streams, need more bytes than physical memory holds: 16 per
-    state entry (the running and the final state), `row_bytes` per row, _STREAM_BYTES per stream."""
+    state entry (the running and the final state), `row_bytes` per row (a trace row's
+    _ROW_BYTES unless given), _STREAM_BYTES per stream."""
     need = runs * (16 * entries + rows * row_bytes) + _STREAM_BYTES * streams
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
@@ -377,17 +371,13 @@ def lockstep(problem, w_arr, x, schedule, iterations, keys, scales, observe, *,
 
 
 def row_metrics(problem, xs) -> np.ndarray:
-    """The (consensus_error, opt_error_mean, opt_error_max) columns, a (3, n)
-    array, of the n (m, d) states in the array xs, RECORD_CHUNK states to a
-    stacked call; each state's triple is bitwise what the state alone gives."""
-    out = np.empty((3, len(xs)))
-    for a in range(0, len(xs), RECORD_CHUNK):
-        x = xs[a:a + RECORD_CHUNK]
-        dev = (x - x.mean(axis=1, keepdims=True)).reshape(len(x), -1)
-        out[0, a:a + len(x)] = np.sqrt(np.vecdot(dev, dev))  # a flat state's dot, as in its norm
-        errs = problem.optimization_errors(x).reshape(len(x), -1)
-        out[1:, a:a + len(x)] = errs.mean(axis=1), errs.max(axis=1)
-    return out
+    """The (consensus_error, opt_error_mean, opt_error_max) columns, a (3, ...)
+    array, of the (m, d) states stacked in xs (..., m, d); each state's triple
+    is bitwise what the state alone gives."""
+    dev = (xs - xs.mean(axis=-2, keepdims=True)).reshape(*xs.shape[:-2], -1)
+    errs = problem.optimization_errors(xs)
+    # a flat state's dot, as in its norm
+    return np.array([np.sqrt(np.vecdot(dev, dev)), errs.mean(axis=-1), errs.max(axis=-1)])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up leaves theta unchanged
@@ -464,7 +454,8 @@ def run_batch(configs, jobs=1) -> list:
     A batch that needs more than physical memory is refused first. Returns
     one RunTrace per config, equal to what that config alone would give, so
     `jobs` never changes the result. Rows are recorded at k = 0, at every
-    multiple of record_every and at the last k, by the kernel's per-step hook."""
+    multiple of record_every and at the last k, by the kernel's per-step hook,
+    which forms their metrics RECORD_CHUNK rows at a time."""
     def shared(c):
         return c.problem, c.weights.w.tobytes(), c.schedule, c.iterations, c.record_every
 
@@ -473,7 +464,7 @@ def run_batch(configs, jobs=1) -> list:
         raise InvalidConfig("batched runs must share problem, topology, schedule and recording")
     p, every, iterations = c0.problem, c0.record_every, c0.iterations
     check_batch_memory(len(configs), p.m * p.d, c0.rows,
-                       p.m * sum(c.noise_variance > 0 for c in configs), c0.row_bytes)
+                       p.m * sum(c.noise_variance > 0 for c in configs))
     jobs = min(jobs, len(configs))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -488,31 +479,32 @@ def run_batch(configs, jobs=1) -> list:
     keys = stream_keys([c.seed for c in configs],
                        [(_NOISE_STREAM, j) for j in range(p.m)] + [(_INIT_STREAM, 0)])
     x0 = np.stack([_initial_state(c, k[-1]) for c, k in zip(configs, keys)])
-    # every run's rows; k and lam are shared, and the metrics come from xs after the loop
+    # every run's five columns: the three metrics, then ||N||^2 and ||g + N||^2;
+    # k and lam are shared
     ks = np.r_[0:iterations:every, iterations]
-    xs = np.empty((len(configs), len(ks), p.m, p.d))
-    squares = np.zeros((2, len(configs), len(ks)))  # ||N||^2 and ||g + N||^2, 0 at k = 0
-    sum_gn = np.zeros((len(configs), len(ks), p.d))  # divided by m into mean_gn
-    xs[:, 0] = x0
+    cols = np.empty((5, len(configs), len(ks)))
+    held = np.empty((len(configs), min(RECORD_CHUNK, len(ks)), p.m, p.d))
 
     def record(k, x, n, gn):
         if k % every == 0 or k == iterations:
             row = -(-k // every)  # the last row's index is rounded up
             # each run's squared norm is the dot of its flattened array, as in np.linalg.norm
-            xs[:, row] = x
             nf, gf = n.reshape(len(x), -1), gn.reshape(len(x), -1)
-            squares[0, :, row] = np.vecdot(nf, nf)
-            squares[1, :, row] = np.vecdot(gf, gf)
-            sum_gn[:, row] = np.add.reduce(gn, axis=-2)
+            cols[3, :, row] = np.vecdot(nf, nf)
+            cols[4, :, row] = np.vecdot(gf, gf)
+            # the state is held until RECORD_CHUNK rows are, or the last row is
+            held[:, row % RECORD_CHUNK] = x
+            if row % RECORD_CHUNK == RECORD_CHUNK - 1 or row == len(ks) - 1:
+                first = row - row % RECORD_CHUNK
+                cols[:3, :, first:row + 1] = row_metrics(p, held[:, :row + 1 - first])
 
+    record(0, x0, *[np.zeros_like(x0)] * 2)  # the k = 0 row, with no step behind it
     final, _ = lockstep(p, c0.weights.w, x0, c0.schedule, iterations, keys[:, :-1],
                         [np.sqrt(c.noise_variance) for c in configs], record)
     lam = stepsizes(c0.schedule, ks)
     ks.flags.writeable = lam.flags.writeable = False  # columns that every run's trace shares
-    noise_norm, gn_norm = np.sqrt(squares, out=squares)
-    mean_gn = np.divide(sum_gn, p.m, out=sum_gn)  # what gn.mean(axis=-2) divides
-    return [RunTrace(ks, lam, *row_metrics(p, xs[r]), noise_norm[r], gn_norm[r], xs[r],
-                     mean_gn[r], final[r]) for r in range(len(configs))]
+    np.sqrt(cols[3:], out=cols[3:])
+    return [RunTrace(ks, lam, *cols[:, r], final[r]) for r in range(len(configs))]
 
 
 def run(config: RunConfig) -> RunTrace:

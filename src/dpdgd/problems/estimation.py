@@ -72,13 +72,17 @@ class EstimationProblem(Problem):
     # -- construction-time constants ----------------------------------------
 
     def _boundary_gradient_bound(self):
-        # 512 points along each side of the box; they lie in the box, so only
-        # the closed form is read (the wall slope this sets is not yet known)
+        # 512 points along each side of the box, clipped into it, since
+        # a + (b - a) t may round past b; so only the closed form is read (the
+        # wall slope this sets is not yet known). The bounds and data terms
+        # broadcast, so that no (2048, m, d) layout outlives construction
         corners = [self.lo, np.array([self.hi[0], self.lo[1]]), self.hi,
                    np.array([self.lo[0], self.hi[1]]), self.lo]
         ts = np.linspace(0.0, 1.0, 512)[:, None]
         pts = np.vstack([a + (b - a) * ts for a, b in zip(corners[:-1], corners[1:])])
-        g = self.agent_gradients(np.broadcast_to(pts[:, None, :], (len(pts), self.m, self.d)))
+        pts = np.clip(pts, self.lo, self.hi)
+        g = self._gradients(np.broadcast_to(pts[:, None, :], (len(pts), self.m, self.d)),
+                            self.lo, self.hi, -2.0 * self._MtY)
         return float(np.linalg.norm(g, axis=-1).max())
 
     # -- inside-region closed forms ------------------------------------------

@@ -1151,14 +1151,15 @@ class TestSizeBounds:
         assert not (tmp / name).exists()
 
     # bundled configs grown to many rows: {name: (command, config, edit, rows, the bytes
-    # that a row's columns occupy, the most that a row may cost at the peak)}
+    # that a row's columns occupy, the most that a row may cost at the peak)}; a run's
+    # bound is about a third above its measured peak, 90 and 80 bytes a row
     PEAKS = {
-        # x (5, 2), mean_gn (2,), k, lam, three metrics and two norms: 19 doubles
+        # k, lam, three metrics and two norms: 7 doubles
         "estimation": ("run", "estimation_paper.json", {"iterations": 20000, "record_every": 1},
-                       20001, 8 * 19, 250),
-        # x (5, 10), mean_gn (10,) and the same seven scalars: 67 doubles
+                       20001, 8 * 7, 120),
+        # the same seven scalars, whatever the state's size
         "ica-d10-m5": ("run", "ica_d10.json", {"iterations": 20000, "record_every": 1},
-                       20001, 8 * 67, 650),
+                       20001, 8 * 7, 110),
         # k, lam and three epsilons
         "privacy-report": ("privacy-report", "privacy_report.json", {"horizon": 200000},
                            200000, 8 * 5, 80),
@@ -1226,11 +1227,10 @@ class TestSizeBounds:
     def test_need_counts_states_rows_and_streams(self, monkeypatch):
         config, _, _ = cli.build_run_config(BASE_RUN_CFG)
         m, d = config.problem.m, config.problem.d
-        # a row holds x and mean_gn, 8 bytes an entry, and _ROW_BYTES of the rest
-        assert config.row_bytes == 8 * (m * d + d) + optimizer._ROW_BYTES
-        # 2 runs of 16 bytes a state entry and 4 rows, and 5 streams
-        need = 2 * (16 * m * d + 4 * config.row_bytes) + 5 * optimizer._STREAM_BYTES
-        counts = dict(runs=2, entries=m * d, rows=4, streams=5, row_bytes=config.row_bytes)
+        # 2 runs of 16 bytes a state entry and 4 rows, and 5 streams; a trace
+        # row costs _ROW_BYTES, whatever the state's size
+        need = 2 * (16 * m * d + 4 * optimizer._ROW_BYTES) + 5 * optimizer._STREAM_BYTES
+        counts = dict(runs=2, entries=m * d, rows=4, streams=5)
         monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need, "SC_PAGE_SIZE": 1}.get)
         optimizer.check_batch_memory(**counts)
         monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}.get)

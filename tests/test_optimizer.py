@@ -26,6 +26,7 @@ from dpdgd.optimizer import (
 )
 from dpdgd.problems import ProblemError, QuadraticProblem
 from dpdgd.topology import build_metropolis_weights, builtin_topology, validate_weight_matrix
+from oracles import run_steps
 
 PAPER_SCHEDULE = StepsizeSchedule("piecewise_paper", lambda0=0.02, switch_k=500, scale=1.0)
 
@@ -81,7 +82,7 @@ def _saddle_init(problem, w):
 
 
 COLUMNS = ("k", "lam", "consensus_error", "opt_error_mean", "opt_error_max", "noise_norm",
-           "gn_norm", "x", "mean_gn")
+           "gn_norm")
 
 
 def _records_equal(a, b):
@@ -223,13 +224,15 @@ class TestRun:
         assert not np.array_equal(a.final_state, b.final_state)
 
     def test_mean_dynamics_identity(self, paper_problem, rpc5):
-        # the agent mean follows x_mean <- x_mean - lambda * mean(g + n)
+        # the agent mean follows x_mean <- x_mean - lambda * mean(g + n), at every step
         cfg = RunConfig(problem=paper_problem, weights=rpc5, schedule=PAPER_SCHEDULE,
                         noise_variance=0.5, iterations=120, seed=9,
                         record_every=1)
-        trace = run(cfg)
-        means = trace.x.mean(axis=1)
-        predicted = means[:-1] - trace.lam[1:, None] * trace.mean_gn[1:]
+        xs, gns = run_steps(cfg)
+        assert np.array_equal(xs[-1], run(cfg).final_state)  # the states of the run itself
+        means = xs.mean(axis=1)
+        lams = stepsizes(PAPER_SCHEDULE, np.arange(1, 121))
+        predicted = means[:-1] - lams[:, None] * gns[1:].mean(axis=1)
         assert np.abs(means[1:] - predicted).max() <= 1e-10
 
     def test_explicit_init_broadcast(self, paper_problem, rpc5):
@@ -490,8 +493,8 @@ class TestSaddleInit:
         cfg = RunConfig(problem=paper_problem, weights=complete5, schedule=PAPER_SCHEDULE,
                         noise_variance=0.0, iterations=600, seed=4,
                         init_mode="at_saddle", record_every=1)
-        trace = run(cfg)
-        dev = np.linalg.norm(trace.x - trace.x[0, 0], axis=-1).max()
+        xs, _ = run_steps(cfg)  # xs[0] is the run's initial state
+        dev = np.linalg.norm(xs - xs[0, 0], axis=-1).max()
         assert dev <= 1e-9
 
 
@@ -820,8 +823,7 @@ def _restated_row(problem, x, k, lam, n, gn):
     errs = problem.optimization_errors(x)
     return dict(k=k, lam=lam, consensus_error=np.linalg.norm(x - x.mean(axis=0)),
                 opt_error_mean=errs.mean(), opt_error_max=errs.max(),
-                noise_norm=np.linalg.norm(n), gn_norm=np.linalg.norm(gn), x=x,
-                mean_gn=gn.mean(axis=0))
+                noise_norm=np.linalg.norm(n), gn_norm=np.linalg.norm(gn))
 
 
 def _restated_run(problem, w, x, schedule, iterations, seed, variance):
@@ -863,9 +865,9 @@ def _row_problems():
 
 
 class TestDeferredRows:
-    """`run_batch` keeps each recorded state, through the kernel's per-step
-    hook, and computes the row metrics after the loop, RECORD_CHUNK states at
-    a time; the rows must equal the per-row formulas exactly."""
+    """`run_batch`'s per-step hook holds each recorded state until RECORD_CHUNK
+    rows are held, or the last row is, and forms their metrics in one stacked
+    call; the rows must equal the per-row formulas exactly."""
 
     @pytest.fixture(scope="class")
     def problems(self):
@@ -874,17 +876,17 @@ class TestDeferredRows:
     @pytest.mark.parametrize("name", ["estimation", "quadratic", "saddle_quadratic", "ica"])
     @pytest.mark.parametrize("n_states", [1, RECORD_CHUNK - 1, RECORD_CHUNK, RECORD_CHUNK + 1])
     def test_row_metrics_equal_one_state_at_a_time(self, problems, name, n_states, rng):
+        # a stack of n states, and three runs' stacks of n, as the hook holds them
         problem = problems[name][0]
         xs = np.array([problem.retract(rng.standard_normal((problem.m, problem.d)))
-                       for _ in range(n_states)])
+                       for _ in range(3 * n_states)])
         zero = np.zeros_like(xs[0])
         want = [_restated_row(problem, x, 0, 0.0, zero, zero) for x in xs]
-        got = row_metrics(problem, xs)
-        assert got.shape == (3, n_states)
-        for triple, row in zip(got.T, want):
-            assert (triple.tobytes()
-                    == np.array([row["consensus_error"], row["opt_error_mean"],
-                                 row["opt_error_max"]]).tobytes())
+        want = np.array([[row[c] for c in COLUMNS[2:5]] for row in want]).T
+        got = row_metrics(problem, xs[:n_states])
+        assert got.shape == (3, n_states) and got.tobytes() == want[:, :n_states].tobytes()
+        got = row_metrics(problem, xs.reshape(3, n_states, problem.m, problem.d))
+        assert got.shape == (3, 3, n_states) and got.reshape(3, -1).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["estimation", "quadratic", "saddle_quadratic", "ica"])
     @pytest.mark.parametrize("iterations", [1, RECORD_CHUNK - 2, RECORD_CHUNK - 1, RECORD_CHUNK])
@@ -902,15 +904,30 @@ class TestDeferredRows:
         x0 = problem.sample_init(_seed_sequence_stream(5, 2))
         trace = run(_explicit(problem, rpc5, schedule, x0, 10, 5, 0.25, 4))
         assert trace.k.dtype == np.int64 and trace.k.tolist() == [0, 4, 8, 10]
-        for c in COLUMNS[1:7]:
+        for c in COLUMNS[1:]:
             assert getattr(trace, c).dtype == np.float64 and getattr(trace, c).shape == (4,), c
-        assert trace.x.shape == (4, problem.m, problem.d) and trace.mean_gn.shape == (4, problem.d)
+        assert trace.final_state.shape == (problem.m, problem.d)
         assert trace.lam.tolist() == [stepsize(schedule, k) for k in (1, 4, 8, 10)]
         # k and lam are shared by the batch's traces, so they are read-only
         assert not trace.k.flags.writeable and not trace.lam.flags.writeable
-        # the k = 0 row is the initial state, with no step behind it
-        assert np.array_equal(trace.x[0], x0) and np.array_equal(trace.x[-1], trace.final_state)
-        assert trace.noise_norm[0] == trace.gn_norm[0] == 0.0 and not trace.mean_gn[0].any()
+        # the k = 0 row is the initial state's, with no step behind it, and the last
+        # row the final state's
+        metrics = np.array([getattr(trace, c) for c in COLUMNS[2:5]])
+        assert metrics[:, 0].tobytes() == row_metrics(problem, x0).tobytes()
+        assert metrics[:, -1].tobytes() == row_metrics(problem, trace.final_state).tobytes()
+        assert trace.noise_norm[0] == trace.gn_norm[0] == 0.0
+
+    @pytest.mark.parametrize("name", ["estimation", "ica"])
+    def test_batch_rows_across_held_chunks_equal_restatement(self, problems, rpc5, name):
+        # three runs of 2 RECORD_CHUNK + 4 rows: two chunks held and formed whole, then a part
+        problem, schedule = problems[name]
+        iterations = 2 * RECORD_CHUNK + 3
+        x0s = [problem.sample_init(_seed_sequence_stream(s, 2)) for s in (1, 2, 3)]
+        configs = [_explicit(problem, rpc5, schedule, x0, iterations, s, v, 1)
+                   for x0, s, v in zip(x0s, (1, 2, 3), (0.3, 0.0, 1.0))]
+        for config, x0, trace in zip(configs, x0s, run_batch(configs)):
+            _same_rows(trace, _restated_run(problem, rpc5.w, x0, schedule, iterations,
+                                            config.seed, config.noise_variance))
 
     def test_sparse_rows_are_the_dense_rows(self, problems, rpc5):
         # record_every 7 over 40 iterations keeps k = 0, 7, ..., 35 and the last step

@@ -415,9 +415,23 @@ class TestBatchedGradients:
             got = p.agent_gradients(y)
             assert got.tobytes() == make_paper_estimation_problem().agent_gradients(y).tobytes()
 
+    def test_a_fresh_problem_holds_no_laid_out_entry(self):
+        # the 2048 boundary points that set the wall slope broadcast the bounds
+        # and data terms, so construction leaves no entry for a run to slice
+        assert make_paper_estimation_problem()._shaped == ((),)
+
+    def test_boundary_points_that_round_past_the_box_are_clipped_into_it(self):
+        # on this box lo[1] + (hi[1] - lo[1]) t rounds below lo[1] on the side
+        # back to the first corner; the wall slope reads the closed form there
+        lo, hi = [1.25730221e-03, -1.32104863e-06], [1.06157419e-01, 5.35669372e+02]
+        ts = np.linspace(0.0, 1.0, 512)
+        assert (hi[1] + (lo[1] - hi[1]) * ts < lo[1]).any()
+        p = EstimationProblem([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]], np.ones((5, 3)), -0.1, lo, hi)
+        assert np.isfinite(p.wall_slope) and p._shaped == ((),)
+
     def test_a_pickled_problem_carries_no_laid_out_arrays(self, rng):
-        # run_batch pickles the problem for each --jobs worker; construction alone
-        # lays out 2048 boundary points' bounds and data terms
+        # run_batch pickles the problem for each --jobs worker, after a run
+        # that lays out the bounds and data terms at its state's shape
         p = make_paper_estimation_problem()
         x = rng.uniform(p.lo, p.hi, size=(600, p.m, p.d))
         want = p.agent_gradients(x)
